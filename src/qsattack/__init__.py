@@ -24,6 +24,7 @@ from .errors import (
     ClassBalanceError,
     ConfigError,
     DegenerateDirectionError,
+    MalformedCheckpointError,
     MalformedEpochFileError,
     NoOppositePairError,
     ShapeMismatchError,

@@ -6,6 +6,11 @@ max-norm bound holds by construction.  The stored ``delta`` is computed
 directly as ``epsilon * sign(...)`` and the perturbed epoch as
 ``original + delta``; nothing is clipped afterwards, signals have no box
 bounds here.
+
+Crafting is batch-first: :func:`craft_batch` is the one implementation
+and returns a single :class:`AdversarialExample` record for the whole
+batch; :func:`fgsm`, :func:`ufgsm` and :func:`random_noise` are
+single-epoch wrappers that return its one-epoch view.
 """
 
 from __future__ import annotations
@@ -38,75 +43,66 @@ class AttackConfig:
 
 @dataclass(frozen=True)
 class AdversarialExample:
-    """One perturbed epoch; ``label_used`` is the loss label (None for noise)."""
+    """Originals and quantized deltas from one crafting call.
+
+    :func:`craft_batch` returns (n, C, T) arrays and an (n,) int64
+    ``label_used`` holding the loss label per epoch, ``-1`` for noise.
+    Indexing gives the single-epoch view: (C, T) arrays and an int label,
+    or None for noise.
+    """
 
     original: np.ndarray
-    perturbed: np.ndarray
     delta: np.ndarray
-    label_used: int | None
+    label_used: np.ndarray | int | None
 
+    @property
+    def perturbed(self) -> np.ndarray:
+        return self.original + self.delta
 
-def _example(x: np.ndarray, delta: np.ndarray, label) -> AdversarialExample:
-    return AdversarialExample(
-        original=x.copy(), perturbed=x + delta, delta=delta, label_used=label
-    )
+    def __len__(self) -> int:
+        return len(self.original)
+
+    def __getitem__(self, i: int) -> "AdversarialExample":
+        label = int(self.label_used[i])
+        return AdversarialExample(self.original[i], self.delta[i], label if label >= 0 else None)
 
 
 def fgsm(model, x, label: int, epsilon: float) -> AdversarialExample:
     """Supervised one-step sign-gradient perturbation of max-norm ``epsilon``."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
-    x = np.asarray(x, dtype=np.float64)
-    grad = model.input_gradient(x, label)
-    delta = epsilon * np.sign(grad)
-    return _example(x, delta, int(label))
+    return craft_batch(model, [x], AttackConfig(epsilon, "fgsm"), true_labels=[label])[0]
 
 
 def ufgsm(model, x, epsilon: float) -> AdversarialExample:
     """Unsupervised variant: the model's own prediction replaces the true label."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
-    x = np.asarray(x, dtype=np.float64)
-    label = model.predict(x)
-    grad = model.input_gradient(x, label)
-    delta = epsilon * np.sign(grad)
-    return _example(x, delta, label)
+    return craft_batch(model, [x], AttackConfig(epsilon, "ufgsm"))[0]
 
 
 def random_noise(x, epsilon: float, rng: np.random.Generator) -> AdversarialExample:
     """Control perturbation: ``epsilon`` times the sign of a standard-normal draw."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
-    x = np.asarray(x, dtype=np.float64)
-    delta = epsilon * np.sign(rng.standard_normal(x.shape))
-    return _example(x, delta, None)
+    return craft_batch(None, [x], AttackConfig(epsilon, "noise"), rng=rng)[0]
 
 
-def craft_batch(model, epochs, cfg: AttackConfig, true_labels=None) -> list[AdversarialExample]:
-    """Apply the configured method to every epoch.
+def craft_batch(model, epochs, cfg: AttackConfig, true_labels=None, rng=None) -> AdversarialExample:
+    """Apply the configured method to every epoch at once.
 
     ``fgsm`` needs ``true_labels``; ``ufgsm`` and ``noise`` ignore them.
-    Gradient-based methods run batched for speed.  ``model`` may be None
-    for the noise method.
+    ``model`` may be None for the noise method, which draws from ``rng``
+    when given and from ``cfg.noise_seed`` otherwise; one (n, C, T) draw
+    consumes the stream exactly as n per-epoch draws would.
     """
     xs = as_epoch_batch(epochs, model.spec.input_shape if model is not None else None)
     if cfg.method == "noise":
-        rng = np.random.default_rng(cfg.noise_seed)
-        return [random_noise(x, cfg.epsilon, rng) for x in xs]
+        rng = rng if rng is not None else np.random.default_rng(cfg.noise_seed)
+        delta = cfg.epsilon * np.sign(rng.standard_normal(xs.shape))
+        return AdversarialExample(xs.copy(), delta, np.full(len(xs), -1, dtype=np.int64))
     if cfg.method == "fgsm":
         if true_labels is None:
             raise ValueError("fgsm needs true labels")
-        labels = np.asarray(true_labels, dtype=np.int64)
+        labels = np.array(true_labels, dtype=np.int64)
     else:
         labels = model.predict_batch(xs)
     grads = model.input_gradient_batch(xs, labels)
-    deltas = cfg.epsilon * np.sign(grads)
-    return [_example(xs[i], deltas[i], int(labels[i])) for i in range(len(xs))]
-
-
-def perturbed_batch(examples) -> np.ndarray:
-    """(n, C, T) array of the perturbed epochs."""
-    return np.stack([e.perturbed for e in examples])
+    return AdversarialExample(xs.copy(), cfg.epsilon * np.sign(grads), labels)
 
 
 def save_adversarial_batch(out_dir, examples, cfg: AttackConfig, gradient_source: str) -> None:
@@ -118,11 +114,8 @@ def save_adversarial_batch(out_dir, examples, cfg: AttackConfig, gradient_source
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    labels = np.array(
-        [e.label_used if e.label_used is not None else -1 for e in examples], dtype=np.int64
-    )
-    write_epochs(out / "originals.epo", LabeledSet(np.stack([e.original for e in examples]), labels))
-    write_epochs(out / "perturbed.epo", LabeledSet(perturbed_batch(examples), labels))
+    write_epochs(out / "originals.epo", LabeledSet(examples.original, examples.label_used))
+    write_epochs(out / "perturbed.epo", LabeledSet(examples.perturbed, examples.label_used))
     manifest = {
         "method": cfg.method,
         "epsilon": cfg.epsilon,

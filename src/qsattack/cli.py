@@ -35,10 +35,12 @@ from .models import save_checkpoint
 from .pipeline import (
     ExperimentConfig,
     _generate,
-    _model_name,
+    attack_run,
     config_to_dict,
     dataset_name,
     load_config,
+    model_name,
+    prepare_run,
     run_attack_experiment,
     stage_seeds,
     write_run_trace,
@@ -102,27 +104,18 @@ def cmd_gen_data(cfg: ExperimentConfig) -> int:
 def cmd_train_target(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seeds = stage_seeds(cfg.master_seed, 0)
-    from .metrics import metric_report
-    from .pipeline import _build_spec
-    from .models import SoftmaxClassifier
-
-    structure = seeds["data-structure"]
-    train_set = _generate(cfg.data, cfg.data.train_per_class, seeds["data-train"], structure)
-    test_set = _generate(cfg.data, cfg.data.test_per_class, seeds["data-test"], structure)
-    target = SoftmaxClassifier(_build_spec(cfg.target, cfg.data, seeds["target-init"]))
-    history = target.fit(train_set, replace(cfg.target.train, shuffle_seed=seeds["target-train"]))
-    report = metric_report(target.predict_batch(test_set.epochs), test_set.labels, cfg.data.classes)
+    prepared = prepare_run(cfg, 0)
+    report = prepared.baseline
     ckpt = out / "target.ckpt"
-    save_checkpoint(target, ckpt)
+    save_checkpoint(prepared.target, ckpt)
     print(
-        f"trained {_model_name(cfg.target)} on {dataset_name(cfg.data)}: "
-        f"epochs={history.n_epochs} test rca={report.rca:.4f} bca={report.bca:.4f}"
+        f"trained {model_name(cfg.target)} on {dataset_name(cfg.data)}: "
+        f"epochs={prepared.history.n_epochs} test rca={report.rca:.4f} bca={report.bca:.4f}"
     )
     print(f"checkpoint: {ckpt}")
     _write_manifest(
         out, "train-target", cfg, "ok",
-        extra={"seeds": seeds, "test_rca": report.rca, "test_bca": report.bca},
+        extra={"seeds": prepared.seeds, "test_rca": report.rca, "test_bca": report.bca},
     )
     return 0
 
@@ -137,13 +130,11 @@ def cmd_attack(cfg: ExperimentConfig) -> int:
         run_dir = out / f"run-{run:03d}"
         run_dir.mkdir(parents=True, exist_ok=True)
         write_run_trace(run_dir / "trace.csv", result)
-        if result.examples is not None:
-            source = "substitute" if result.method != "noise" else "noise-generator"
-            save_adversarial_batch(run_dir / "adversarial", result.examples, cfg.attack, source)
+        source = "substitute" if result.method != "noise" else "noise-generator"
+        save_adversarial_batch(run_dir / "adversarial", result.examples, cfg.attack, source)
         if result.substitute is not None:
             save_checkpoint(result.substitute, run_dir / "substitute.ckpt")
-        if result.target is not None:
-            save_checkpoint(result.target, run_dir / "target.ckpt")
+        save_checkpoint(result.target, run_dir / "target.ckpt")
         rows.append(result.results_row(cfg))
         seeds_by_run[run] = result.seeds
         print(
@@ -162,10 +153,14 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if not cfg.budgets:
         raise ConfigError("sweep needs a non-empty budgets list")
-    rows = []
+    rows, prepared = [], {}
 
     def closure(budget, run):
-        result = run_attack_experiment(cfg, run, budget=budget)
+        # one target per run index, shared by every budget; preparing here
+        # lets a failure surface as SweepAborted like any other
+        if run not in prepared:
+            prepared[run] = prepare_run(cfg, run)
+        result = attack_run(prepared[run], budget)
         rows.append(result.results_row(cfg))
         return result.attacked
 
@@ -235,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qsattack {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, budget=False):
+    def common(p):
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
         p.add_argument("--out", default=None, help="override the output directory")

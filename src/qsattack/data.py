@@ -98,10 +98,6 @@ class LabeledSet:
         lab = np.asarray(labels, dtype=np.int64)
         return LabeledSet(np.concatenate([self.epochs, add]), np.concatenate([self.labels, lab]))
 
-    def subset(self, indices) -> "LabeledSet":
-        idx = np.asarray(indices, dtype=np.int64)
-        return LabeledSet(self.epochs[idx], self.labels[idx])
-
 
 def gen_blobs(
     n_per_class: int,

@@ -33,6 +33,10 @@ class MalformedEpochFileError(ValueError):
         self.offset = offset
 
 
+class MalformedCheckpointError(ValueError):
+    """A model checkpoint is missing a key, holds a bad value or has the wrong parameter count."""
+
+
 class ClassBalanceError(ValueError):
     """A predicted class has fewer members than the requested per-class count."""
 

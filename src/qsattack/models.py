@@ -4,12 +4,13 @@ Three architectures over (channels, samples) epochs:
 
 * ``linear``: flatten, one dense layer, softmax.
 * ``mlp``: flatten, one or two nonlinear hidden layers, dense, softmax.
+  ``linear`` runs through the same dense code with no hidden layer.
 * ``tcn``: one bank of 1-D filters shared across channels and slid along
   the time axis, activation, global average pooling per (filter, channel),
   dense, softmax.
 
 Parameters are a single flat float64 vector with named views, which keeps
-Adam, cloning and checkpointing trivial.  All math is float64 and fully
+Adam and checkpointing trivial.  All math is float64 and fully
 deterministic given the seeds involved.
 
 Checkpoint format (plain text, documented keys)::
@@ -30,13 +31,14 @@ Checkpoint format (plain text, documented keys)::
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .data import LabeledSet, as_epoch_batch
-from .errors import ShapeMismatchError
+from .errors import MalformedCheckpointError, ShapeMismatchError
 
 _ARCHITECTURES = ("linear", "mlp", "tcn")
 _ACTIVATIONS = ("relu", "tanh")
@@ -86,10 +88,6 @@ class ModelSpec:
     @property
     def input_shape(self) -> tuple[int, int]:
         return (self.channels, self.samples)
-
-    @property
-    def input_dim(self) -> int:
-        return self.channels * self.samples
 
 
 @dataclass(frozen=True)
@@ -161,10 +159,8 @@ def class_weight_vector(labels, n_classes: int, mode: str = "uniform") -> np.nda
 
 def _layer_table(spec: ModelSpec):
     """(name, shape, fan_in) for every parameter tensor, in initialization order."""
-    d, k = spec.input_dim, spec.classes
-    if spec.architecture == "linear":
-        return [("W0", (k, d), d), ("b0", (k,), d)]
-    if spec.architecture == "mlp":
+    d, k = spec.channels * spec.samples, spec.classes
+    if spec.architecture != "tcn":  # linear is the dense stack with no hidden layer
         sizes = (d,) + spec.hidden + (k,)
         table = []
         for i in range(len(sizes) - 1):
@@ -208,12 +204,7 @@ class SoftmaxClassifier:
         self._table = _layer_table(spec)
         total = sum(int(np.prod(shape)) for _, shape, _ in self._table)
         self._params = np.zeros(total)
-        self.views = {}
-        offset = 0
-        for name, shape, _ in self._table:
-            size = int(np.prod(shape))
-            self.views[name] = self._params[offset : offset + size].reshape(shape)
-            offset += size
+        self.views = self._views(self._params)
         self._adam_m = np.zeros(total)
         self._adam_v = np.zeros(total)
         self._adam_t = 0
@@ -248,33 +239,13 @@ class SoftmaxClassifier:
         self._adam_v[:] = 0.0
         self._adam_t = 0
 
-    def clone(self) -> "SoftmaxClassifier":
-        other = SoftmaxClassifier(self.spec)
-        other.set_parameters(self._params)
-        other._adam_m[:] = self._adam_m
-        other._adam_v[:] = self._adam_v
-        other._adam_t = self._adam_t
-        return other
-
     # -- forward ---------------------------------------------------------
-
-    def _check_epoch(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != self.spec.input_shape:
-            raise ShapeMismatchError(
-                f"epoch shape {x.shape} does not match model input {self.spec.input_shape}"
-            )
-        return x
 
     def _forward(self, X: np.ndarray):
         """Batched logits plus the cache needed for backprop."""
         spec = self.spec
         n = X.shape[0]
-        if spec.architecture == "linear":
-            flat = X.reshape(n, -1)
-            logits = flat @ self.views["W0"].T + self.views["b0"]
-            return logits, {"flat": flat}
-        if spec.architecture == "mlp":
+        if spec.architecture != "tcn":
             acts = [X.reshape(n, -1)]
             pre = []
             n_hidden = len(spec.hidden)
@@ -300,20 +271,10 @@ class SoftmaxClassifier:
         n = X.shape[0]
         grads = np.zeros_like(self._params) if want_params else None
 
-        if spec.architecture == "linear":
-            flat = cache["flat"]
-            dX = None
-            if want_params:
-                gview = self._grad_views(grads)
-                gview["W0"][...] = dlogits.T @ flat
-                gview["b0"][...] = dlogits.sum(axis=0)
-            if want_inputs:
-                dX = (dlogits @ self.views["W0"]).reshape(X.shape)
-            return grads, dX
-        if spec.architecture == "mlp":
+        if spec.architecture != "tcn":
             acts, pre = cache["acts"], cache["pre"]
             n_hidden = len(spec.hidden)
-            gview = self._grad_views(grads) if want_params else None
+            gview = self._views(grads) if want_params else None
             delta = dlogits
             for layer in range(n_hidden, -1, -1):
                 if want_params:
@@ -326,7 +287,6 @@ class SoftmaxClassifier:
                 delta = (delta @ self.views[f"W{layer}"]) * _act_prime(
                     pre[layer - 1], acts[layer], spec.activation
                 )
-            raise AssertionError("unreachable")
         # tcn
         windows, feat, act, pooled = (
             cache["windows"],
@@ -337,7 +297,7 @@ class SoftmaxClassifier:
         n_filters = spec.hidden[0]
         width = spec.kernel_width
         window_count = act.shape[3]
-        gview = self._grad_views(grads) if want_params else None
+        gview = self._views(grads) if want_params else None
         dpooled = (dlogits @ self.views["W_out"]).reshape(n, n_filters, spec.channels)
         dact = np.broadcast_to(
             dpooled[..., None] / window_count, act.shape
@@ -357,12 +317,13 @@ class SoftmaxClassifier:
                 )
         return grads, dX
 
-    def _grad_views(self, grads: np.ndarray) -> dict:
+    def _views(self, flat: np.ndarray) -> dict:
+        """Named reshaped views into a flat parameter-layout vector."""
         views = {}
         offset = 0
         for name, shape, _ in self._table:
             size = int(np.prod(shape))
-            views[name] = grads[offset : offset + size].reshape(shape)
+            views[name] = flat[offset : offset + size].reshape(shape)
             offset += size
         return views
 
@@ -375,7 +336,7 @@ class SoftmaxClassifier:
 
     def probs(self, x) -> np.ndarray:
         """Class probability vector for one epoch."""
-        return self.probs_batch(self._check_epoch(x)[None])[0]
+        return self.probs_batch(np.asarray(x, dtype=np.float64)[None])[0]
 
     def predict_batch(self, epochs) -> np.ndarray:
         probs = self.probs_batch(epochs)
@@ -400,7 +361,7 @@ class SoftmaxClassifier:
 
     def loss(self, x, label: int, class_weights=None) -> float:
         """(Optionally class-weighted) cross-entropy of a single epoch."""
-        return self.dataset_loss(self._check_epoch(x)[None], [label], class_weights)
+        return self.dataset_loss(np.asarray(x, dtype=np.float64)[None], [label], class_weights)
 
     def dataset_loss(self, epochs, labels, class_weights=None) -> float:
         """Mean weighted cross-entropy over a batch."""
@@ -426,8 +387,7 @@ class SoftmaxClassifier:
 
     def input_gradient(self, x, label: int, class_weights=None) -> np.ndarray:
         """Exact analytic gradient of the scalar loss w.r.t. every input entry."""
-        x = self._check_epoch(x)
-        return self.input_gradient_batch(x[None], [label], class_weights)[0]
+        return self.input_gradient_batch(np.asarray(x, dtype=np.float64)[None], [label], class_weights)[0]
 
     def _loss_and_param_grad(self, X, y, weights):
         logits, cache = self._forward(X)
@@ -516,17 +476,25 @@ def save_checkpoint(model: SoftmaxClassifier, path) -> None:
 
 
 def load_checkpoint(path) -> SoftmaxClassifier:
-    """Read a checkpoint written by :func:`save_checkpoint`."""
-    text = Path(path).read_text(encoding="utf-8").splitlines()
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    Structural problems raise :class:`MalformedCheckpointError` naming the
+    key or line at fault.
+    """
     fields = {}
     params = []
     in_params = False
-    for line in text:
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line:
             continue
         if in_params:
-            params.append(float(line))
+            try:
+                params.append(float(line))
+            except ValueError:
+                raise MalformedCheckpointError(
+                    f"line {lineno}: parameter {line!r} is not a number"
+                ) from None
             continue
         if line == "params:":
             in_params = True
@@ -534,29 +502,35 @@ def load_checkpoint(path) -> SoftmaxClassifier:
         key, _, value = line.partition(":")
         fields[key.strip()] = value.strip()
     if fields.get("format") != _CHECKPOINT_FORMAT:
-        raise ValueError(f"unsupported checkpoint format {fields.get('format')!r}")
-    known = {
-        "format", "architecture", "channels", "samples", "classes",
-        "hidden", "activation", "kernel_width", "seed", "n_params",
-    }
-    unknown = set(fields) - known
+        raise MalformedCheckpointError(f"unsupported checkpoint format {fields.get('format')!r}")
+    spec_keys = [f.name for f in dataclasses.fields(ModelSpec)]
+    unknown = set(fields) - {"format", "n_params", *spec_keys}
     if unknown:
-        raise ValueError(f"unknown checkpoint keys: {sorted(unknown)}")
-    hidden = tuple(int(h) for h in fields["hidden"].split(",") if h)
-    spec = ModelSpec(
-        architecture=fields["architecture"],
-        channels=int(fields["channels"]),
-        samples=int(fields["samples"]),
-        classes=int(fields["classes"]),
-        hidden=hidden,
-        activation=fields["activation"],
-        kernel_width=int(fields["kernel_width"]),
-        seed=int(fields["seed"]),
-    )
+        raise MalformedCheckpointError(f"unknown checkpoint keys: {sorted(unknown)}")
+
+    def field(key, parse=int):
+        if key not in fields:
+            raise MalformedCheckpointError(f"checkpoint is missing key {key!r}")
+        try:
+            return parse(fields[key])
+        except ValueError:
+            raise MalformedCheckpointError(
+                f"checkpoint key {key!r} has invalid value {fields[key]!r}"
+            ) from None
+
+    parsers = {"architecture": str, "activation": str,
+               "hidden": lambda v: tuple(int(h) for h in v.split(",") if h)}
+    values = {key: field(key, parsers.get(key, int)) for key in spec_keys}
+    try:
+        spec = ModelSpec(**values)
+    except ValueError as exc:
+        raise MalformedCheckpointError(f"checkpoint describes an invalid model: {exc}") from None
+    n_params = field("n_params")
     model = SoftmaxClassifier(spec)
-    if len(params) != int(fields["n_params"]):
-        raise ValueError(
-            f"checkpoint declares {fields['n_params']} parameters but holds {len(params)}"
+    if len(params) != n_params or n_params != model.n_parameters:
+        raise MalformedCheckpointError(
+            f"checkpoint key 'n_params' declares {n_params} parameters, the file holds "
+            f"{len(params)} and the model needs {model.n_parameters}"
         )
     model.set_parameters(np.array(params))
     return model

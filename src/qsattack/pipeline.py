@@ -1,10 +1,15 @@
 """Config-driven experiment orchestration.
 
-One run reproduces the protocol shape end to end: generate seeded
-train/test/pool splits, train the target, wrap it in a counted label-only
-oracle, balance the initial substitute set by predicted label, train the
-substitute (active synthesis or the gradient-step baseline), craft
-perturbations from the substitute, and score the target on them.
+One run reproduces the protocol shape end to end in two stages.
+:func:`prepare_run` generates the seeded train/test/pool splits, trains
+the target once, and scores it on clean and noise-perturbed test epochs.
+:func:`attack_run` then wraps that target in a counted label-only oracle,
+balances the initial substitute set by predicted label, trains the
+substitute (active synthesis or the gradient-step baseline), crafts
+perturbations from the substitute, and scores the target on them.  One
+preparation serves every method and budget of its run index, since
+nothing in it depends on either; :func:`run_attack_experiment` chains the
+two stages for a single (method, budget).
 
 Budget accounting: the *training budget* of a run is the number of target
 queries spent on substitute training (initial set plus augmentation).
@@ -22,23 +27,26 @@ reproducible in isolation and stays paired across methods and budgets.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .attack import AttackConfig, craft_batch, perturbed_batch
+import numpy as np
+
+from .attack import AdversarialExample, AttackConfig, craft_batch
 from .data import LabeledSet, balance_by_predicted_label, gen_blobs, gen_synthetic_epochs
 from .errors import ConfigError
 from .metrics import MetricReport, boundary_agreement, metric_report
-from .models import ModelSpec, SoftmaxClassifier, TrainConfig
+from .models import ModelSpec, SoftmaxClassifier, TrainConfig, TrainHistory
 from .oracle import TargetOracle
 from .seeding import derive_seed
 from .synthesis import (
     AugmentationTrace,
     JacobianConfig,
     SynthesisConfig,
-    TraceRow,
+    pretrain_substitute,
     train_substitute_active,
     train_substitute_jacobian,
 )
@@ -194,7 +202,7 @@ def _generate(data_cfg: DataConfig, n_per_class: int, seed: int, structure_seed:
     )
 
 
-def _model_name(net: NetConfig) -> str:
+def model_name(net: NetConfig) -> str:
     sizes = "x".join(str(h) for h in net.hidden)
     return net.architecture + (f"-{sizes}" if sizes else "")
 
@@ -216,16 +224,21 @@ def _build_spec(net: NetConfig, data_cfg: DataConfig, seed: int) -> ModelSpec:
     )
 
 
-def _pretrain_only(oracle, initial_epochs, spec, train_cfg):
-    """Budget exactly covers the initial set: label it, train, no augmentation."""
-    start = oracle.query_count
-    labels = oracle.query_labels(initial_epochs)
-    data = LabeledSet(initial_epochs, labels)
-    model = SoftmaxClassifier(spec)
-    model.fit(data, train_cfg)
-    trace = AugmentationTrace()
-    trace.append(TraceRow(0, oracle.query_count - start, 0, len(data)))
-    return model, trace
+@dataclass
+class PreparedRun:
+    """Everything of one run that does not depend on method or budget."""
+
+    cfg: ExperimentConfig
+    run_index: int
+    seeds: dict
+    test_set: LabeledSet
+    pool_set: LabeledSet
+    target: SoftmaxClassifier
+    history: TrainHistory
+    clean_preds: np.ndarray
+    baseline: MetricReport
+    noisy: MetricReport
+    noisy_examples: AdversarialExample
 
 
 @dataclass
@@ -243,15 +256,15 @@ class RunResult:
     training_queries: int
     total_queries: int
     seeds: dict
-    examples: list | None = None
+    examples: AdversarialExample | None = None
     substitute: SoftmaxClassifier | None = None
     target: SoftmaxClassifier | None = None
 
     def results_row(self, cfg: ExperimentConfig) -> dict:
         return {
             "dataset": dataset_name(cfg.data),
-            "target_model": _model_name(cfg.target),
-            "substitute_model": _model_name(cfg.substitute) if self.method != "noise" else "",
+            "target_model": model_name(cfg.target),
+            "substitute_model": model_name(cfg.substitute) if self.method != "noise" else "",
             "method": self.method,
             "budget": self.budget if self.budget is not None else self.training_queries,
             "seed": self.run_seed,
@@ -264,13 +277,18 @@ class RunResult:
         }
 
 
+def _augmentation_queries(s0_size: int, budget: int) -> int:
+    extra = budget - s0_size
+    if extra < 0:
+        raise ConfigError(f"budget {budget} is below the initial set size {s0_size}")
+    return extra
+
+
 def _resolve_active_plan(cfg: ExperimentConfig, s0_size: int, budget: int | None, seed: int) -> SynthesisConfig | None:
     syn = replace(cfg.synthesis, seed=seed)
     if budget is None:
         return syn
-    extra = budget - s0_size
-    if extra < 0:
-        raise ConfigError(f"budget {budget} is below the initial set size {s0_size}")
+    extra = _augmentation_queries(s0_size, budget)
     if extra == 0:
         return None  # pretrain only
     if extra % syn.per_iteration:
@@ -285,9 +303,7 @@ def _resolve_jacobian_plan(cfg: ExperimentConfig, s0_size: int, budget: int | No
     jac = replace(cfg.jacobian, seed=seed)
     if budget is None:
         return jac
-    extra = budget - s0_size
-    if extra < 0:
-        raise ConfigError(f"budget {budget} is below the initial set size {s0_size}")
+    extra = _augmentation_queries(s0_size, budget)
     # enough doubling rounds to consume the cap, which trims the last round
     rounds = 1
     while s0_size * (2**rounds - 1) < extra:
@@ -295,104 +311,99 @@ def _resolve_jacobian_plan(cfg: ExperimentConfig, s0_size: int, budget: int | No
     return replace(jac, n_iterations=rounds, query_cap=extra)
 
 
-def run_attack_experiment(cfg: ExperimentConfig, run_index: int = 0, budget: int | None = None) -> RunResult:
-    """Execute one full attack run; see the module docstring for accounting."""
+def prepare_run(cfg: ExperimentConfig, run_index: int = 0) -> PreparedRun:
+    """Splits, trained target, and the clean and noisy reports of one run."""
     seeds = stage_seeds(cfg.master_seed, run_index)
     structure = seeds["data-structure"]
     train_set = _generate(cfg.data, cfg.data.train_per_class, seeds["data-train"], structure)
     test_set = _generate(cfg.data, cfg.data.test_per_class, seeds["data-test"], structure)
-    pool_set = _generate(cfg.data, cfg.data.pool_per_class, seeds["data-pool"], structure)
+    if cfg.data.pool_per_class:
+        pool_set = _generate(cfg.data, cfg.data.pool_per_class, seeds["data-pool"], structure)
+    else:  # train-target needs no pool; balancing an empty one fails with ClassBalanceError
+        pool_set = LabeledSet(np.zeros((0,) + train_set.shape), [])
 
     target = SoftmaxClassifier(_build_spec(cfg.target, cfg.data, seeds["target-init"]))
-    target.fit(train_set, replace(cfg.target.train, shuffle_seed=seeds["target-train"]))
+    history = target.fit(train_set, replace(cfg.target.train, shuffle_seed=seeds["target-train"]))
 
     clean_preds = target.predict_batch(test_set.epochs)
     baseline = metric_report(clean_preds, test_set.labels, cfg.data.classes)
 
     noise_cfg = AttackConfig(epsilon=cfg.attack.epsilon, method="noise", noise_seed=seeds["noise"])
     noisy_examples = craft_batch(None, test_set.epochs, noise_cfg)
-    noisy_preds = target.predict_batch(perturbed_batch(noisy_examples))
+    noisy_preds = target.predict_batch(noisy_examples.perturbed)
     noisy = metric_report(noisy_preds, test_set.labels, cfg.data.classes)
+    return PreparedRun(cfg, run_index, seeds, test_set, pool_set, target, history,
+                       clean_preds, baseline, noisy, noisy_examples)
 
+
+def _train_substitute(prepared: PreparedRun, oracle, s0, budget: int | None):
+    cfg, seeds = prepared.cfg, prepared.seeds
     s0_size = cfg.balance.per_class * cfg.data.classes
-    pool_size = len(pool_set)
-    oracle_budget = None if budget is None else pool_size + budget
-    oracle = TargetOracle(target, budget=oracle_budget)
+    spec = _build_spec(cfg.substitute, cfg.data, seeds["substitute-init"])
+    train = replace(cfg.substitute.train, shuffle_seed=seeds["substitute-train"])
+    if cfg.method == "jacobian":
+        plan = _resolve_jacobian_plan(cfg, s0_size, budget, seeds["synthesis"])
+        return train_substitute_jacobian(oracle, s0, spec, train, plan)
+    plan = _resolve_active_plan(cfg, s0_size, budget, seeds["synthesis"])
+    if plan is None:
+        substitute, _, trace = pretrain_substitute(oracle, s0, spec, train)
+        return substitute, trace
+    return train_substitute_active(oracle, s0, spec, train, plan)
+
+
+def attack_run(prepared: PreparedRun, budget: int | None = None) -> RunResult:
+    """Balance the pool, train the substitute, craft and score; see the module docstring."""
+    cfg, seeds, test_set = prepared.cfg, prepared.seeds, prepared.test_set
+    oracle_budget = None if budget is None else len(prepared.pool_set) + budget
+    oracle = TargetOracle(prepared.target, budget=oracle_budget)
     s0 = balance_by_predicted_label(
-        oracle, pool_set.epochs, cfg.balance.per_class, seeds["balance"], cfg.balance.strict
+        oracle, prepared.pool_set.epochs, cfg.balance.per_class, seeds["balance"], cfg.balance.strict
     )
     balance_queries = oracle.query_count
 
-    if cfg.method == "noise":
-        return RunResult(
-            run_index=run_index,
-            run_seed=seeds["run"],
-            method="noise",
-            budget=budget,
-            baseline=baseline,
-            noisy=noisy,
-            attacked=noisy,
-            agreement=None,
-            trace=None,
-            balance_queries=balance_queries,
-            training_queries=0,
-            total_queries=oracle.query_count,
-            seeds=seeds,
-            examples=noisy_examples,
-            target=target,
-        )
-
-    sub_spec = _build_spec(cfg.substitute, cfg.data, seeds["substitute-init"])
-    sub_train = replace(cfg.substitute.train, shuffle_seed=seeds["substitute-train"])
-    before_training = oracle.query_count
-    if cfg.method == "active":
-        plan = _resolve_active_plan(cfg, s0_size, budget, seeds["synthesis"])
-        if plan is None:
-            substitute, trace = _pretrain_only(oracle, s0, sub_spec, sub_train)
-        else:
-            substitute, trace = train_substitute_active(oracle, s0, sub_spec, sub_train, plan)
-    else:
-        plan = _resolve_jacobian_plan(cfg, s0_size, budget, seeds["synthesis"])
-        substitute, trace = train_substitute_jacobian(oracle, s0, sub_spec, sub_train, plan)
-    training_queries = oracle.query_count - before_training
-
-    atk = cfg.attack
-    examples = craft_batch(substitute, test_set.epochs, atk, true_labels=test_set.labels)
-    attacked_preds = target.predict_batch(perturbed_batch(examples))
-    attacked = metric_report(attacked_preds, test_set.labels, cfg.data.classes)
-    agreement = boundary_agreement(substitute, clean_preds, test_set.epochs)
+    substitute = trace = agreement = None
+    attacked, examples = prepared.noisy, prepared.noisy_examples
+    if cfg.method != "noise":
+        substitute, trace = _train_substitute(prepared, oracle, s0, budget)
+        examples = craft_batch(substitute, test_set.epochs, cfg.attack, true_labels=test_set.labels)
+        attacked_preds = prepared.target.predict_batch(examples.perturbed)
+        attacked = metric_report(attacked_preds, test_set.labels, cfg.data.classes)
+        agreement = boundary_agreement(substitute, prepared.clean_preds, test_set.epochs)
 
     return RunResult(
-        run_index=run_index,
+        run_index=prepared.run_index,
         run_seed=seeds["run"],
         method=cfg.method,
         budget=budget,
-        baseline=baseline,
-        noisy=noisy,
+        baseline=prepared.baseline,
+        noisy=prepared.noisy,
         attacked=attacked,
         agreement=agreement,
         trace=trace,
         balance_queries=balance_queries,
-        training_queries=training_queries,
+        training_queries=oracle.query_count - balance_queries,
         total_queries=oracle.query_count,
         seeds=seeds,
         examples=examples,
         substitute=substitute,
-        target=target,
+        target=prepared.target,
     )
+
+
+def run_attack_experiment(cfg: ExperimentConfig, run_index: int = 0, budget: int | None = None) -> RunResult:
+    """Execute one full attack run: :func:`prepare_run` then :func:`attack_run`."""
+    return attack_run(prepare_run(cfg, run_index), budget)
 
 
 def write_run_trace(path, result: RunResult) -> None:
     """Stage-labeled query ledger for one run.
 
-    Columns extend the augmentation-trace CSV with a leading ``stage``
-    column; ``target_queries`` is the absolute oracle counter so totals
-    are directly comparable across methods.
+    One ``balance`` row, then one ``augment`` row per augmentation-trace
+    row; ``target_queries`` is the absolute oracle counter so totals are
+    directly comparable across methods.
     """
-    import csv as _csv
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(
             ["stage", "iteration", "target_queries", "substitute_queries", "train_set_size"]
         )

@@ -17,7 +17,6 @@ Accounting conventions:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,7 +122,6 @@ class TraceRow:
     substitute_queries: int
     train_set_size: int
     synthesized: np.ndarray | None = None
-    new_labels: np.ndarray | None = None
 
 
 @dataclass
@@ -137,26 +135,9 @@ class AugmentationTrace:
 
     rows: list = field(default_factory=list)
 
-    def append(self, row: TraceRow) -> None:
-        self.rows.append(row)
-
-    @property
-    def target_query_total(self) -> int:
-        return self.rows[-1].target_queries if self.rows else 0
-
     @property
     def substitute_query_total(self) -> int:
         return self.rows[-1].substitute_queries if self.rows else 0
-
-    def to_csv(self, path) -> None:
-        """Serialize as CSV: iteration, target_queries, substitute_queries, train_set_size."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "target_queries", "substitute_queries", "train_set_size"])
-            for row in self.rows:
-                writer.writerow(
-                    [row.iteration, row.target_queries, row.substitute_queries, row.train_set_size]
-                )
 
 
 def binary_search_pair(pair: OppositePair, model, steps: int, counter: QueryCounter | None = None) -> OppositePair:
@@ -272,21 +253,19 @@ def _synthesize_one(
     class_pair: tuple[int, int] | None,
 ) -> np.ndarray:
     """One synthesized epoch, falling back to a random draw when allowed."""
-    shape = data.shape
-    exhausted_reason = None
     for _ in range(cfg.reselect_limit):
         try:
             pair = select_opposite_pair(data, rng, class_pair)
         except NoOppositePairError as exc:
             exhausted_reason = exc
             break
-        # validation peeks; uncounted, see module docstring
-        if model.predict(pair.x_plus) == model.predict(pair.x_minus):
+        try:
+            refined = binary_search_pair(pair, model, cfg.bisection_steps, counter)
+        except BoundaryLostError:  # raised by the uncounted endpoint peeks
             exhausted_reason = BoundaryLostError(
                 f"substitute agrees on every selected pair after {cfg.reselect_limit} tries"
             )
             continue
-        refined = binary_search_pair(pair, model, cfg.bisection_steps, counter)
         return mid_perpendicular(
             refined,
             model,
@@ -297,10 +276,8 @@ def _synthesize_one(
             cfg.resample_limit,
         )
     if cfg.random_fallback:
-        return rng.standard_normal(shape)
-    raise exhausted_reason if exhausted_reason is not None else BoundaryLostError(
-        "no usable opposite pair found"
-    )
+        return rng.standard_normal(data.shape)
+    raise exhausted_reason  # set on every pass, and reselect_limit >= 1
 
 
 def one_vs_one_quotas(
@@ -363,8 +340,8 @@ def synthesize_one_vs_one(
 
 def jacobian_augment(
     data: LabeledSet, model, step_size: float, counter: QueryCounter | None = None
-) -> list[np.ndarray]:
-    """Baseline augmentation: one signed gradient step from every epoch.
+) -> np.ndarray:
+    """Baseline augmentation: one signed gradient step from every epoch, as (n, C, T).
 
     Uses the substitute's own predicted label for each epoch (the
     loss-gradient variant), so no target queries are needed to build the
@@ -376,20 +353,54 @@ def jacobian_augment(
     if counter is not None:
         counter.add(len(labels))
     grads = model.input_gradient_batch(data.epochs, labels)
-    stepped = data.epochs + step_size * np.sign(grads)
-    return [stepped[i] for i in range(len(stepped))]
+    return data.epochs + step_size * np.sign(grads)
 
 
-def _pretrain(oracle, initial_epochs, model_spec, train_cfg):
+def _check_budget(oracle, needed: int) -> None:
+    """All-or-nothing: refuse a plan before its first query if it cannot finish."""
+    if oracle.remaining is not None and oracle.remaining < needed:
+        raise BudgetExhaustedError(
+            f"plan needs {needed} target queries but only {oracle.remaining} remain",
+            remaining=oracle.remaining,
+        )
+
+
+def pretrain_substitute(oracle, initial_epochs, model_spec: ModelSpec, train_cfg: TrainConfig):
+    """Label the initial set and train a fresh substitute on it: trace row 0.
+
+    Returns ``(model, labeled_set, trace)``.  Both trainers start here; a
+    budget equal to the initial set size stops here.
+    """
     xs = as_epoch_batch(initial_epochs, model_spec.input_shape)
     if len(xs) == 0:
         raise ValueError("initial epoch set is empty")
-    start = oracle.query_count
-    labels = oracle.query_labels(xs)
-    data = LabeledSet(xs, labels)
+    data = LabeledSet(xs, oracle.query_labels(xs))
     model = SoftmaxClassifier(model_spec)
     model.fit(data, train_cfg)
-    return model, data, start
+    return model, data, AugmentationTrace([TraceRow(0, len(data), 0, len(data))])
+
+
+def _augment_rounds(oracle, xs, model_spec: ModelSpec, train_cfg: TrainConfig, retrain: str, propose):
+    """The loop both trainers share: pretrain, then label, append and retrain per round.
+
+    ``propose(iteration, data, model, counter)`` returns round ``iteration``'s
+    new (m, C, T) epochs, or None to stop.  Trace query counts are relative
+    to the oracle counter at entry.
+    """
+    start = oracle.query_count
+    model, data, trace = pretrain_substitute(oracle, xs, model_spec, train_cfg)
+    counter = QueryCounter()
+    iteration = 1
+    while (new := propose(iteration, data, model, counter)) is not None:
+        data = data.extended(new, oracle.query_labels(new))
+        if retrain == "from-scratch":
+            model = SoftmaxClassifier(model_spec)
+        model.fit(data, train_cfg)
+        trace.rows.append(
+            TraceRow(iteration, oracle.query_count - start, counter.count, len(data), synthesized=new)
+        )
+        iteration += 1
+    return model, trace
 
 
 def train_substitute_active(
@@ -408,42 +419,20 @@ def train_substitute_active(
     ``len(initial) + n_iterations * per_iteration`` exactly.
     """
     xs = as_epoch_batch(initial_epochs, model_spec.input_shape)
-    needed = len(xs) + syn_cfg.n_iterations * syn_cfg.per_iteration
-    if oracle.remaining is not None and oracle.remaining < needed:
-        raise BudgetExhaustedError(
-            f"plan needs {needed} target queries but only {oracle.remaining} remain",
-            remaining=oracle.remaining,
-        )
-    model, data, start = _pretrain(oracle, xs, model_spec, train_cfg)
-    counter = QueryCounter()
+    _check_budget(oracle, len(xs) + syn_cfg.n_iterations * syn_cfg.per_iteration)
     rng = np.random.default_rng(syn_cfg.seed)
-    trace = AugmentationTrace()
-    trace.append(TraceRow(0, oracle.query_count - start, counter.count, len(data)))
-    for iteration in range(1, syn_cfg.n_iterations + 1):
+
+    def propose(iteration, data, model, counter):
+        if iteration > syn_cfg.n_iterations:
+            return None
         if model_spec.classes == 2:
-            new = [
+            return np.stack([
                 _synthesize_one(data, model, syn_cfg, rng, counter, None)
                 for _ in range(syn_cfg.per_iteration)
-            ]
-        else:
-            new = synthesize_one_vs_one(data, model, model_spec.classes, syn_cfg, rng, counter)
-        new = np.stack(new)
-        new_labels = oracle.query_labels(new)
-        data = data.extended(new, new_labels)
-        if syn_cfg.retrain == "from-scratch":
-            model = SoftmaxClassifier(model_spec)
-        model.fit(data, train_cfg)
-        trace.append(
-            TraceRow(
-                iteration,
-                oracle.query_count - start,
-                counter.count,
-                len(data),
-                synthesized=new,
-                new_labels=new_labels,
-            )
-        )
-    return model, trace
+            ])
+        return np.stack(synthesize_one_vs_one(data, model, model_spec.classes, syn_cfg, rng, counter))
+
+    return _augment_rounds(oracle, xs, model_spec, train_cfg, syn_cfg.retrain, propose)
 
 
 def train_substitute_jacobian(
@@ -459,34 +448,21 @@ def train_substitute_jacobian(
     target queries total ``len(initial) * (2**N - 1)``.  When ``query_cap``
     is set, the final round is subsampled (seeded) to stay within it.
     """
-    model, data, start = _pretrain(oracle, initial_epochs, model_spec, train_cfg)
-    counter = QueryCounter()
+    xs = as_epoch_batch(initial_epochs, model_spec.input_shape)
+    growth = len(xs) * (2**jac_cfg.n_iterations - 1)
+    if jac_cfg.query_cap is not None:
+        growth = min(jac_cfg.query_cap, growth)
+    _check_budget(oracle, len(xs) + growth)
     cap_rng = np.random.default_rng(jac_cfg.seed)
-    trace = AugmentationTrace()
-    trace.append(TraceRow(0, oracle.query_count - start, counter.count, len(data)))
-    spent = 0
-    for iteration in range(1, jac_cfg.n_iterations + 1):
-        if jac_cfg.query_cap is not None and spent >= jac_cfg.query_cap:
-            break
+
+    def propose(iteration, data, model, counter):
+        spent = len(data) - len(xs)
+        if iteration > jac_cfg.n_iterations or spent >= growth:
+            return None
         new = jacobian_augment(data, model, jac_cfg.step_size, counter)
-        if jac_cfg.query_cap is not None and spent + len(new) > jac_cfg.query_cap:
-            keep = cap_rng.choice(len(new), size=jac_cfg.query_cap - spent, replace=False)
-            new = [new[i] for i in np.sort(keep)]
-        new = np.stack(new)
-        new_labels = oracle.query_labels(new)
-        spent += len(new)
-        data = data.extended(new, new_labels)
-        if jac_cfg.retrain == "from-scratch":
-            model = SoftmaxClassifier(model_spec)
-        model.fit(data, train_cfg)
-        trace.append(
-            TraceRow(
-                iteration,
-                oracle.query_count - start,
-                counter.count,
-                len(data),
-                synthesized=new,
-                new_labels=new_labels,
-            )
-        )
-    return model, trace
+        if spent + len(new) > growth:
+            keep = cap_rng.choice(len(new), size=growth - spent, replace=False)
+            new = new[np.sort(keep)]
+        return new
+
+    return _augment_rounds(oracle, xs, model_spec, train_cfg, jac_cfg.retrain, propose)

@@ -7,7 +7,6 @@ from qsattack.attack import (
     AttackConfig,
     craft_batch,
     fgsm,
-    perturbed_batch,
     random_noise,
     save_adversarial_batch,
     ufgsm,
@@ -110,9 +109,24 @@ def test_craft_batch_matches_single_calls():
 def test_noise_crafting_is_seeded():
     xs = RNG.standard_normal((4, 2, 6))
     cfg = AttackConfig(epsilon=0.1, method="noise", noise_seed=77)
-    a = perturbed_batch(craft_batch(None, xs, cfg))
-    b = perturbed_batch(craft_batch(None, xs, cfg))
+    a = craft_batch(None, xs, cfg).perturbed
+    b = craft_batch(None, xs, cfg).perturbed
     assert np.array_equal(a, b)
+
+
+def test_noise_batch_consumes_the_stream_like_per_epoch_draws():
+    # one (n, C, T) draw must equal n per-epoch (C, T) draws, so a caller-supplied
+    # rng shared with other code stays in step after random_noise
+    xs = RNG.standard_normal((5, 2, 6))
+    batch = craft_batch(None, xs, AttackConfig(epsilon=0.3, method="noise", noise_seed=8))
+    reference = np.random.default_rng(8)
+    expected = np.stack([0.3 * np.sign(reference.standard_normal((2, 6))) for _ in xs])
+    assert np.array_equal(batch.delta, expected)
+    assert np.array_equal(batch.label_used, [-1] * 5) and batch[0].label_used is None
+    shared = np.random.default_rng(8)
+    singles = [random_noise(x, 0.3, shared).delta for x in xs]
+    assert np.array_equal(np.stack(singles), expected)
+    assert shared.standard_normal() == reference.standard_normal()
 
 
 def test_save_adversarial_batch(tmp_path):
@@ -141,10 +155,8 @@ def test_ufgsm_beats_noise_on_simple_task():
         target = make_model("mlp", channels=2, samples=8, seed=seed, hidden=(8,))
         target.fit(data, train_cfg)
         eps = 0.8
-        adv = perturbed_batch(craft_batch(target, test.epochs, AttackConfig(eps, "ufgsm")))
-        noisy = perturbed_batch(
-            craft_batch(None, test.epochs, AttackConfig(eps, "noise", noise_seed=seed))
-        )
+        adv = craft_batch(target, test.epochs, AttackConfig(eps, "ufgsm")).perturbed
+        noisy = craft_batch(None, test.epochs, AttackConfig(eps, "noise", noise_seed=seed)).perturbed
         ufgsm_acc.append(rca(target.predict_batch(adv), test.labels))
         noise_acc.append(rca(target.predict_batch(noisy), test.labels))
     assert np.mean(ufgsm_acc) < np.mean(noise_acc)

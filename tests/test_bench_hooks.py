@@ -1,0 +1,37 @@
+"""Smoke test of the benchmark's outside-in tracing hooks.
+
+``bench/tracing.py`` wraps public names of the package from outside.  A
+refactor that renames or reshapes one of them makes a traced command fail
+or silently read 0; this runs tiny ``attack`` and ``sweep`` commands under
+the tracer so that shows up in the tier-1 suite.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from qsattack import cli
+from testutil import write_config
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from tracing import Tracer, layer_metrics  # noqa: E402
+
+
+@pytest.mark.parametrize("command", ["attack", "sweep"])
+def test_traced_commands_keep_working(tmp_path, command):
+    cfg = write_config(tmp_path, runs=2, budgets=[20, 40] if command == "sweep" else [40])
+    tracer = Tracer()
+    tracer.install()
+    try:
+        code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    # a span whose call raised carries the exception's class name as its info
+    raised = [span for span in tracer.spans if isinstance(span[4], str)]
+    assert raised == []
+    metrics = layer_metrics(tracer.spans, runs_per_pass=2)
+    assert metrics["attack.crafted_epochs"] > 0
+    assert metrics["synthesis.epochs"] > 0
+    assert metrics["pipeline.target_fits_per_run_index"] == 1.0

@@ -1,4 +1,3 @@
-import csv
 import json
 
 import pytest
@@ -6,38 +5,7 @@ import pytest
 from qsattack.cli import main
 from qsattack.data import read_epochs
 from qsattack.models import load_checkpoint
-
-
-def write_config(tmp_path, **overrides):
-    cfg = {
-        "data": {
-            "generator": "blobs", "classes": 2, "channels": 2, "samples": 8,
-            "train_per_class": 30, "test_per_class": 20, "pool_per_class": 30,
-            "separation": 6.0, "noise_sigma": 1.0,
-        },
-        "target": {"architecture": "mlp", "hidden": [6],
-                   "train": {"max_epochs": 40, "patience": 5, "batch_size": 16}},
-        "substitute": {"architecture": "mlp", "hidden": [6],
-                       "train": {"max_epochs": 5, "patience": 2, "batch_size": 16}},
-        "balance": {"per_class": 10},
-        "synthesis": {"n_iterations": 1, "per_iteration": 20, "bisection_steps": 4,
-                      "offset_norm": 3.0},
-        "jacobian": {"step_size": 0.5, "n_iterations": 1},
-        "attack": {"epsilon": 0.4, "method": "ufgsm"},
-        "method": "active",
-        "runs": 1,
-        "master_seed": 5,
-        "out_dir": str(tmp_path / "out"),
-    }
-    cfg.update(overrides)
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg), encoding="utf-8")
-    return path
-
-
-def read_rows(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+from testutil import read_rows, write_config
 
 
 def test_gen_data_deterministic(tmp_path, capsys):
@@ -125,6 +93,31 @@ def test_sweep_csv_and_determinism(tmp_path):
     assert all(r["runs"] == "2" for r in rows)
     results = read_rows(out_a / "results.csv")
     assert len(results) == 4
+
+
+def test_sweep_rows_equal_attack_rows_per_budget(tmp_path):
+    # sweep trains one target per run index and shares it across budgets;
+    # attack --budget trains its own, so equal rows mean the sharing is exact
+    cfg = write_config(tmp_path, runs=2, budgets=[20, 40])
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+    expected = []
+    for budget in (20, 40):
+        out = tmp_path / f"attack-{budget}"
+        assert main(["attack", "--config", str(cfg), "--out", str(out),
+                     "--budget", str(budget)]) == 0
+        expected += (out / "results.csv").read_text(encoding="utf-8").splitlines()[1:]
+    swept = (tmp_path / "sweep" / "results.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert swept == expected
+    assert len(swept) == 4
+
+
+def test_train_target_without_pool(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    raw = json.loads(cfg.read_text())
+    raw["data"]["pool_per_class"] = 0
+    cfg.write_text(json.dumps(raw))
+    assert main(["train-target", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    assert "epochs=" in capsys.readouterr().out
 
 
 def test_report_aggregates(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsattack.data import LabeledSet, gen_blobs
-from qsattack.errors import ShapeMismatchError
+from qsattack.errors import MalformedCheckpointError, ShapeMismatchError
 from qsattack.models import (
     ModelSpec,
     TrainConfig,
@@ -247,3 +247,20 @@ def test_checkpoint_rejects_unknown_format(tmp_path):
     path.write_text("format: something-else\nparams:\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def test_checkpoint_errors_are_typed_and_name_the_fault(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(make_model("mlp", seed=4), path)
+    good = path.read_text(encoding="utf-8")
+    cases = {
+        "'n_params'": "\n".join(l for l in good.splitlines() if not l.startswith("n_params:")),
+        "'channels'": good.replace("channels: 2", "channels: two"),
+        "not a number": good + "not-a-number\n",
+        "declares": good + "0.5\n",  # one parameter more than n_params
+    }
+    for fragment, text in cases.items():
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MalformedCheckpointError) as info:
+            load_checkpoint(path)
+        assert fragment in str(info.value)

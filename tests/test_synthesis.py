@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qsattack import synthesis
 from qsattack.data import LabeledSet, gen_blobs
 from qsattack.errors import (
     BoundaryLostError,
@@ -12,7 +13,6 @@ from qsattack.metrics import boundary_agreement
 from qsattack.models import ModelSpec, SoftmaxClassifier, TrainConfig
 from qsattack.oracle import TargetOracle
 from qsattack.synthesis import (
-    AugmentationTrace,
     JacobianConfig,
     OppositePair,
     QueryCounter,
@@ -280,6 +280,68 @@ def test_active_training_budget_precheck_leaves_counter():
     assert oracle.query_count == 0
 
 
+def test_jacobian_training_budget_precheck_leaves_counter():
+    # |S0| = 5 and two doubling rounds need 5 + 5 * 3 = 20 labels; with 15 the
+    # plan is refused before the first query instead of after spending 10
+    _, oracle, s0 = make_oracle_and_s0(n_s0=10, budget=15)
+    jac = JacobianConfig(step_size=0.5, n_iterations=2)
+    with pytest.raises(BudgetExhaustedError):
+        train_substitute_jacobian(
+            oracle, s0[:5], ModelSpec("mlp", 2, 6, 2, hidden=(5,), seed=5), FAST_TRAIN, jac
+        )
+    assert oracle.query_count == 0
+    capped = JacobianConfig(step_size=0.5, n_iterations=2, query_cap=10)
+    train_substitute_jacobian(
+        oracle, s0[:5], ModelSpec("mlp", 2, 6, 2, hidden=(5,), seed=5), FAST_TRAIN, capped
+    )
+    assert oracle.query_count == 15
+
+
+class ConstantSubstitute(SoftmaxClassifier):
+    """Trains like any substitute but labels every epoch as class 0."""
+
+    def predict(self, x):
+        return 0
+
+    def predict_batch(self, epochs):
+        return np.zeros(len(epochs), dtype=np.int64)
+
+
+def test_strict_binary_synthesis_raises_instead_of_noise(monkeypatch):
+    spec = ModelSpec("mlp", 2, 6, 2, hidden=(5,), seed=3)
+    strict = SynthesisConfig(n_iterations=1, per_iteration=2, bisection_steps=3,
+                             offset_norm=2.0, seed=4, reselect_limit=3, random_fallback=False)
+    # the target labels everything class 0, so no opposite pair exists
+    constant_target = make_model("linear", channels=2, samples=6)
+    constant_target.set_parameters(np.zeros(constant_target.n_parameters))
+    constant_target.views["b0"][0] = 1.0
+    s0 = make_oracle_and_s0()[2]
+    with pytest.raises(NoOppositePairError):
+        train_substitute_active(TargetOracle(constant_target), s0, spec, FAST_TRAIN, strict)
+    # both classes are labeled but the substitute puts every pair on one side
+    monkeypatch.setattr(synthesis, "SoftmaxClassifier", ConstantSubstitute)
+    _, oracle, s0 = make_oracle_and_s0()
+    with pytest.raises(BoundaryLostError):
+        train_substitute_active(oracle, s0, spec, FAST_TRAIN, strict)
+    lenient = SynthesisConfig(n_iterations=1, per_iteration=2, bisection_steps=3,
+                              offset_norm=2.0, seed=4, reselect_limit=3)
+    _, trace = train_substitute_active(make_oracle_and_s0()[1], s0, spec, FAST_TRAIN, lenient)
+    assert trace.rows[-1].train_set_size == len(s0) + 2  # Gaussian fallback epochs
+
+
+def test_strict_one_vs_one_synthesis_raises_instead_of_noise():
+    strict = SynthesisConfig(per_iteration=6, bisection_steps=3, offset_norm=2.0,
+                             reselect_limit=3, random_fallback=False)
+    data = gen_blobs(4, 3, 2, 6, separation=5.0, seed=21)
+    constant = make_model("linear", channels=2, samples=6, classes=3)
+    constant.set_parameters(np.zeros(constant.n_parameters))
+    with pytest.raises(BoundaryLostError):
+        synthesize_one_vs_one(data, constant, 3, strict, np.random.default_rng(1))
+    one_class = LabeledSet(data.epochs, np.zeros(len(data), dtype=np.int64))
+    with pytest.raises(NoOppositePairError):
+        synthesize_one_vs_one(one_class, constant, 3, strict, np.random.default_rng(1))
+
+
 def test_active_training_improves_boundary_agreement():
     # paired over 10 seeds on a modest 2-class task
     train_cfg = TrainConfig(max_epochs=60, patience=8, batch_size=16)
@@ -336,20 +398,6 @@ def test_jacobian_training_query_cap_subsamples():
         oracle, s0, ModelSpec("mlp", 2, 6, 2, hidden=(5,), seed=8), FAST_TRAIN, jac
     )
     assert oracle.query_count == 10 + 17
-
-
-def test_trace_csv_columns(tmp_path):
-    trace = AugmentationTrace()
-    from qsattack.synthesis import TraceRow
-
-    trace.append(TraceRow(0, 10, 0, 10))
-    trace.append(TraceRow(1, 15, 40, 15))
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iteration,target_queries,substitute_queries,train_set_size"
-    assert lines[1] == "0,10,0,10"
-    assert lines[2] == "1,15,40,15"
 
 
 def test_synthesis_config_validation():

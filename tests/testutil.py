@@ -1,5 +1,8 @@
 """Shared helpers for the test suite."""
 
+import csv
+import json
+
 import numpy as np
 
 from qsattack.models import ModelSpec, SoftmaxClassifier
@@ -66,3 +69,37 @@ class FixedDrawRng:
         draw = self.draws[min(self.i, len(self.draws) - 1)]
         self.i += 1
         return draw.reshape(shape) if shape is not None else draw
+
+
+def write_config(tmp_path, **overrides):
+    """Write a tiny 2-class experiment config; keyword overrides replace top-level keys."""
+    cfg = {
+        "data": {
+            "generator": "blobs", "classes": 2, "channels": 2, "samples": 8,
+            "train_per_class": 30, "test_per_class": 20, "pool_per_class": 30,
+            "separation": 6.0, "noise_sigma": 1.0,
+        },
+        "target": {"architecture": "mlp", "hidden": [6],
+                   "train": {"max_epochs": 40, "patience": 5, "batch_size": 16}},
+        "substitute": {"architecture": "mlp", "hidden": [6],
+                       "train": {"max_epochs": 5, "patience": 2, "batch_size": 16}},
+        "balance": {"per_class": 10},
+        "synthesis": {"n_iterations": 1, "per_iteration": 20, "bisection_steps": 4,
+                      "offset_norm": 3.0},
+        "jacobian": {"step_size": 0.5, "n_iterations": 1},
+        "attack": {"epsilon": 0.4, "method": "ufgsm"},
+        "method": "active",
+        "runs": 1,
+        "master_seed": 5,
+        "out_dir": str(tmp_path / "out"),
+    }
+    cfg.update(overrides)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return path
+
+
+def read_rows(path):
+    """Rows of a CSV file as dicts keyed by the header."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
