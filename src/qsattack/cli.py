@@ -35,7 +35,8 @@ from .models import save_checkpoint
 from .pipeline import (
     ExperimentConfig,
     _generate,
-    attack_run,
+    attack_runs,
+    check_budgets,
     config_to_dict,
     dataset_name,
     load_config,
@@ -153,16 +154,18 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if not cfg.budgets:
         raise ConfigError("sweep needs a non-empty budgets list")
-    rows, prepared = [], {}
+    check_budgets(cfg, cfg.budgets)  # a bad grid costs no training
+    rows, scored = [], {}
 
     def closure(budget, run):
-        # one target per run index, shared by every budget; preparing here
-        # lets a failure surface as SweepAborted like any other
-        if run not in prepared:
-            prepared[run] = prepare_run(cfg, run)
-        result = attack_run(prepared[run], budget)
-        rows.append(result.results_row(cfg))
-        return result.attacked
+        # one target and, for active, one substitute per run index, scored at
+        # every budget on the first call; only the rows and reports are kept
+        if run not in scored:
+            results = attack_runs(prepare_run(cfg, run), cfg.budgets)
+            scored[run] = {r.budget: (r.results_row(cfg), r.attacked) for r in results}
+        row, attacked = scored[run].pop(budget)
+        rows.append(row)
+        return attacked
 
     curve = run_sweep(cfg.budgets, cfg.runs, closure)
     curve.to_csv(out / "sweep.csv")

@@ -9,7 +9,9 @@ substitute (active synthesis or the gradient-step baseline), crafts
 perturbations from the substitute, and scores the target on them.  One
 preparation serves every method and budget of its run index, since
 nothing in it depends on either; :func:`run_attack_experiment` chains the
-two stages for a single (method, budget).
+two stages for a single (method, budget).  :func:`attack_runs` scores
+several budgets of one preparation, and for the active method trains a
+single substitute whose rounds reach each budget in turn.
 
 Budget accounting: the *training budget* of a run is the number of target
 queries spent on substitute training (initial set plus augmentation).
@@ -277,6 +279,10 @@ class RunResult:
         }
 
 
+def _s0_size(cfg: ExperimentConfig) -> int:
+    return cfg.balance.per_class * cfg.data.classes
+
+
 def _augmentation_queries(s0_size: int, budget: int) -> int:
     extra = budget - s0_size
     if extra < 0:
@@ -284,31 +290,43 @@ def _augmentation_queries(s0_size: int, budget: int) -> int:
     return extra
 
 
-def _resolve_active_plan(cfg: ExperimentConfig, s0_size: int, budget: int | None, seed: int) -> SynthesisConfig | None:
-    syn = replace(cfg.synthesis, seed=seed)
+def _active_rounds(cfg: ExperimentConfig, budget: int | None) -> int:
+    """Synthesis rounds that spend ``budget``; 0 means the pretrained substitute."""
     if budget is None:
-        return syn
-    extra = _augmentation_queries(s0_size, budget)
-    if extra == 0:
-        return None  # pretrain only
-    if extra % syn.per_iteration:
+        return cfg.synthesis.n_iterations
+    per_iteration = cfg.synthesis.per_iteration
+    extra = _augmentation_queries(_s0_size(cfg), budget)
+    if extra % per_iteration:
         raise ConfigError(
-            f"budget {budget} minus initial {s0_size} must be a multiple of "
-            f"per_iteration={syn.per_iteration}"
+            f"budget {budget} minus initial {_s0_size(cfg)} must be a multiple of "
+            f"per_iteration={per_iteration}"
         )
-    return replace(syn, n_iterations=extra // syn.per_iteration)
+    return extra // per_iteration
 
 
-def _resolve_jacobian_plan(cfg: ExperimentConfig, s0_size: int, budget: int | None, seed: int) -> JacobianConfig:
+def _resolve_jacobian_plan(cfg: ExperimentConfig, budget: int | None, seed: int) -> JacobianConfig:
     jac = replace(cfg.jacobian, seed=seed)
     if budget is None:
         return jac
+    s0_size = _s0_size(cfg)
     extra = _augmentation_queries(s0_size, budget)
     # enough doubling rounds to consume the cap, which trims the last round
     rounds = 1
     while s0_size * (2**rounds - 1) < extra:
         rounds += 1
     return replace(jac, n_iterations=rounds, query_cap=extra)
+
+
+def check_budgets(cfg: ExperimentConfig, budgets) -> None:
+    """Raise :class:`ConfigError` for a budget ``cfg.method`` cannot spend exactly.
+
+    Needs no data or training, so a sweep can refuse a bad grid up front.
+    """
+    for budget in budgets:
+        if cfg.method == "active":
+            _active_rounds(cfg, budget)
+        elif cfg.method == "jacobian":
+            _resolve_jacobian_plan(cfg, budget, 0)
 
 
 def prepare_run(cfg: ExperimentConfig, run_index: int = 0) -> PreparedRun:
@@ -336,43 +354,47 @@ def prepare_run(cfg: ExperimentConfig, run_index: int = 0) -> PreparedRun:
                        clean_preds, baseline, noisy, noisy_examples)
 
 
-def _train_substitute(prepared: PreparedRun, oracle, s0, budget: int | None):
+def _train_substitutes(prepared: PreparedRun, oracle, s0, budgets) -> list:
+    """One substitute trajectory: ``(substitute, trace)`` as it stood at each budget."""
     cfg, seeds = prepared.cfg, prepared.seeds
-    s0_size = cfg.balance.per_class * cfg.data.classes
     spec = _build_spec(cfg.substitute, cfg.data, seeds["substitute-init"])
     train = replace(cfg.substitute.train, shuffle_seed=seeds["substitute-train"])
     if cfg.method == "jacobian":
-        plan = _resolve_jacobian_plan(cfg, s0_size, budget, seeds["synthesis"])
-        return train_substitute_jacobian(oracle, s0, spec, train, plan)
-    plan = _resolve_active_plan(cfg, s0_size, budget, seeds["synthesis"])
-    if plan is None:
+        (budget,) = budgets
+        plan = _resolve_jacobian_plan(cfg, budget, seeds["synthesis"])
+        return [train_substitute_jacobian(oracle, s0, spec, train, plan)]
+    rounds = [_active_rounds(cfg, budget) for budget in budgets]
+    if max(rounds) == 0:
         substitute, _, trace = pretrain_substitute(oracle, s0, spec, train)
-        return substitute, trace
-    return train_substitute_active(oracle, s0, spec, train, plan)
+        return [(substitute, trace)] * len(budgets)
+    states = {}
+
+    def on_round(model, trace):
+        done = len(trace.rows) - 1
+        if done in rounds:  # later rounds fine-tune this model in place: copy its parameters
+            snapshot = SoftmaxClassifier(spec)
+            snapshot.set_parameters(model.parameters)
+            states[done] = (snapshot, AugmentationTrace(list(trace.rows)))
+
+    plan = replace(cfg.synthesis, seed=seeds["synthesis"], n_iterations=max(rounds))
+    train_substitute_active(oracle, s0, spec, train, plan, on_round=on_round)
+    return [states[r] for r in rounds]
 
 
-def attack_run(prepared: PreparedRun, budget: int | None = None) -> RunResult:
-    """Balance the pool, train the substitute, craft and score; see the module docstring."""
-    cfg, seeds, test_set = prepared.cfg, prepared.seeds, prepared.test_set
-    oracle_budget = None if budget is None else len(prepared.pool_set) + budget
-    oracle = TargetOracle(prepared.target, budget=oracle_budget)
-    s0 = balance_by_predicted_label(
-        oracle, prepared.pool_set.epochs, cfg.balance.per_class, seeds["balance"], cfg.balance.strict
-    )
-    balance_queries = oracle.query_count
-
-    substitute = trace = agreement = None
+def _score(prepared: PreparedRun, budget, balance_queries: int, substitute, trace) -> RunResult:
+    """Craft from ``substitute`` (the noise control when None) and score the target."""
+    cfg, test_set = prepared.cfg, prepared.test_set
+    agreement = None
     attacked, examples = prepared.noisy, prepared.noisy_examples
-    if cfg.method != "noise":
-        substitute, trace = _train_substitute(prepared, oracle, s0, budget)
+    if substitute is not None:
         examples = craft_batch(substitute, test_set.epochs, cfg.attack, true_labels=test_set.labels)
         attacked_preds = prepared.target.predict_batch(examples.perturbed)
         attacked = metric_report(attacked_preds, test_set.labels, cfg.data.classes)
         agreement = boundary_agreement(substitute, prepared.clean_preds, test_set.epochs)
-
+    training_queries = trace.rows[-1].target_queries if trace is not None else 0
     return RunResult(
         run_index=prepared.run_index,
-        run_seed=seeds["run"],
+        run_seed=prepared.seeds["run"],
         method=cfg.method,
         budget=budget,
         baseline=prepared.baseline,
@@ -381,13 +403,45 @@ def attack_run(prepared: PreparedRun, budget: int | None = None) -> RunResult:
         agreement=agreement,
         trace=trace,
         balance_queries=balance_queries,
-        training_queries=oracle.query_count - balance_queries,
-        total_queries=oracle.query_count,
-        seeds=seeds,
+        training_queries=training_queries,
+        total_queries=balance_queries + training_queries,
+        seeds=prepared.seeds,
         examples=examples,
         substitute=substitute,
         target=prepared.target,
     )
+
+
+def attack_runs(prepared: PreparedRun, budgets) -> list[RunResult]:
+    """:func:`attack_run` for each budget, one result per budget in order.
+
+    ``active`` trains one substitute up to the largest budget and scores
+    each budget from the round that reaches it, which gives what separate
+    runs would: a round never depends on how many rounds follow it.  A
+    ``jacobian`` plan subsamples its last round at the budget's own size,
+    so smaller budgets are not prefixes of larger ones: it balances and
+    trains once per budget, and ``noise`` balances once per budget.
+    """
+    cfg = prepared.cfg
+    check_budgets(cfg, budgets)
+    groups = [list(budgets)] if cfg.method == "active" else [[budget] for budget in budgets]
+    results = []
+    for group in groups:
+        oracle_budget = None if None in group else len(prepared.pool_set) + max(group)
+        oracle = TargetOracle(prepared.target, budget=oracle_budget)
+        s0 = balance_by_predicted_label(
+            oracle, prepared.pool_set.epochs, cfg.balance.per_class, prepared.seeds["balance"],
+            cfg.balance.strict,
+        )
+        balance_queries = oracle.query_count
+        states = [(None, None)] if cfg.method == "noise" else _train_substitutes(prepared, oracle, s0, group)
+        results += [_score(prepared, budget, balance_queries, *state) for budget, state in zip(group, states)]
+    return results
+
+
+def attack_run(prepared: PreparedRun, budget: int | None = None) -> RunResult:
+    """Balance the pool, train the substitute, craft and score; see the module docstring."""
+    return attack_runs(prepared, [budget])[0]
 
 
 def run_attack_experiment(cfg: ExperimentConfig, run_index: int = 0, budget: int | None = None) -> RunResult:

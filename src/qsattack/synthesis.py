@@ -380,15 +380,21 @@ def pretrain_substitute(oracle, initial_epochs, model_spec: ModelSpec, train_cfg
     return model, data, AugmentationTrace([TraceRow(0, len(data), 0, len(data))])
 
 
-def _augment_rounds(oracle, xs, model_spec: ModelSpec, train_cfg: TrainConfig, retrain: str, propose):
+def _augment_rounds(oracle, xs, model_spec: ModelSpec, train_cfg: TrainConfig, retrain: str, propose,
+                    on_round=None):
     """The loop both trainers share: pretrain, then label, append and retrain per round.
 
     ``propose(iteration, data, model, counter)`` returns round ``iteration``'s
     new (m, C, T) epochs, or None to stop.  Trace query counts are relative
-    to the oracle counter at entry.
+    to the oracle counter at entry.  ``on_round(model, trace)``, when given,
+    sees the substitute and the trace so far after pretraining and after
+    every round; later rounds keep training that same model unless
+    ``retrain`` is ``"from-scratch"``.
     """
     start = oracle.query_count
     model, data, trace = pretrain_substitute(oracle, xs, model_spec, train_cfg)
+    if on_round is not None:
+        on_round(model, trace)
     counter = QueryCounter()
     iteration = 1
     while (new := propose(iteration, data, model, counter)) is not None:
@@ -399,6 +405,8 @@ def _augment_rounds(oracle, xs, model_spec: ModelSpec, train_cfg: TrainConfig, r
         trace.rows.append(
             TraceRow(iteration, oracle.query_count - start, counter.count, len(data), synthesized=new)
         )
+        if on_round is not None:
+            on_round(model, trace)
         iteration += 1
     return model, trace
 
@@ -409,6 +417,7 @@ def train_substitute_active(
     model_spec: ModelSpec,
     train_cfg: TrainConfig,
     syn_cfg: SynthesisConfig,
+    on_round=None,
 ) -> tuple[SoftmaxClassifier, AugmentationTrace]:
     """Label the initial set, pre-train, then augment by query synthesis.
 
@@ -416,7 +425,10 @@ def train_substitute_active(
     the current substitute (binary path for two classes, one-vs-one for
     more), labeled by the target in one batch, appended, and the
     substitute retrained.  Target queries total
-    ``len(initial) + n_iterations * per_iteration`` exactly.
+    ``len(initial) + n_iterations * per_iteration`` exactly.  Round ``i``
+    runs exactly as the last round of an ``n_iterations=i`` run would, so
+    ``on_round(model, trace)`` (see :func:`_augment_rounds`) sees every
+    shorter run's final state on the way.
     """
     xs = as_epoch_batch(initial_epochs, model_spec.input_shape)
     _check_budget(oracle, len(xs) + syn_cfg.n_iterations * syn_cfg.per_iteration)
@@ -432,7 +444,7 @@ def train_substitute_active(
             ])
         return np.stack(synthesize_one_vs_one(data, model, model_spec.classes, syn_cfg, rng, counter))
 
-    return _augment_rounds(oracle, xs, model_spec, train_cfg, syn_cfg.retrain, propose)
+    return _augment_rounds(oracle, xs, model_spec, train_cfg, syn_cfg.retrain, propose, on_round)
 
 
 def train_substitute_jacobian(

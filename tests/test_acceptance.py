@@ -28,6 +28,9 @@ from qsattack.pipeline import (
     DataConfig,
     ExperimentConfig,
     NetConfig,
+    attack_run,
+    attack_runs,
+    prepare_run,
     run_attack_experiment,
     stage_seeds,
     _generate,
@@ -282,8 +285,9 @@ def test_c07_central_claim_equal_budget():
     active_rca, jacobian_rca = [], []
     active_agr, jacobian_agr = [], []
     for run in range(runs):
-        res_a = run_attack_experiment(replace(cfg, method="active"), run)
-        res_j = run_attack_experiment(replace(cfg, method="jacobian"), run)
+        prepared = prepare_run(cfg, run)  # one target serves both methods
+        res_a = attack_run(replace(prepared, cfg=replace(cfg, method="active")))
+        res_j = attack_run(replace(prepared, cfg=replace(cfg, method="jacobian")))
         assert res_a.training_queries == res_j.training_queries  # equal budgets
         assert res_a.seeds == res_j.seeds  # paired S0 and seeds
         active_rca.append(res_a.attacked.rca)
@@ -318,9 +322,14 @@ def test_c08_query_sweep_monotonicity():
         master_seed=808,
     )
     budgets = (200, 400, 600, 800, 1000)
+    reports = {}
 
     def closure(budget, run):
-        return run_attack_experiment(cfg, run, budget=budget).attacked
+        # one target and one substitute per run index, scored at every budget
+        if run not in reports:
+            results = attack_runs(prepare_run(cfg, run), budgets)
+            reports[run] = {r.budget: r.attacked for r in results}
+        return reports[run][budget]
 
     curve = run_sweep(budgets, 10, closure)
     means = [point.rca_mean for point in curve.points]

@@ -95,20 +95,38 @@ def test_sweep_csv_and_determinism(tmp_path):
     assert len(results) == 4
 
 
-def test_sweep_rows_equal_attack_rows_per_budget(tmp_path):
-    # sweep trains one target per run index and shares it across budgets;
-    # attack --budget trains its own, so equal rows mean the sharing is exact
-    cfg = write_config(tmp_path, runs=2, budgets=[20, 40])
+@pytest.mark.parametrize("method, retrain", [
+    ("active", "fine-tune"), ("jacobian", "fine-tune"), ("noise", "fine-tune"), ("active", "from-scratch"),
+], ids=["active", "jacobian", "noise", "active-from-scratch"])
+def test_sweep_rows_equal_attack_rows_per_budget(tmp_path, method, retrain):
+    # sweep trains one target per run index and, for active, one substitute
+    # whose rounds reach each budget; attack --budget trains its own, so
+    # equal rows mean the sharing is exact
+    budgets = [20, 40, 60]
+    synthesis = {"n_iterations": 1, "per_iteration": 20, "bisection_steps": 4,
+                 "offset_norm": 3.0, "retrain": retrain}
+    cfg = write_config(tmp_path, runs=2, budgets=budgets, method=method, synthesis=synthesis)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
     expected = []
-    for budget in (20, 40):
+    for budget in budgets:
         out = tmp_path / f"attack-{budget}"
         assert main(["attack", "--config", str(cfg), "--out", str(out),
                      "--budget", str(budget)]) == 0
         expected += (out / "results.csv").read_text(encoding="utf-8").splitlines()[1:]
     swept = (tmp_path / "sweep" / "results.csv").read_text(encoding="utf-8").splitlines()[1:]
     assert swept == expected
-    assert len(swept) == 4
+    assert len(swept) == 6
+
+
+def test_sweep_refuses_bad_budget_before_training(tmp_path):
+    # |S0| = 20 and per_iteration = 20, so 30 is unreachable; no run is prepared
+    cfg = write_config(tmp_path, runs=2, budgets=[20, 30])
+    out = tmp_path / "bad"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["stage"] == "ConfigError"
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
 def test_train_target_without_pool(tmp_path, capsys):

@@ -10,8 +10,11 @@ from qsattack.pipeline import (
     DataConfig,
     ExperimentConfig,
     NetConfig,
+    attack_run,
+    attack_runs,
     config_to_dict,
     load_config,
+    prepare_run,
     run_attack_experiment,
     stage_seeds,
     write_run_trace,
@@ -144,3 +147,26 @@ def test_runs_are_reproducible():
     assert a.attacked.rca == b.attacked.rca
     assert a.total_queries == b.total_queries
     assert np.array_equal(a.substitute.parameters, b.substitute.parameters)
+
+
+def test_attack_runs_equal_separate_runs_per_budget():
+    # one active substitute serves budgets 20, 40 and 60 (0, 1 and 2 rounds);
+    # each result must keep the substitute as it stood at its own round,
+    # not the one later rounds fine-tuned in place
+    prepared = prepare_run(small_config(), 0)
+    budgets = [20, 40, 60]
+    shared = attack_runs(prepared, budgets)
+    assert [r.budget for r in shared] == budgets
+    for budget, result in zip(budgets, shared):
+        alone = attack_run(prepared, budget)
+        assert np.array_equal(result.substitute.parameters, alone.substitute.parameters)
+        assert len(result.trace.rows) == len(alone.trace.rows)
+        for row, ref in zip(result.trace.rows, alone.trace.rows):
+            assert (row.iteration, row.target_queries, row.substitute_queries, row.train_set_size) == (
+                ref.iteration, ref.target_queries, ref.substitute_queries, ref.train_set_size)
+            assert (row.synthesized is None) == (ref.synthesized is None)
+            assert row.synthesized is None or np.array_equal(row.synthesized, ref.synthesized)
+        assert result.training_queries == alone.training_queries == budget
+        assert result.total_queries == alone.total_queries
+        assert np.array_equal(result.attacked.confusion, alone.attacked.confusion)
+    assert not np.array_equal(shared[0].substitute.parameters, shared[-1].substitute.parameters)
