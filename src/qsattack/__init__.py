@@ -28,7 +28,6 @@ from .errors import (
     MalformedEpochFileError,
     NoOppositePairError,
     ShapeMismatchError,
-    SweepAborted,
 )
 from .metrics import (
     MetricReport,
@@ -39,7 +38,7 @@ from .metrics import (
     metric_report,
     paired_sign_test,
     rca,
-    run_sweep,
+    sweep_curve,
 )
 from .models import (
     ModelSpec,

@@ -30,7 +30,7 @@ from . import __version__
 from .attack import save_adversarial_batch
 from .data import write_epochs
 from .errors import ConfigError
-from .metrics import run_sweep, write_results_csv
+from .metrics import sweep_curve, write_results_csv
 from .models import save_checkpoint
 from .pipeline import (
     ExperimentConfig,
@@ -155,19 +155,15 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     if not cfg.budgets:
         raise ConfigError("sweep needs a non-empty budgets list")
     check_budgets(cfg, cfg.budgets)  # a bad grid costs no training
-    rows, scored = [], {}
-
-    def closure(budget, run):
-        # one target and, for active, one substitute per run index, scored at
-        # every budget on the first call; only the rows and reports are kept
-        if run not in scored:
-            results = attack_runs(prepare_run(cfg, run), cfg.budgets)
-            scored[run] = {r.budget: (r.results_row(cfg), r.attacked) for r in results}
-        row, attacked = scored[run].pop(budget)
-        rows.append(row)
-        return attacked
-
-    curve = run_sweep(cfg.budgets, cfg.runs, closure)
+    # one target and, for active, one substitute per run index; the inner
+    # comprehension keeps only each budget's results row and attacked report,
+    # so a run's models are freed before the next run trains
+    scored = [
+        [(r.results_row(cfg), r.attacked) for r in attack_runs(prepare_run(cfg, run), cfg.budgets)]
+        for run in range(cfg.runs)
+    ]
+    curve = sweep_curve(cfg.budgets, [[attacked for _, attacked in run] for run in scored])
+    rows = [run[i][0] for i in range(len(cfg.budgets)) for run in scored]  # budget-outer order
     curve.to_csv(out / "sweep.csv")
     write_results_csv(out / "results.csv", rows)
     seeds_by_run = {run: stage_seeds(cfg.master_seed, run) for run in range(cfg.runs)}

@@ -44,10 +44,3 @@ class ClassBalanceError(ValueError):
 class ConfigError(ValueError):
     """Unknown key or invalid value in an experiment configuration."""
 
-
-class SweepAborted(RuntimeError):
-    """A sweep closure failed; ``partial`` holds the budget points finished so far."""
-
-    def __init__(self, message: str, partial):
-        super().__init__(message)
-        self.partial = partial

@@ -1,4 +1,4 @@
-"""Accuracy metrics, boundary agreement, sign test, and budget sweeps.
+"""Accuracy metrics, boundary agreement, sign test, and the budget-sweep curve.
 
 Raw accuracy is the plain fraction correct; balanced accuracy averages
 per-class recalls over the classes that actually occur in the label
@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .errors import SweepAborted
 
 
 @dataclass
@@ -101,8 +99,6 @@ class SweepPoint:
     bca_mean: float
     bca_std: float
     runs: int
-    rca_values: tuple = ()
-    bca_values: tuple = ()
 
 
 @dataclass
@@ -121,33 +117,12 @@ class SweepCurve:
                 )
 
 
-def run_sweep(budgets, runs_per_budget: int, fn) -> SweepCurve:
-    """Evaluate ``fn(budget, run_index) -> MetricReport`` over a budget grid.
-
-    Aggregates mean and population std per budget.  A closure failure
-    aborts the sweep with the completed budget points preserved on the
-    raised :class:`SweepAborted`.
-    """
-    budgets = [int(b) for b in budgets]
-    if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
-        raise ValueError("budgets must be strictly increasing")
-    if not budgets:
-        raise ValueError("budgets must be non-empty")
-    if runs_per_budget < 1:
-        raise ValueError("runs_per_budget must be >= 1")
+def sweep_curve(budgets, reports) -> SweepCurve:
+    """Mean and population std per budget; ``reports[r][i]`` is run ``r`` at ``budgets[i]``."""
     curve = SweepCurve()
-    for budget in budgets:
-        reports = []
-        for run in range(runs_per_budget):
-            try:
-                reports.append(fn(budget, run))
-            except Exception as exc:
-                raise SweepAborted(
-                    f"sweep closure failed at budget {budget}, run {run}: {exc}",
-                    partial=curve,
-                ) from exc
-        rcas = np.array([r.rca for r in reports])
-        bcas = np.array([r.bca for r in reports])
+    for i, budget in enumerate(budgets):
+        rcas = np.array([run[i].rca for run in reports])
+        bcas = np.array([run[i].bca for run in reports])
         curve.points.append(
             SweepPoint(
                 budget=budget,
@@ -156,8 +131,6 @@ def run_sweep(budgets, runs_per_budget: int, fn) -> SweepCurve:
                 bca_mean=float(bcas.mean()),
                 bca_std=float(bcas.std()),
                 runs=len(reports),
-                rca_values=tuple(float(v) for v in rcas),
-                bca_values=tuple(float(v) for v in bcas),
             )
         )
     return curve

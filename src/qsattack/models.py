@@ -124,9 +124,8 @@ class TrainConfig:
 
 @dataclass
 class TrainHistory:
-    """Per-epoch losses; the model keeps the parameters of ``best_epoch``."""
+    """Per-epoch validation losses; the model keeps the parameters of ``best_epoch``."""
 
-    train_loss: list
     val_loss: list
     best_epoch: int
 
@@ -434,14 +433,13 @@ class SoftmaxClassifier:
         best_loss = np.inf
         best_params = self._params.copy()
         stall = 0
-        train_losses, val_losses = [], []
+        val_losses = []
         for _ in range(cfg.max_epochs):
             order = rng.permutation(len(train_idx))
             for start in range(0, len(order), cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
                 grads = self._loss_and_param_grad(X_train[batch], y_train[batch], weights)
                 self._adam_step(grads, cfg)
-            train_losses.append(self.dataset_loss(X_train, y_train, weights))
             val_losses.append(self.dataset_loss(X_val, y_val, weights))
             if val_losses[-1] < best_loss:
                 best_loss = val_losses[-1]
@@ -452,7 +450,7 @@ class SoftmaxClassifier:
             if stall >= cfg.patience:
                 break
         self._params[:] = best_params
-        return TrainHistory(train_losses, val_losses, int(np.argmin(val_losses)))
+        return TrainHistory(val_losses, int(np.argmin(val_losses)))
 
 
 def save_checkpoint(model: SoftmaxClassifier, path) -> None:

@@ -3,23 +3,26 @@
 One run reproduces the protocol shape end to end in two stages.
 :func:`prepare_run` generates the seeded train/test/pool splits, trains
 the target once, and scores it on clean and noise-perturbed test epochs.
-:func:`attack_run` then wraps that target in a counted label-only oracle,
+:func:`attack_run` then wraps that target in counted label-only oracles,
 balances the initial substitute set by predicted label, trains the
 substitute (active synthesis or the gradient-step baseline), crafts
 perturbations from the substitute, and scores the target on them.  One
 preparation serves every method and budget of its run index, since
 nothing in it depends on either; :func:`run_attack_experiment` chains the
 two stages for a single (method, budget).  :func:`attack_runs` scores
-several budgets of one preparation, and for the active method trains a
-single substitute whose rounds reach each budget in turn.
+several budgets of one preparation: it balances the pool once, and for
+the active method trains a single substitute whose rounds reach each
+budget in turn.
 
 Budget accounting: the *training budget* of a run is the number of target
 queries spent on substitute training (initial set plus augmentation).
 Balancing the pool costs ``len(pool)`` additional queries, which are
-identical across methods and reported separately in the trace, and any
-hard oracle budget is set to ``len(pool) + training budget``.  Evaluating
-the attack (labeling clean or perturbed test epochs) bypasses the oracle:
-that is the experimenter measuring the outcome, not the attacker querying.
+identical across methods and reported separately in the trace.  Balancing
+labels on an oracle capped at ``len(pool)``, and each substitute
+trajectory on its own oracle capped at its largest training budget.
+Evaluating the attack (labeling clean or perturbed test epochs) bypasses
+the oracle: that is the experimenter measuring the outcome, not the
+attacker querying.
 
 Per-stage seeds are derived from ``(master_seed, run_index, stage_name)``
 via :func:`qsattack.seeding.derive_seed`; stage names are fixed strings
@@ -354,15 +357,23 @@ def prepare_run(cfg: ExperimentConfig, run_index: int = 0) -> PreparedRun:
                        clean_preds, baseline, noisy, noisy_examples)
 
 
-def _train_substitutes(prepared: PreparedRun, oracle, s0, budgets) -> list:
-    """One substitute trajectory: ``(substitute, trace)`` as it stood at each budget."""
+def _train_substitutes(prepared: PreparedRun, s0, budgets) -> list:
+    """``(substitute, trace)`` as it stood at each budget, one oracle per trajectory.
+
+    Each oracle is capped at its trajectory's largest training budget.  A
+    ``jacobian`` plan subsamples its last round at the budget's own size,
+    so budgets are not nested and each gets its own trajectory.
+    """
     cfg, seeds = prepared.cfg, prepared.seeds
     spec = _build_spec(cfg.substitute, cfg.data, seeds["substitute-init"])
     train = replace(cfg.substitute.train, shuffle_seed=seeds["substitute-train"])
     if cfg.method == "jacobian":
-        (budget,) = budgets
-        plan = _resolve_jacobian_plan(cfg, budget, seeds["synthesis"])
-        return [train_substitute_jacobian(oracle, s0, spec, train, plan)]
+        return [
+            train_substitute_jacobian(TargetOracle(prepared.target, budget=budget), s0, spec, train,
+                                      _resolve_jacobian_plan(cfg, budget, seeds["synthesis"]))
+            for budget in budgets
+        ]
+    oracle = TargetOracle(prepared.target, budget=None if None in budgets else max(budgets))
     rounds = [_active_rounds(cfg, budget) for budget in budgets]
     if max(rounds) == 0:
         substitute, _, trace = pretrain_substitute(oracle, s0, spec, train)
@@ -415,28 +426,21 @@ def _score(prepared: PreparedRun, budget, balance_queries: int, substitute, trac
 def attack_runs(prepared: PreparedRun, budgets) -> list[RunResult]:
     """:func:`attack_run` for each budget, one result per budget in order.
 
+    Balances the pool once, since S0 depends on neither method nor budget.
     ``active`` trains one substitute up to the largest budget and scores
     each budget from the round that reaches it, which gives what separate
-    runs would: a round never depends on how many rounds follow it.  A
-    ``jacobian`` plan subsamples its last round at the budget's own size,
-    so smaller budgets are not prefixes of larger ones: it balances and
-    trains once per budget, and ``noise`` balances once per budget.
+    runs would: a round never depends on how many rounds follow it.
     """
     cfg = prepared.cfg
     check_budgets(cfg, budgets)
-    groups = [list(budgets)] if cfg.method == "active" else [[budget] for budget in budgets]
-    results = []
-    for group in groups:
-        oracle_budget = None if None in group else len(prepared.pool_set) + max(group)
-        oracle = TargetOracle(prepared.target, budget=oracle_budget)
-        s0 = balance_by_predicted_label(
-            oracle, prepared.pool_set.epochs, cfg.balance.per_class, prepared.seeds["balance"],
-            cfg.balance.strict,
-        )
-        balance_queries = oracle.query_count
-        states = [(None, None)] if cfg.method == "noise" else _train_substitutes(prepared, oracle, s0, group)
-        results += [_score(prepared, budget, balance_queries, *state) for budget, state in zip(group, states)]
-    return results
+    # an oracle takes no 0 cap; an empty pool fails in balancing or pretraining instead
+    balancer = TargetOracle(prepared.target, budget=len(prepared.pool_set) or None)
+    s0 = balance_by_predicted_label(
+        balancer, prepared.pool_set.epochs, cfg.balance.per_class, prepared.seeds["balance"],
+        cfg.balance.strict,
+    )
+    states = [(None, None)] * len(budgets) if cfg.method == "noise" else _train_substitutes(prepared, s0, budgets)
+    return [_score(prepared, budget, balancer.query_count, *state) for budget, state in zip(budgets, states)]
 
 
 def attack_run(prepared: PreparedRun, budget: int | None = None) -> RunResult:

@@ -18,6 +18,7 @@ Accounting conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -213,25 +214,12 @@ def mid_perpendicular(
 
 
 def select_opposite_pair(
-    data: LabeledSet, rng: np.random.Generator, class_pair: tuple[int, int] | None = None
+    data: LabeledSet, rng: np.random.Generator, class_pair: tuple[int, int]
 ) -> OppositePair:
-    """Draw one uniformly random member of each of two classes.
+    """Draw one uniformly random member of each class of ``class_pair``.
 
-    Without ``class_pair`` the set must contain exactly two classes (the
-    binary case).  Raises :class:`NoOppositePairError` when a requested
-    class has no examples.
+    Raises :class:`NoOppositePairError` when a requested class has no examples.
     """
-    if class_pair is None:
-        present = data.present_classes()
-        if len(present) != 2:
-            if len(present) < 2:
-                raise NoOppositePairError(
-                    f"need two classes to form a pair, found {present}"
-                )
-            raise ValueError(
-                f"{len(present)} classes present; pass class_pair explicitly"
-            )
-        class_pair = (present[0], present[1])
     a, b = class_pair
     if a == b:
         raise ValueError("class_pair entries must differ")
@@ -250,21 +238,14 @@ def _synthesize_one(
     cfg: SynthesisConfig,
     rng: np.random.Generator,
     counter: QueryCounter | None,
-    class_pair: tuple[int, int] | None,
+    class_pair: tuple[int, int],
 ) -> np.ndarray:
-    """One synthesized epoch, falling back to a random draw when allowed."""
+    """One epoch synthesized on a realizable ``class_pair``, or a random draw when allowed."""
     for _ in range(cfg.reselect_limit):
-        try:
-            pair = select_opposite_pair(data, rng, class_pair)
-        except NoOppositePairError as exc:
-            exhausted_reason = exc
-            break
+        pair = select_opposite_pair(data, rng, class_pair)
         try:
             refined = binary_search_pair(pair, model, cfg.bisection_steps, counter)
         except BoundaryLostError:  # raised by the uncounted endpoint peeks
-            exhausted_reason = BoundaryLostError(
-                f"substitute agrees on every selected pair after {cfg.reselect_limit} tries"
-            )
             continue
         return mid_perpendicular(
             refined,
@@ -277,7 +258,9 @@ def _synthesize_one(
         )
     if cfg.random_fallback:
         return rng.standard_normal(data.shape)
-    raise exhausted_reason  # set on every pass, and reselect_limit >= 1
+    raise BoundaryLostError(
+        f"substitute agrees on every selected pair after {cfg.reselect_limit} tries"
+    )
 
 
 def one_vs_one_quotas(
@@ -290,11 +273,11 @@ def one_vs_one_quotas(
     unrealizable pairs is redistributed round-robin over the realizable
     ones, so the grand total stays ``total`` whenever any pair survives.
     """
-    if n_classes < 3:
-        raise ValueError("one-vs-one decomposition needs n_classes >= 3")
+    if n_classes < 2:
+        raise ValueError("one-vs-one decomposition needs n_classes >= 2")
     if total < 1:
         raise ValueError("total must be >= 1")
-    pairs = [(a, b) for a in range(n_classes) for b in range(a + 1, n_classes)]
+    pairs = list(combinations(range(n_classes), 2))
     base, remainder = divmod(total, len(pairs))
     quotas = {p: base + (1 if i < remainder else 0) for i, p in enumerate(pairs)}
     if realizable is None:
@@ -316,26 +299,24 @@ def synthesize_one_vs_one(
     rng: np.random.Generator,
     counter: QueryCounter | None = None,
 ) -> list[np.ndarray]:
-    """One iteration's worth of epochs across all realizable class pairs."""
-    if n_classes < 3:
-        raise ValueError("one-vs-one synthesis needs n_classes >= 3")
-    present = set(data.present_classes())
-    realizable = {
-        (a, b)
-        for a in range(n_classes)
-        for b in range(a + 1, n_classes)
-        if a in present and b in present
-    }
+    """One iteration's worth of epochs across all realizable class pairs.
+
+    Two classes make the single pair (0, 1), which carries every epoch.
+    """
+    if n_classes < 2:
+        raise ValueError("one-vs-one synthesis needs n_classes >= 2")
+    present = [c for c in data.present_classes() if c < n_classes]
+    realizable = set(combinations(present, 2))  # a < b, since present is sorted
     if not realizable:
         if cfg.random_fallback:
             return [rng.standard_normal(data.shape) for _ in range(cfg.per_iteration)]
         raise NoOppositePairError("no class pair is realizable in the labeled set")
     quotas = one_vs_one_quotas(n_classes, cfg.per_iteration, realizable)
-    out = []
-    for pair_classes in sorted(quotas):
-        for _ in range(quotas[pair_classes]):
-            out.append(_synthesize_one(data, model, cfg, rng, counter, pair_classes))
-    return out
+    return [
+        _synthesize_one(data, model, cfg, rng, counter, pair)
+        for pair in sorted(quotas)
+        for _ in range(quotas[pair])
+    ]
 
 
 def jacobian_augment(
@@ -422,9 +403,9 @@ def train_substitute_active(
     """Label the initial set, pre-train, then augment by query synthesis.
 
     Per outer iteration, ``per_iteration`` epochs are synthesized against
-    the current substitute (binary path for two classes, one-vs-one for
-    more), labeled by the target in one batch, appended, and the
-    substitute retrained.  Target queries total
+    the current substitute over the one-vs-one class pairs (a single pair
+    for two classes), labeled by the target in one batch, appended, and
+    the substitute retrained.  Target queries total
     ``len(initial) + n_iterations * per_iteration`` exactly.  Round ``i``
     runs exactly as the last round of an ``n_iterations=i`` run would, so
     ``on_round(model, trace)`` (see :func:`_augment_rounds`) sees every
@@ -437,11 +418,6 @@ def train_substitute_active(
     def propose(iteration, data, model, counter):
         if iteration > syn_cfg.n_iterations:
             return None
-        if model_spec.classes == 2:
-            return np.stack([
-                _synthesize_one(data, model, syn_cfg, rng, counter, None)
-                for _ in range(syn_cfg.per_iteration)
-            ])
         return np.stack(synthesize_one_vs_one(data, model, model_spec.classes, syn_cfg, rng, counter))
 
     return _augment_rounds(oracle, xs, model_spec, train_cfg, syn_cfg.retrain, propose, on_round)

@@ -19,7 +19,7 @@ from qsattack.metrics import (
     boundary_agreement,
     metric_report,
     paired_sign_test,
-    run_sweep,
+    sweep_curve,
 )
 from qsattack.models import ModelSpec, TrainConfig
 from qsattack.oracle import TargetOracle
@@ -322,16 +322,9 @@ def test_c08_query_sweep_monotonicity():
         master_seed=808,
     )
     budgets = (200, 400, 600, 800, 1000)
-    reports = {}
-
-    def closure(budget, run):
-        # one target and one substitute per run index, scored at every budget
-        if run not in reports:
-            results = attack_runs(prepare_run(cfg, run), budgets)
-            reports[run] = {r.budget: r.attacked for r in results}
-        return reports[run][budget]
-
-    curve = run_sweep(budgets, 10, closure)
+    # one target and one substitute per run index, scored at every budget
+    reports = [[r.attacked for r in attack_runs(prepare_run(cfg, run), budgets)] for run in range(10)]
+    curve = sweep_curve(budgets, reports)
     means = [point.rca_mean for point in curve.points]
     rho = float(spearmanr(budgets, means).statistic)
     _gate(8, "query-sweep monotonicity", rho < 0.0,

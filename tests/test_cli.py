@@ -120,13 +120,24 @@ def test_sweep_rows_equal_attack_rows_per_budget(tmp_path, method, retrain):
 
 def test_sweep_refuses_bad_budget_before_training(tmp_path):
     # |S0| = 20 and per_iteration = 20, so 30 is unreachable; no run is prepared
-    cfg = write_config(tmp_path, runs=2, budgets=[20, 30])
-    out = tmp_path / "bad"
+    for name, budgets in (("unreachable", [20, 30]), ("empty", [])):
+        cfg = write_config(tmp_path, runs=2, budgets=budgets)
+        out = tmp_path / name
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["stage"] == "ConfigError"
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+def test_failed_sweep_manifest_names_the_real_error(tmp_path):
+    # the budgets are reachable from |S0| = 200, but the pool holds only 60 epochs
+    cfg = write_config(tmp_path, runs=2, budgets=[200, 220], balance={"per_class": 100})
+    out = tmp_path / "fail"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
-    assert manifest["stage"] == "ConfigError"
-    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    assert manifest["stage"] == "ClassBalanceError"
 
 
 def test_train_target_without_pool(tmp_path, capsys):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from qsattack.errors import SweepAborted
 from qsattack.metrics import (
     MetricReport,
     bca,
@@ -9,7 +8,7 @@ from qsattack.metrics import (
     metric_report,
     paired_sign_test,
     rca,
-    run_sweep,
+    sweep_curve,
     write_results_csv,
 )
 from testutil import make_model
@@ -103,50 +102,25 @@ def fixed_report(value):
                         confusion=np.eye(2, dtype=np.int64))
 
 
-def test_run_sweep_echoes_single_run():
-    curve = run_sweep([100], 1, lambda budget, run: fixed_report(0.7))
+def test_sweep_curve_echoes_single_run():
+    curve = sweep_curve([100], [[fixed_report(0.7)]])
     point = curve.points[0]
     assert (point.budget, point.rca_mean, point.rca_std, point.runs) == (100, 0.7, 0.0, 1)
 
 
-def test_run_sweep_budget_invariance_for_budget_blind_closure():
-    curve = run_sweep([100, 200], 3, lambda budget, run: fixed_report(0.1 * (run + 1)))
-    assert curve.points[0].rca_mean == curve.points[1].rca_mean
-    assert curve.points[0].rca_values == curve.points[1].rca_values
-
-
-def test_run_sweep_aggregation_matches_recomputation():
+def test_sweep_curve_aggregation_matches_recomputation():
     values = {(b, r): float(RNG.random()) for b in (10, 20) for r in range(4)}
-    curve = run_sweep([10, 20], 4, lambda b, r: fixed_report(values[(b, r)]))
+    reports = [[fixed_report(values[(b, r)]) for b in (10, 20)] for r in range(4)]
+    curve = sweep_curve([10, 20], reports)
     for point in curve.points:
         expected = [values[(point.budget, r)] for r in range(4)]
         assert point.rca_mean == pytest.approx(np.mean(expected))
         assert point.rca_std == pytest.approx(np.std(expected))
-
-
-def test_run_sweep_abort_preserves_partial():
-    def closure(budget, run):
-        if budget == 200:
-            raise RuntimeError("boom")
-        return fixed_report(0.5)
-
-    with pytest.raises(SweepAborted) as info:
-        run_sweep([100, 200, 300], 2, closure)
-    partial = info.value.partial
-    assert [p.budget for p in partial.points] == [100]
-
-
-def test_run_sweep_validation():
-    with pytest.raises(ValueError):
-        run_sweep([100, 100], 1, lambda b, r: fixed_report(0.5))
-    with pytest.raises(ValueError):
-        run_sweep([], 1, lambda b, r: fixed_report(0.5))
-    with pytest.raises(ValueError):
-        run_sweep([100], 0, lambda b, r: fixed_report(0.5))
+        assert point.runs == 4
 
 
 def test_sweep_curve_csv(tmp_path):
-    curve = run_sweep([100, 200], 2, lambda b, r: fixed_report(0.25))
+    curve = sweep_curve([100, 200], [[fixed_report(0.25)] * 2] * 2)
     path = tmp_path / "sweep.csv"
     curve.to_csv(path)
     lines = path.read_text().strip().splitlines()

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qsattack import pipeline
 from qsattack.errors import ConfigError
 from qsattack.models import TrainConfig
 from qsattack.pipeline import (
@@ -170,3 +171,35 @@ def test_attack_runs_equal_separate_runs_per_budget():
         assert result.total_queries == alone.total_queries
         assert np.array_equal(result.attacked.confusion, alone.attacked.confusion)
     assert not np.array_equal(shared[0].substitute.parameters, shared[-1].substitute.parameters)
+
+
+@pytest.mark.parametrize("method", ["active", "jacobian", "noise"])
+def test_attack_runs_balances_once_per_run_index(monkeypatch, method):
+    calls, balance = [], pipeline.balance_by_predicted_label
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return balance(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "balance_by_predicted_label", counting)
+    results = attack_runs(prepare_run(small_config(method=method), 0), [20, 40, 60])
+    assert len(calls) == 1
+    assert [r.balance_queries for r in results] == [60, 60, 60]
+    assert [r.training_queries for r in results] == ([0, 0, 0] if method == "noise" else [20, 40, 60])
+
+
+@pytest.mark.parametrize("method", ["active", "jacobian"])
+def test_each_trajectory_oracle_caps_its_own_budget(monkeypatch, method):
+    oracles = []
+
+    class RecordingOracle(pipeline.TargetOracle):
+        def __init__(self, model, budget=None):
+            super().__init__(model, budget)
+            oracles.append(self)
+
+    monkeypatch.setattr(pipeline, "TargetOracle", RecordingOracle)
+    attack_runs(prepare_run(small_config(method=method), 0), [20, 40, 60])
+    # the balancing oracle is capped at the pool, then each trajectory at its
+    # largest budget; every one ends spent, so any further query is refused
+    assert [o.budget for o in oracles] == ([60, 60] if method == "active" else [60, 20, 40, 60])
+    assert [o.remaining for o in oracles] == [0] * len(oracles)

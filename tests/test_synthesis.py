@@ -142,15 +142,15 @@ def test_mid_perpendicular_coincident_pair_rejected():
 
 def test_select_opposite_pair_forced_and_errors():
     data = LabeledSet(RNG.standard_normal((2, 1, 3)), np.array([0, 1]))
-    pair = select_opposite_pair(data, np.random.default_rng(0))
+    pair = select_opposite_pair(data, np.random.default_rng(0), (0, 1))
     assert np.array_equal(pair.x_plus, data.epochs[0])
     assert np.array_equal(pair.x_minus, data.epochs[1])
     single = LabeledSet(RNG.standard_normal((4, 1, 3)), np.zeros(4, dtype=np.int64))
     with pytest.raises(NoOppositePairError):
-        select_opposite_pair(single, np.random.default_rng(0))
+        select_opposite_pair(single, np.random.default_rng(0), (0, 1))
     multi = LabeledSet(RNG.standard_normal((3, 1, 3)), np.array([0, 1, 2]))
     with pytest.raises(ValueError):
-        select_opposite_pair(multi, np.random.default_rng(0))
+        select_opposite_pair(multi, np.random.default_rng(0), (2, 2))
     pair02 = select_opposite_pair(multi, np.random.default_rng(0), class_pair=(0, 2))
     assert (pair02.label_plus, pair02.label_minus) == (0, 2)
 
@@ -161,7 +161,7 @@ def test_select_opposite_pair_uniform():
     counts = np.zeros(20)
     draws = 10_000
     for _ in range(draws):
-        pair = select_opposite_pair(data, rng)
+        pair = select_opposite_pair(data, rng, (0, 1))
         counts[np.flatnonzero([np.array_equal(pair.x_plus, e) for e in data.epochs])[0]] += 1
         counts[np.flatnonzero([np.array_equal(pair.x_minus, e) for e in data.epochs])[0]] += 1
     freq = counts / draws
@@ -180,8 +180,9 @@ def test_one_vs_one_quotas():
     quotas = one_vs_one_quotas(4, 20, {(0, 1), (2, 3)})
     assert sum(quotas.values()) == 20
     assert set(quotas) == {(0, 1), (2, 3)}
+    assert one_vs_one_quotas(2, 10) == {(0, 1): 10}
     with pytest.raises(ValueError):
-        one_vs_one_quotas(2, 10)
+        one_vs_one_quotas(1, 10)
 
 
 def test_synthesize_one_vs_one_counts():
