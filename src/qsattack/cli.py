@@ -9,7 +9,8 @@ Subcommands::
     qsattack report       --results results.csv [results.csv ...] [--out DIR]
 
 Every run writes into a run-scoped subdirectory of the output directory
-and leaves a ``manifest.json`` holding the flattened config, the derived
+and leaves a ``manifest.json`` holding the flattened config (less
+``out_dir``, so no output depends on where it is written), the derived
 per-stage seeds and library versions; failed runs leave a manifest with
 ``status: failed`` and a nonzero exit code.
 """
@@ -34,11 +35,11 @@ from .metrics import sweep_curve, write_results_csv
 from .models import save_checkpoint
 from .pipeline import (
     ExperimentConfig,
-    _generate,
     attack_runs,
     check_budgets,
     config_to_dict,
     dataset_name,
+    generate_splits,
     load_config,
     model_name,
     prepare_run,
@@ -60,14 +61,16 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return cfg
 
 
-def _write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig | None, status: str,
+def _write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig, status: str,
                     stage: str = "", extra: dict | None = None) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
+    config = config_to_dict(cfg)
+    del config["out_dir"]  # the manifest sits in it
     manifest = {
         "command": command,
         "status": status,
         "stage": stage,
-        "config": config_to_dict(cfg) if cfg is not None else None,
+        "config": config,
         "versions": {
             "qsattack": __version__,
             "numpy": np.__version__,
@@ -83,19 +86,13 @@ def cmd_gen_data(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seeds = stage_seeds(cfg.master_seed, 0)
-    splits = {
-        "train": (cfg.data.train_per_class, seeds["data-train"]),
-        "test": (cfg.data.test_per_class, seeds["data-test"]),
-        "pool": (cfg.data.pool_per_class, seeds["data-pool"]),
-    }
     written = {}
-    for name, (n_per_class, seed) in splits.items():
-        if n_per_class == 0:
+    for name, dataset in generate_splits(cfg.data, seeds).items():
+        if len(dataset) == 0:
             continue
-        dataset = _generate(cfg.data, n_per_class, seed, seeds["data-structure"])
         path = out / f"{name}.epo"
         write_epochs(path, dataset)
-        written[name] = {"path": path.name, "n": len(dataset), "seed": seed}
+        written[name] = {"path": path.name, "n": len(dataset), "seed": seeds[f"data-{name}"]}
         c, t = dataset.shape
         print(f"wrote {path}: n={len(dataset)} C={c} T={t} classes={cfg.data.classes}")
     _write_manifest(out, "gen-data", cfg, "ok", extra={"files": written})
@@ -132,7 +129,7 @@ def cmd_attack(cfg: ExperimentConfig) -> int:
         run_dir.mkdir(parents=True, exist_ok=True)
         write_run_trace(run_dir / "trace.csv", result)
         source = "substitute" if result.method != "noise" else "noise-generator"
-        save_adversarial_batch(run_dir / "adversarial", result.examples, cfg.attack, source)
+        save_adversarial_batch(run_dir / "adversarial", result.examples, result.attack_config, source)
         if result.substitute is not None:
             save_checkpoint(result.substitute, run_dir / "substitute.ckpt")
         save_checkpoint(result.target, run_dir / "target.ckpt")
@@ -253,12 +250,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "report":
-        return cmd_report(args.results, args.out)
     cfg = None
     try:
-        cfg = load_config(args.config)
-        cfg = _apply_overrides(cfg, args)
+        if args.command == "report":
+            return cmd_report(args.results, args.out)
+        cfg = _apply_overrides(load_config(args.config), args)
         handler = {
             "gen-data": cmd_gen_data,
             "train-target": cmd_train_target,

@@ -1,13 +1,15 @@
 """Small differentiable softmax classifiers with exact input gradients.
 
-Three architectures over (channels, samples) epochs:
+Three architectures over (channels, samples) epochs, all ending in one
+dense head: optional nonlinear hidden layers, a dense output layer,
+softmax.
 
-* ``linear``: flatten, one dense layer, softmax.
-* ``mlp``: flatten, one or two nonlinear hidden layers, dense, softmax.
-  ``linear`` runs through the same dense code with no hidden layer.
-* ``tcn``: one bank of 1-D filters shared across channels and slid along
-  the time axis, activation, global average pooling per (filter, channel),
-  dense, softmax.
+* ``linear``: flatten, then the dense head with no hidden layer.
+* ``mlp``: flatten, then the dense head with one or two hidden layers.
+* ``tcn``: a filter bank in front of the dense head: one bank of 1-D
+  filters shared across channels and slid along the time axis,
+  activation, global average pooling per (filter, channel); the dense
+  head reads the pooled features and has no hidden layer.
 
 Parameters are a single flat float64 vector with named views, which keeps
 Adam and checkpointing trivial.  All math is float64 and fully
@@ -90,6 +92,9 @@ class ModelSpec:
         return (self.channels, self.samples)
 
 
+_SPEC_KEYS = [f.name for f in dataclasses.fields(ModelSpec)]  # checkpoint key order
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Adam + cross-entropy + early-stopping hyperparameters."""
@@ -158,22 +163,16 @@ def class_weight_vector(labels, n_classes: int, mode: str = "uniform") -> np.nda
 
 def _layer_table(spec: ModelSpec):
     """(name, shape, fan_in) for every parameter tensor, in initialization order."""
-    d, k = spec.channels * spec.samples, spec.classes
-    if spec.architecture != "tcn":  # linear is the dense stack with no hidden layer
-        sizes = (d,) + spec.hidden + (k,)
-        table = []
-        for i in range(len(sizes) - 1):
-            table.append((f"W{i}", (sizes[i + 1], sizes[i]), sizes[i]))
-            table.append((f"b{i}", (sizes[i + 1],), sizes[i]))
-        return table
-    n_filters, width = spec.hidden[0], spec.kernel_width
-    feat = n_filters * spec.channels
-    return [
-        ("conv_w", (n_filters, width), width),
-        ("conv_b", (n_filters,), width),
-        ("W_out", (k, feat), feat),
-        ("b_out", (k,), feat),
-    ]
+    table, inputs, hidden = [], spec.channels * spec.samples, spec.hidden
+    if spec.architecture == "tcn":  # the filter bank; the dense head reads its F*C pooled features
+        n_filters, width = spec.hidden[0], spec.kernel_width
+        table = [("conv_w", (n_filters, width), width), ("conv_b", (n_filters,), width)]
+        inputs, hidden = n_filters * spec.channels, ()
+    sizes = (inputs,) + hidden + (spec.classes,)
+    for i in range(len(sizes) - 1):
+        table.append((f"W{i}", (sizes[i + 1], sizes[i]), sizes[i]))
+        table.append((f"b{i}", (sizes[i + 1],), sizes[i]))
+    return table
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -203,7 +202,14 @@ class SoftmaxClassifier:
         self._table = _layer_table(spec)
         total = sum(int(np.prod(shape)) for _, shape, _ in self._table)
         self._params = np.zeros(total)
-        self.views = self._views(self._params)
+        self.views, offset = {}, 0  # named reshaped views into the flat vector
+        for name, shape, _ in self._table:
+            size = int(np.prod(shape))
+            self.views[name] = self._params[offset : offset + size].reshape(shape)
+            offset += size
+        # the dense head's (W, b) per layer; updates are in place, so these views stay live
+        dense = [view for name, view in self.views.items() if not name.startswith("conv")]
+        self._dense = list(zip(dense[::2], dense[1::2]))
         self._adam_m = np.zeros(total)
         self._adam_v = np.zeros(total)
         self._adam_t = 0
@@ -244,87 +250,56 @@ class SoftmaxClassifier:
         """Batched logits plus the cache needed for backprop."""
         spec = self.spec
         n = X.shape[0]
-        if spec.architecture != "tcn":
+        cache = {}
+        if spec.architecture == "tcn":  # correlate each channel with every filter, pool over time
+            windows = np.lib.stride_tricks.sliding_window_view(X, spec.kernel_width, axis=2)
+            feat = np.einsum("nclk,fk->nfcl", windows, self.views["conv_w"])
+            feat += self.views["conv_b"][None, :, None, None]
+            act = _act(feat, spec.activation)
+            cache = {"windows": windows, "feat": feat, "act": act}
+            acts = [act.mean(axis=3).reshape(n, -1)]
+        else:
             acts = [X.reshape(n, -1)]
-            pre = []
-            n_hidden = len(spec.hidden)
-            for i in range(n_hidden):
-                z = acts[-1] @ self.views[f"W{i}"].T + self.views[f"b{i}"]
-                pre.append(z)
-                acts.append(_act(z, spec.activation))
-            logits = acts[-1] @ self.views[f"W{n_hidden}"].T + self.views[f"b{n_hidden}"]
-            return logits, {"acts": acts, "pre": pre}
-        # tcn: correlate each channel with every filter, pool over time
-        width = spec.kernel_width
-        windows = np.lib.stride_tricks.sliding_window_view(X, width, axis=2)
-        feat = np.einsum("nclk,fk->nfcl", windows, self.views["conv_w"])
-        feat += self.views["conv_b"][None, :, None, None]
-        act = _act(feat, spec.activation)
-        pooled = act.mean(axis=3)
-        logits = pooled.reshape(n, -1) @ self.views["W_out"].T + self.views["b_out"]
-        return logits, {"windows": windows, "feat": feat, "act": act, "pooled": pooled}
+        pre = []
+        for W, b in self._dense[:-1]:
+            pre.append(acts[-1] @ W.T + b)
+            acts.append(_act(pre[-1], spec.activation))
+        W, b = self._dense[-1]
+        cache.update(acts=acts, pre=pre)
+        return acts[-1] @ W.T + b, cache
 
     def _backward(self, X, cache, dlogits, want_params: bool, want_inputs: bool):
-        """Backprop ``dlogits`` to parameter gradients and/or input gradients."""
+        """Backprop ``dlogits`` to the flat parameter gradient and/or input gradients."""
         spec = self.spec
-        n = X.shape[0]
-        grads = np.zeros_like(self._params) if want_params else None
-
-        if spec.architecture != "tcn":
-            acts, pre = cache["acts"], cache["pre"]
-            n_hidden = len(spec.hidden)
-            gview = self._views(grads) if want_params else None
-            delta = dlogits
-            for layer in range(n_hidden, -1, -1):
-                if want_params:
-                    gview[f"W{layer}"][...] = delta.T @ acts[layer]
-                    gview[f"b{layer}"][...] = delta.sum(axis=0)
-                if layer == 0:
-                    if not want_inputs:
-                        return grads, None
-                    return grads, (delta @ self.views["W0"]).reshape(X.shape)
-                delta = (delta @ self.views[f"W{layer}"]) * _act_prime(
-                    pre[layer - 1], acts[layer], spec.activation
-                )
-        # tcn
-        windows, feat, act, pooled = (
-            cache["windows"],
-            cache["feat"],
-            cache["act"],
-            cache["pooled"],
-        )
-        n_filters = spec.hidden[0]
-        width = spec.kernel_width
-        window_count = act.shape[3]
-        gview = self._views(grads) if want_params else None
-        dpooled = (dlogits @ self.views["W_out"]).reshape(n, n_filters, spec.channels)
-        dact = np.broadcast_to(
-            dpooled[..., None] / window_count, act.shape
-        )
-        dfeat = dact * _act_prime(feat, act, spec.activation)
-        if want_params:
-            gview["W_out"][...] = dlogits.T @ pooled.reshape(n, -1)
-            gview["b_out"][...] = dlogits.sum(axis=0)
-            gview["conv_w"][...] = np.einsum("nfcl,nclk->fk", dfeat, windows)
-            gview["conv_b"][...] = dfeat.sum(axis=(0, 2, 3))
-        dX = None
-        if want_inputs:
-            dX = np.zeros_like(X)
-            for k in range(width):
-                dX[:, :, k : k + window_count] += np.einsum(
-                    "nfcl,f->ncl", dfeat, self.views["conv_w"][:, k]
-                )
-        return grads, dX
-
-    def _views(self, flat: np.ndarray) -> dict:
-        """Named reshaped views into a flat parameter-layout vector."""
-        views = {}
-        offset = 0
-        for name, shape, _ in self._table:
-            size = int(np.prod(shape))
-            views[name] = flat[offset : offset + size].reshape(shape)
-            offset += size
-        return views
+        tcn = spec.architecture == "tcn"
+        acts, pre = cache["acts"], cache["pre"]
+        grads = []  # per-tensor parameter gradients, last table entry first
+        delta = dlogits
+        for layer in range(len(self._dense) - 1, -1, -1):
+            if want_params:
+                grads += [delta.sum(axis=0), delta.T @ acts[layer]]
+            if layer == 0 and not (want_inputs or tcn):
+                break
+            delta = delta @ self._dense[layer][0]
+            if layer:
+                delta *= _act_prime(pre[layer - 1], acts[layer], spec.activation)
+        dX = delta.reshape(X.shape) if want_inputs and not tcn else None
+        if tcn:  # filter bank: spread the pooled-feature gradient evenly over the time windows
+            windows, feat, act = cache["windows"], cache["feat"], cache["act"]
+            window_count = act.shape[3]
+            dpooled = delta.reshape(X.shape[0], spec.hidden[0], spec.channels)
+            dact = np.broadcast_to(dpooled[..., None] / window_count, act.shape)
+            dfeat = dact * _act_prime(feat, act, spec.activation)
+            if want_params:
+                grads += [dfeat.sum(axis=(0, 2, 3)), np.einsum("nfcl,nclk->fk", dfeat, windows)]
+            if want_inputs:
+                dX = np.zeros_like(X)
+                for k in range(spec.kernel_width):
+                    dX[:, :, k : k + window_count] += np.einsum(
+                        "nfcl,f->ncl", dfeat, self.views["conv_w"][:, k]
+                    )
+        flat = np.concatenate([g.ravel() for g in reversed(grads)]) if want_params else None
+        return flat, dX
 
     def probs_batch(self, epochs) -> np.ndarray:
         X = as_epoch_batch(epochs, self.spec.input_shape)
@@ -338,10 +313,7 @@ class SoftmaxClassifier:
         return self.probs_batch(np.asarray(x, dtype=np.float64)[None])[0]
 
     def predict_batch(self, epochs) -> np.ndarray:
-        probs = self.probs_batch(epochs)
-        if len(probs) == 0:
-            return np.zeros(0, dtype=np.int64)
-        return np.argmax(probs, axis=1).astype(np.int64)
+        return np.argmax(self.probs_batch(epochs), axis=1).astype(np.int64)
 
     def predict(self, x) -> int:
         """Argmax of :meth:`probs`; ties break toward the lowest class index."""
@@ -455,20 +427,11 @@ class SoftmaxClassifier:
 
 def save_checkpoint(model: SoftmaxClassifier, path) -> None:
     """Write the documented plain-text checkpoint format."""
-    spec = model.spec
-    lines = [
-        f"format: {_CHECKPOINT_FORMAT}",
-        f"architecture: {spec.architecture}",
-        f"channels: {spec.channels}",
-        f"samples: {spec.samples}",
-        f"classes: {spec.classes}",
-        "hidden: " + ",".join(str(h) for h in spec.hidden),
-        f"activation: {spec.activation}",
-        f"kernel_width: {spec.kernel_width}",
-        f"seed: {spec.seed}",
-        f"n_params: {model.n_parameters}",
-        "params:",
-    ]
+    lines = [f"format: {_CHECKPOINT_FORMAT}"]
+    for key in _SPEC_KEYS:
+        value = getattr(model.spec, key)
+        lines.append(f"{key}: " + (",".join(str(h) for h in value) if key == "hidden" else f"{value}"))
+    lines += [f"n_params: {model.n_parameters}", "params:"]
     lines.extend(repr(float(v)) for v in model.parameters)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -501,8 +464,7 @@ def load_checkpoint(path) -> SoftmaxClassifier:
         fields[key.strip()] = value.strip()
     if fields.get("format") != _CHECKPOINT_FORMAT:
         raise MalformedCheckpointError(f"unsupported checkpoint format {fields.get('format')!r}")
-    spec_keys = [f.name for f in dataclasses.fields(ModelSpec)]
-    unknown = set(fields) - {"format", "n_params", *spec_keys}
+    unknown = set(fields) - {"format", "n_params", *_SPEC_KEYS}
     if unknown:
         raise MalformedCheckpointError(f"unknown checkpoint keys: {sorted(unknown)}")
 
@@ -518,7 +480,7 @@ def load_checkpoint(path) -> SoftmaxClassifier:
 
     parsers = {"architecture": str, "activation": str,
                "hidden": lambda v: tuple(int(h) for h in v.split(",") if h)}
-    values = {key: field(key, parsers.get(key, int)) for key in spec_keys}
+    values = {key: field(key, parsers.get(key, int)) for key in _SPEC_KEYS}
     try:
         spec = ModelSpec(**values)
     except ValueError as exc:

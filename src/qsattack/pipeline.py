@@ -51,7 +51,6 @@ from .synthesis import (
     AugmentationTrace,
     JacobianConfig,
     SynthesisConfig,
-    pretrain_substitute,
     train_substitute_active,
     train_substitute_jacobian,
 )
@@ -76,6 +75,9 @@ class DataConfig:
     def __post_init__(self):
         if self.generator not in _GENERATORS:
             raise ConfigError(f"unknown generator {self.generator!r}")
+        for name, least in (("train_per_class", 1), ("test_per_class", 1), ("pool_per_class", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}")
 
 
 @dataclass(frozen=True)
@@ -140,9 +142,13 @@ def _config_from_dict(cls, raw: dict, path: str):
     kwargs = {}
     for key, value in raw.items():
         where = f"{path}.{key}" if path else key
-        if key in _NESTED and isinstance(value, dict):
+        if key in _NESTED:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{where} must be a JSON object")
             kwargs[key] = _config_from_dict(_NESTED[key], value, where)
         elif key in _TUPLE_FIELDS:
+            if not isinstance(value, list):
+                raise ConfigError(f"{where} must be a JSON array")
             kwargs[key] = tuple(value)
         else:
             kwargs[key] = value
@@ -185,26 +191,27 @@ def stage_seeds(master_seed: int, run_index: int) -> dict:
 
 
 def _generate(data_cfg: DataConfig, n_per_class: int, seed: int, structure_seed: int | None = None) -> LabeledSet:
+    if n_per_class == 0:  # an empty pool: train-target needs none, balancing it raises ClassBalanceError
+        return LabeledSet(np.zeros((0, data_cfg.channels, data_cfg.samples)), [])
+    shape = (n_per_class, data_cfg.classes, data_cfg.channels, data_cfg.samples)
     if data_cfg.generator == "blobs":
-        return gen_blobs(
-            n_per_class,
-            data_cfg.classes,
-            data_cfg.channels,
-            data_cfg.samples,
-            separation=data_cfg.separation,
-            noise_sigma=data_cfg.noise_sigma,
-            seed=seed,
-            structure_seed=structure_seed,
-        )
-    return gen_synthetic_epochs(
-        n_per_class,
-        data_cfg.classes,
-        data_cfg.channels,
-        data_cfg.samples,
-        seed=seed,
-        noise_amplitude=data_cfg.noise_amplitude,
-        structure_seed=structure_seed,
-    )
+        return gen_blobs(*shape, separation=data_cfg.separation, noise_sigma=data_cfg.noise_sigma,
+                         seed=seed, structure_seed=structure_seed)
+    return gen_synthetic_epochs(*shape, seed=seed, noise_amplitude=data_cfg.noise_amplitude,
+                                structure_seed=structure_seed)
+
+
+def generate_splits(data_cfg: DataConfig, seeds: dict) -> dict:
+    """The seeded ``train``, ``test`` and ``pool`` sets of one run, by split name.
+
+    ``seeds`` are the run's :func:`stage_seeds`; the pool is empty when
+    ``pool_per_class`` is 0.
+    """
+    return {
+        name: _generate(data_cfg, getattr(data_cfg, f"{name}_per_class"), seeds[f"data-{name}"],
+                        seeds["data-structure"])
+        for name in ("train", "test", "pool")
+    }
 
 
 def model_name(net: NetConfig) -> str:
@@ -244,6 +251,7 @@ class PreparedRun:
     baseline: MetricReport
     noisy: MetricReport
     noisy_examples: AdversarialExample
+    noise_config: AttackConfig
 
 
 @dataclass
@@ -262,6 +270,7 @@ class RunResult:
     total_queries: int
     seeds: dict
     examples: AdversarialExample | None = None
+    attack_config: AttackConfig | None = None  # what crafted ``examples``
     substitute: SoftmaxClassifier | None = None
     target: SoftmaxClassifier | None = None
 
@@ -294,7 +303,7 @@ def _augmentation_queries(s0_size: int, budget: int) -> int:
 
 
 def _active_rounds(cfg: ExperimentConfig, budget: int | None) -> int:
-    """Synthesis rounds that spend ``budget``; 0 means the pretrained substitute."""
+    """Synthesis rounds after round 0 that spend ``budget``."""
     if budget is None:
         return cfg.synthesis.n_iterations
     per_iteration = cfg.synthesis.per_iteration
@@ -335,13 +344,7 @@ def check_budgets(cfg: ExperimentConfig, budgets) -> None:
 def prepare_run(cfg: ExperimentConfig, run_index: int = 0) -> PreparedRun:
     """Splits, trained target, and the clean and noisy reports of one run."""
     seeds = stage_seeds(cfg.master_seed, run_index)
-    structure = seeds["data-structure"]
-    train_set = _generate(cfg.data, cfg.data.train_per_class, seeds["data-train"], structure)
-    test_set = _generate(cfg.data, cfg.data.test_per_class, seeds["data-test"], structure)
-    if cfg.data.pool_per_class:
-        pool_set = _generate(cfg.data, cfg.data.pool_per_class, seeds["data-pool"], structure)
-    else:  # train-target needs no pool; balancing an empty one fails with ClassBalanceError
-        pool_set = LabeledSet(np.zeros((0,) + train_set.shape), [])
+    train_set, test_set, pool_set = generate_splits(cfg.data, seeds).values()
 
     target = SoftmaxClassifier(_build_spec(cfg.target, cfg.data, seeds["target-init"]))
     history = target.fit(train_set, replace(cfg.target.train, shuffle_seed=seeds["target-train"]))
@@ -354,7 +357,7 @@ def prepare_run(cfg: ExperimentConfig, run_index: int = 0) -> PreparedRun:
     noisy_preds = target.predict_batch(noisy_examples.perturbed)
     noisy = metric_report(noisy_preds, test_set.labels, cfg.data.classes)
     return PreparedRun(cfg, run_index, seeds, test_set, pool_set, target, history,
-                       clean_preds, baseline, noisy, noisy_examples)
+                       clean_preds, baseline, noisy, noisy_examples, noise_cfg)
 
 
 def _train_substitutes(prepared: PreparedRun, s0, budgets) -> list:
@@ -375,9 +378,6 @@ def _train_substitutes(prepared: PreparedRun, s0, budgets) -> list:
         ]
     oracle = TargetOracle(prepared.target, budget=None if None in budgets else max(budgets))
     rounds = [_active_rounds(cfg, budget) for budget in budgets]
-    if max(rounds) == 0:
-        substitute, _, trace = pretrain_substitute(oracle, s0, spec, train)
-        return [(substitute, trace)] * len(budgets)
     states = {}
 
     def on_round(model, trace):
@@ -396,9 +396,10 @@ def _score(prepared: PreparedRun, budget, balance_queries: int, substitute, trac
     """Craft from ``substitute`` (the noise control when None) and score the target."""
     cfg, test_set = prepared.cfg, prepared.test_set
     agreement = None
-    attacked, examples = prepared.noisy, prepared.noisy_examples
+    attacked, examples, crafting = prepared.noisy, prepared.noisy_examples, prepared.noise_config
     if substitute is not None:
-        examples = craft_batch(substitute, test_set.epochs, cfg.attack, true_labels=test_set.labels)
+        crafting = cfg.attack
+        examples = craft_batch(substitute, test_set.epochs, crafting, true_labels=test_set.labels)
         attacked_preds = prepared.target.predict_batch(examples.perturbed)
         attacked = metric_report(attacked_preds, test_set.labels, cfg.data.classes)
         agreement = boundary_agreement(substitute, prepared.clean_preds, test_set.epochs)
@@ -418,6 +419,7 @@ def _score(prepared: PreparedRun, budget, balance_queries: int, substitute, trac
         total_queries=balance_queries + training_queries,
         seeds=prepared.seeds,
         examples=examples,
+        attack_config=crafting,
         substitute=substitute,
         target=prepared.target,
     )

@@ -60,7 +60,7 @@ class OppositePair:
 class SynthesisConfig:
     """Knobs of the active augmentation loop."""
 
-    n_iterations: int = 2        # outer augment-and-retrain rounds
+    n_iterations: int = 2        # augment-and-retrain rounds after round 0; 0 pretrains only
     per_iteration: int = 200     # synthesized epochs per round
     bisection_steps: int = 10    # midpoint halvings per boundary search
     offset_norm: float = 1.0     # L2 magnitude of the orthogonal offset
@@ -71,8 +71,8 @@ class SynthesisConfig:
     random_fallback: bool = True
 
     def __post_init__(self):
-        if self.n_iterations < 1:
-            raise ValueError("n_iterations must be >= 1")
+        if self.n_iterations < 0:
+            raise ValueError("n_iterations must be >= 0")
         if self.per_iteration < 1:
             raise ValueError("per_iteration must be >= 1")
         if self.bisection_steps < 1:
@@ -346,49 +346,34 @@ def _check_budget(oracle, needed: int) -> None:
         )
 
 
-def pretrain_substitute(oracle, initial_epochs, model_spec: ModelSpec, train_cfg: TrainConfig):
-    """Label the initial set and train a fresh substitute on it: trace row 0.
-
-    Returns ``(model, labeled_set, trace)``.  Both trainers start here; a
-    budget equal to the initial set size stops here.
-    """
-    xs = as_epoch_batch(initial_epochs, model_spec.input_shape)
-    if len(xs) == 0:
-        raise ValueError("initial epoch set is empty")
-    data = LabeledSet(xs, oracle.query_labels(xs))
-    model = SoftmaxClassifier(model_spec)
-    model.fit(data, train_cfg)
-    return model, data, AugmentationTrace([TraceRow(0, len(data), 0, len(data))])
-
-
 def _augment_rounds(oracle, xs, model_spec: ModelSpec, train_cfg: TrainConfig, retrain: str, propose,
                     on_round=None):
-    """The loop both trainers share: pretrain, then label, append and retrain per round.
+    """The loop both trainers share: label the new epochs, append them, train, trace.
 
-    ``propose(iteration, data, model, counter)`` returns round ``iteration``'s
-    new (m, C, T) epochs, or None to stop.  Trace query counts are relative
-    to the oracle counter at entry.  ``on_round(model, trace)``, when given,
-    sees the substitute and the trace so far after pretraining and after
-    every round; later rounds keep training that same model unless
-    ``retrain`` is ``"from-scratch"``.
+    Round 0 labels the initial set ``xs`` and trains a fresh substitute on
+    it (trace row 0, ``synthesized`` None); round ``i >= 1`` labels
+    ``propose(i, data, model, counter)``, the round's new (m, C, T) epochs,
+    and the loop stops when that returns None.  Trace query counts are
+    relative to the oracle counter at entry.  ``on_round(model, trace)``,
+    when given, sees the substitute and the trace so far after every round;
+    later rounds keep training that same model unless ``retrain`` is
+    ``"from-scratch"``.
     """
     start = oracle.query_count
-    model, data, trace = pretrain_substitute(oracle, xs, model_spec, train_cfg)
-    if on_round is not None:
-        on_round(model, trace)
-    counter = QueryCounter()
-    iteration = 1
-    while (new := propose(iteration, data, model, counter)) is not None:
+    data, model = LabeledSet(xs[:0], []), None
+    trace, counter = AugmentationTrace(), QueryCounter()
+    iteration, new = 0, xs
+    while new is not None:
         data = data.extended(new, oracle.query_labels(new))
-        if retrain == "from-scratch":
+        if model is None or retrain == "from-scratch":
             model = SoftmaxClassifier(model_spec)
         model.fit(data, train_cfg)
-        trace.rows.append(
-            TraceRow(iteration, oracle.query_count - start, counter.count, len(data), synthesized=new)
-        )
+        trace.rows.append(TraceRow(iteration, oracle.query_count - start, counter.count, len(data),
+                                   synthesized=new if iteration else None))
         if on_round is not None:
             on_round(model, trace)
         iteration += 1
+        new = propose(iteration, data, model, counter)
     return model, trace
 
 
@@ -400,14 +385,15 @@ def train_substitute_active(
     syn_cfg: SynthesisConfig,
     on_round=None,
 ) -> tuple[SoftmaxClassifier, AugmentationTrace]:
-    """Label the initial set, pre-train, then augment by query synthesis.
+    """Label the initial set and pre-train (round 0), then augment by query synthesis.
 
-    Per outer iteration, ``per_iteration`` epochs are synthesized against
+    Per later round, ``per_iteration`` epochs are synthesized against
     the current substitute over the one-vs-one class pairs (a single pair
     for two classes), labeled by the target in one batch, appended, and
     the substitute retrained.  Target queries total
     ``len(initial) + n_iterations * per_iteration`` exactly.  Round ``i``
-    runs exactly as the last round of an ``n_iterations=i`` run would, so
+    runs exactly as the last round of an ``n_iterations=i`` run would
+    (``n_iterations=0`` stops after round 0), so
     ``on_round(model, trace)`` (see :func:`_augment_rounds`) sees every
     shorter run's final state on the way.
     """

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from qsattack.cli import main
@@ -43,6 +44,14 @@ def test_attack_noise_only_trace(tmp_path):
     results = read_rows(out / "results.csv")
     assert results[0]["method"] == "noise"
     assert results[0]["rca"] == results[0]["noisy_rca"]
+    # the batch manifest names what drew the batch: its signs can be drawn again
+    adv = out / "run-000" / "adversarial"
+    manifest = json.loads((adv / "manifest.json").read_text())
+    assert manifest["method"] == "noise"
+    original = read_epochs(adv / "originals.epo").epochs
+    perturbed = read_epochs(adv / "perturbed.epo").epochs
+    redrawn = np.sign(np.random.default_rng(manifest["noise_seed"]).standard_normal(original.shape))
+    assert np.array_equal(np.sign(perturbed - original), redrawn)
 
 
 def test_attack_equal_budgets_between_methods(tmp_path):
@@ -93,6 +102,11 @@ def test_sweep_csv_and_determinism(tmp_path):
     assert all(r["runs"] == "2" for r in rows)
     results = read_rows(out_a / "results.csv")
     assert len(results) == 4
+    # every output file, manifest included, is independent of where it was written
+    files = sorted(p.relative_to(out_a) for p in out_a.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(out_b) for p in out_b.rglob("*") if p.is_file())
+    for rel in files:
+        assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
 
 
 @pytest.mark.parametrize("method, retrain", [
@@ -159,6 +173,14 @@ def test_report_aggregates(tmp_path, capsys):
     assert "active" in printed
     report_rows = read_rows(tmp_path / "rep" / "report.csv")
     assert report_rows[0]["runs"] == "2"
+
+
+def test_report_errors_use_the_common_error_path(tmp_path, capsys):
+    no_columns = tmp_path / "other.csv"
+    no_columns.write_text("a,b\n1,2\n", encoding="utf-8")
+    for path in (tmp_path / "missing.csv", no_columns):
+        assert main(["report", "--results", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_version_flag():

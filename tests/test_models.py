@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from qsattack.models import (
     save_checkpoint,
 )
 from testutil import fd_input_gradient, logistic_model, make_model, rel_err
+
+DATA = Path(__file__).parent / "data"
 
 RNG = np.random.default_rng(1234)
 
@@ -240,6 +243,18 @@ def test_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(loaded.parameters, model.parameters)
         x = RNG.standard_normal((2, 6))
         assert np.array_equal(loaded.probs(x), model.probs(x))
+
+
+def test_tcn_checkpoint_fixture_reproduces_probabilities(tmp_path):
+    # written before tcn shared the dense head (its views were W_out/b_out);
+    # the flat order conv_w, conv_b, W0, b0 is the same, so it loads as is
+    model = load_checkpoint(DATA / "tcn-tiny.ckpt")
+    save_checkpoint(model, tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == (DATA / "tcn-tiny.ckpt").read_bytes()
+    assert list(model.views) == ["conv_w", "conv_b", "W0", "b0"]
+    expected = np.loadtxt(DATA / "tcn-tiny-probs.txt").reshape(4, 3)
+    probs = model.probs_batch(np.random.default_rng(11).standard_normal((4, 2, 6)))
+    assert np.max(np.abs(probs - expected)) <= 1e-12
 
 
 def test_checkpoint_rejects_unknown_format(tmp_path):

@@ -64,6 +64,25 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert "data" in str(info.value)
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"data": 5}, "data"),
+    ({"target": {"train": []}}, "target.train"),
+    ({"budgets": 300}, "budgets"),
+    ({"budgets": "49"}, "budgets"),
+    ({"target": {"hidden": "16"}}, "target.hidden"),
+    ({"data": {"train_per_class": 0}}, "train_per_class"),
+    ({"data": {"test_per_class": 0}}, "test_per_class"),
+    ({"data": {"pool_per_class": -1}}, "pool_per_class"),
+], ids=["data-not-object", "train-not-object", "budgets-number", "budgets-string",
+        "hidden-string", "train-below-1", "test-below-1", "pool-below-0"])
+def test_config_wrong_types_raise_config_error(tmp_path, doc, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert key in str(info.value)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         small_config(method="hybrid")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -401,9 +403,29 @@ def test_jacobian_training_query_cap_subsamples():
     assert oracle.query_count == 10 + 17
 
 
+def test_active_training_zero_rounds_is_round_zero():
+    # n_iterations=0 stops after round 0: S0 labeled, a fresh substitute
+    # trained on it, exactly what round 0 of a longer run hands to on_round
+    _, oracle, s0 = make_oracle_and_s0(n_s0=20)
+    spec = ModelSpec("mlp", 2, 6, 2, hidden=(5,), seed=4)
+    cfg = SynthesisConfig(n_iterations=0, per_iteration=8, bisection_steps=4, offset_norm=2.0)
+    model, trace = train_substitute_active(oracle, s0, spec, FAST_TRAIN, cfg)
+    assert oracle.query_count == 20
+    [row] = trace.rows
+    assert (row.iteration, row.target_queries, row.substitute_queries, row.train_set_size) == (0, 20, 0, 20)
+    assert row.synthesized is None
+    seen = []
+    _, oracle, s0 = make_oracle_and_s0(n_s0=20)
+    train_substitute_active(oracle, s0, spec, FAST_TRAIN, replace(cfg, n_iterations=2),
+                            on_round=lambda m, t: seen.append(m.parameters))
+    assert len(seen) == 3
+    assert np.array_equal(seen[0], model.parameters)
+
+
 def test_synthesis_config_validation():
+    SynthesisConfig(n_iterations=0)  # pretrain only
     with pytest.raises(ValueError):
-        SynthesisConfig(n_iterations=0)
+        SynthesisConfig(n_iterations=-1)
     with pytest.raises(ValueError):
         SynthesisConfig(offset_norm=0.0)
     with pytest.raises(ValueError):
