@@ -174,17 +174,25 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     return 0
 
 
+_REPORT_KEY = ("dataset", "target_model", "substitute_model", "method", "budget")
+_REPORT_MEANS = ("rca", "bca", "baseline_rca", "noisy_rca")
+
+
 def cmd_report(result_paths, out_dir: str | None) -> int:
     rows = []
     for path in result_paths:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows.extend(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            missing = sorted(set(_REPORT_KEY + _REPORT_MEANS) - set(reader.fieldnames or ()))
+            if missing:
+                raise ValueError(f"{path} lacks the result column(s) {', '.join(missing)}")
+            rows.extend(reader)
     if not rows:
         print("no result rows found", file=sys.stderr)
         return 1
     groups = {}
     for row in rows:
-        key = (row["dataset"], row["target_model"], row["substitute_model"], row["method"], row["budget"])
+        key = tuple(row[col] for col in _REPORT_KEY)
         groups.setdefault(key, []).append(row)
     header = (
         f"{'dataset':<20} {'target':<10} {'substitute':<10} {'method':<9} "
@@ -195,12 +203,7 @@ def cmd_report(result_paths, out_dir: str | None) -> int:
     for key in sorted(groups):
         bucket = groups[key]
         mean = lambda col: float(np.mean([float(r[col]) for r in bucket]))
-        line = {
-            "dataset": key[0], "target_model": key[1], "substitute_model": key[2],
-            "method": key[3], "budget": key[4], "runs": len(bucket),
-            "rca": mean("rca"), "bca": mean("bca"),
-            "baseline_rca": mean("baseline_rca"), "noisy_rca": mean("noisy_rca"),
-        }
+        line = {**dict(zip(_REPORT_KEY, key)), "runs": len(bucket), **{col: mean(col) for col in _REPORT_MEANS}}
         report_rows.append(line)
         print(
             f"{key[0]:<20} {key[1]:<10} {key[2]:<10} {key[3]:<9} {key[4]:>7} "

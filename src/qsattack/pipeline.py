@@ -131,12 +131,21 @@ _NESTED = {
     "attack": AttackConfig,
     "train": TrainConfig,
 }
-_TUPLE_FIELDS = {"hidden", "budgets"}
+_TUPLE_FIELDS = {"hidden", "budgets"}  # JSON arrays of integers
+# JSON value types each scalar annotation accepts, keyed by the annotation
+# string (annotations are postponed); exact type matches keep bools out of numbers
+_SCALAR_TYPES = {
+    "int": ((int,), "an integer"),
+    "int | None": ((int, type(None)), "an integer or null"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "true or false"),
+    "str": ((str,), "a string"),
+}
 
 
 def _config_from_dict(cls, raw: dict, path: str):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(raw) - names
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(raw) - set(types)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {path or 'config'}")
     kwargs = {}
@@ -147,9 +156,11 @@ def _config_from_dict(cls, raw: dict, path: str):
                 raise ConfigError(f"{where} must be a JSON object")
             kwargs[key] = _config_from_dict(_NESTED[key], value, where)
         elif key in _TUPLE_FIELDS:
-            if not isinstance(value, list):
-                raise ConfigError(f"{where} must be a JSON array")
+            if not isinstance(value, list) or any(type(v) is not int for v in value):
+                raise ConfigError(f"{where} must be a JSON array of integers")
             kwargs[key] = tuple(value)
+        elif type(value) not in _SCALAR_TYPES[types[key]][0]:
+            raise ConfigError(f"{where} must be {_SCALAR_TYPES[types[key]][1]}, got {value!r}")
         else:
             kwargs[key] = value
     try:

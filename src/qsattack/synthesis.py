@@ -12,7 +12,9 @@ Accounting conventions:
 * one substitute query per midpoint evaluation inside the halving loop,
   so a synthesized epoch costs ``2 * bisection_steps`` substitute queries
   (one halving run to refine the pair, a second one inside the
-  mid-perpendicular step).  Endpoint validation peeks are free.
+  mid-perpendicular step).  Endpoint labels are free: a round reads them
+  from one batched forward over the labeled set, and runs its halvings
+  in lockstep as ``2 * bisection_steps`` more batched forwards.
 """
 
 from __future__ import annotations
@@ -141,76 +143,88 @@ class AugmentationTrace:
         return self.rows[-1].substitute_queries if self.rows else 0
 
 
+def _halve(x_plus, x_minus, y_plus, y_minus, model, steps: int):
+    """``steps`` midpoint halvings of m pairs (rows) in lockstep, one batched forward each.
+
+    A midpoint labeled ``y_plus[k]`` replaces ``x_plus[k]``; any other label
+    replaces ``x_minus[k]`` and becomes ``y_minus[k]``.  Returns the new
+    ``(x_plus, x_minus, y_minus)``.
+    """
+    for _ in range(steps):
+        mid = 0.5 * (x_plus + x_minus)
+        y_mid = model.predict_batch(mid)
+        plus = y_mid == y_plus
+        mask = plus.reshape((-1,) + (1,) * (mid.ndim - 1))
+        x_plus, x_minus = np.where(mask, mid, x_plus), np.where(mask, x_minus, mid)
+        y_minus = np.where(plus, y_minus, y_mid)
+    return x_plus, x_minus, y_minus
+
+
 def binary_search_pair(pair: OppositePair, model, steps: int, counter: QueryCounter | None = None) -> OppositePair:
     """Shrink an opposite pair toward the substitute boundary by midpoint halving.
 
     Each step replaces one endpoint with the midpoint, so the endpoint
     distance contracts by exactly ``2**-steps``.  Issues ``steps``
-    substitute queries; the endpoint validation peeks are not counted.
+    substitute queries; the endpoint validation peek is not counted.
     Raises :class:`BoundaryLostError` when the substitute puts both
     endpoints in one class.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    y_plus = model.predict(pair.x_plus)
-    y_minus = model.predict(pair.x_minus)
+    y_plus, y_minus = model.predict_batch(np.stack([pair.x_plus, pair.x_minus]))
     if y_plus == y_minus:
-        raise BoundaryLostError(
-            f"substitute labels both endpoints as class {y_plus}; reselect the pair"
-        )
-    x_plus, x_minus = pair.x_plus, pair.x_minus
-    label_minus = y_minus
-    for _ in range(steps):
-        mid = 0.5 * (x_plus + x_minus)
-        y_mid = model.predict(mid)
-        if counter is not None:
-            counter.add(1)
-        if y_mid == y_plus:
-            x_plus = mid
-        else:
-            x_minus = mid
-            label_minus = y_mid
-    return OppositePair(x_plus, x_minus, int(y_plus), int(label_minus))
+        raise BoundaryLostError(f"substitute labels both endpoints as class {y_plus}; reselect the pair")
+    x_plus, x_minus, label_minus = _halve(pair.x_plus[None], pair.x_minus[None], y_plus, [y_minus], model, steps)
+    if counter is not None:
+        counter.add(steps)
+    return OppositePair(x_plus[0], x_minus[0], int(y_plus), int(label_minus[0]))
 
 
-def mid_perpendicular(
-    pair: OppositePair,
-    model,
-    steps: int,
-    offset_norm: float,
-    rng: np.random.Generator,
-    counter: QueryCounter | None = None,
-    resample_limit: int = 16,
-) -> np.ndarray:
+def _offset(diff: np.ndarray, draw: np.ndarray, offset_norm: float) -> np.ndarray | None:
+    """``draw`` less its projection on ``diff``, the flat pair difference, at L2 norm ``offset_norm``.
+
+    None when that orthogonal component is below the norm floor; raises
+    when the pair endpoints coincide.
+    """
+    denom = float(diff @ diff)
+    if denom < _NORM_FLOOR**2:
+        raise DegenerateDirectionError("pair endpoints coincide; no direction to keep")
+    flat = draw.ravel()
+    candidate = flat - (float(diff @ flat) / denom) * diff
+    norm = float(np.linalg.norm(candidate))
+    return (offset_norm / norm) * candidate.reshape(draw.shape) if norm >= _NORM_FLOOR else None
+
+
+def _redraw(diff, rng, shape, offset_norm: float, draws: int) -> np.ndarray:
+    """The first of up to ``draws`` fresh offsets that clears the norm floor."""
+    for _ in range(draws):
+        offset = _offset(diff, rng.standard_normal(shape), offset_norm)
+        if offset is not None:
+            return offset
+    raise DegenerateDirectionError(f"orthogonal component stayed below {_NORM_FLOOR} after all redraws")
+
+
+def mid_perpendicular(pair: OppositePair, model, steps: int, offset_norm: float, rng: np.random.Generator,
+                      counter: QueryCounter | None = None, resample_limit: int = 16) -> np.ndarray:
     """Synthesize one epoch offset orthogonally from a refined boundary midpoint.
 
     A random epoch is orthogonalized against the pair difference
     (projection removal), rescaled to L2 norm ``offset_norm``, and added
     to the midpoint of a fresh ``steps``-step halving run on the pair.
-    Raises :class:`DegenerateDirectionError` when every redraw leaves an
-    orthogonal component below the norm floor.
+    Raises :class:`DegenerateDirectionError` when all ``resample_limit``
+    draws leave an orthogonal component below the norm floor.
     """
     if offset_norm <= 0:
         raise ValueError("offset_norm must be > 0")
     diff = (pair.x_plus - pair.x_minus).ravel()
-    denom = float(diff @ diff)
-    if denom < _NORM_FLOOR**2:
-        raise DegenerateDirectionError("pair endpoints coincide; no direction to keep")
-    offset = None
-    for _ in range(max(1, resample_limit)):
-        draw = rng.standard_normal(pair.x_plus.shape).ravel()
-        candidate = draw - (float(diff @ draw) / denom) * diff
-        norm = float(np.linalg.norm(candidate))
-        if norm >= _NORM_FLOOR:
-            offset = (offset_norm / norm) * candidate
-            break
-    if offset is None:
-        raise DegenerateDirectionError(
-            f"orthogonal component stayed below {_NORM_FLOOR} after {resample_limit} redraws"
-        )
+    offset = _redraw(diff, rng, pair.x_plus.shape, offset_norm, max(1, resample_limit))
     refined = binary_search_pair(pair, model, steps, counter)
-    midpoint = 0.5 * (refined.x_plus + refined.x_minus)
-    return offset.reshape(pair.x_plus.shape) + midpoint
+    return offset + 0.5 * (refined.x_plus + refined.x_minus)
+
+
+def _pick(idx_a: np.ndarray, idx_b: np.ndarray, rng: np.random.Generator) -> tuple[int, int]:
+    """One uniformly random index from each of ``idx_a`` and ``idx_b``, in that order."""
+    return idx_a[int(rng.integers(len(idx_a)))], idx_b[int(rng.integers(len(idx_b)))]
 
 
 def select_opposite_pair(
@@ -227,40 +241,33 @@ def select_opposite_pair(
     idx_b = data.class_indices(b)
     if len(idx_a) == 0 or len(idx_b) == 0:
         raise NoOppositePairError(f"classes {a} and {b} are not both present")
-    i = idx_a[int(rng.integers(len(idx_a)))]
-    j = idx_b[int(rng.integers(len(idx_b)))]
+    i, j = _pick(idx_a, idx_b, rng)
     return OppositePair(data.epochs[i], data.epochs[j], int(a), int(b))
 
 
-def _synthesize_one(
-    data: LabeledSet,
-    model,
-    cfg: SynthesisConfig,
-    rng: np.random.Generator,
-    counter: QueryCounter | None,
-    class_pair: tuple[int, int],
-) -> np.ndarray:
-    """One epoch synthesized on a realizable ``class_pair``, or a random draw when allowed."""
-    for _ in range(cfg.reselect_limit):
-        pair = select_opposite_pair(data, rng, class_pair)
-        try:
-            refined = binary_search_pair(pair, model, cfg.bisection_steps, counter)
-        except BoundaryLostError:  # raised by the uncounted endpoint peeks
-            continue
-        return mid_perpendicular(
-            refined,
-            model,
-            cfg.bisection_steps,
-            cfg.offset_norm,
-            rng,
-            counter,
-            cfg.resample_limit,
-        )
-    if cfg.random_fallback:
-        return rng.standard_normal(data.shape)
-    raise BoundaryLostError(
-        f"substitute agrees on every selected pair after {cfg.reselect_limit} tries"
-    )
+def _plan(class_pairs, labels, members, cfg: SynthesisConfig, shape, rng):
+    """Every rng draw for one epoch per entry of ``class_pairs``, in order, with no forward pass.
+
+    Per epoch: index picks until the substitute ``labels`` of the two
+    endpoints differ (at most ``reselect_limit`` tries), then one draw, the
+    offset of a planned pair or the whole epoch of a random fallback.
+    Returns the endpoint indices (None for a fallback), the draws, and the
+    generator state after each draw.
+    """
+    ends, draws, states = [], [], []
+    for a, b in class_pairs:
+        end = None
+        for _ in range(cfg.reselect_limit):
+            i, j = _pick(members[a], members[b], rng)
+            if labels[i] != labels[j]:
+                end = (i, j)
+                break
+        if end is None and not cfg.random_fallback:
+            raise BoundaryLostError(f"substitute agrees on every selected pair after {cfg.reselect_limit} tries")
+        ends.append(end)
+        draws.append(rng.standard_normal(shape))
+        states.append(rng.bit_generator.state)
+    return ends, draws, states
 
 
 def one_vs_one_quotas(
@@ -291,17 +298,16 @@ def one_vs_one_quotas(
     return {p: quotas[p] for p in alive}
 
 
-def synthesize_one_vs_one(
-    data: LabeledSet,
-    model,
-    n_classes: int,
-    cfg: SynthesisConfig,
-    rng: np.random.Generator,
-    counter: QueryCounter | None = None,
-) -> list[np.ndarray]:
-    """One iteration's worth of epochs across all realizable class pairs.
+def synthesize_one_vs_one(data: LabeledSet, model, n_classes: int, cfg: SynthesisConfig, rng: np.random.Generator,
+                          counter: QueryCounter | None = None) -> np.ndarray:
+    """One round's ``per_iteration`` epochs across all realizable class pairs, as (m, C, T).
 
     Two classes make the single pair (0, 1), which carries every epoch.
+    One batched forward labels every endpoint (all are members of
+    ``data``), :func:`_plan` makes the rng draws in per-epoch order, and
+    both halving runs advance all pairs in lockstep.  An offset below the
+    norm floor, the one data-dependent draw, is redrawn from the state
+    saved after it, and the epochs after it are planned again.
     """
     if n_classes < 2:
         raise ValueError("one-vs-one synthesis needs n_classes >= 2")
@@ -309,14 +315,36 @@ def synthesize_one_vs_one(
     realizable = set(combinations(present, 2))  # a < b, since present is sorted
     if not realizable:
         if cfg.random_fallback:
-            return [rng.standard_normal(data.shape) for _ in range(cfg.per_iteration)]
+            return rng.standard_normal((cfg.per_iteration,) + data.shape)
         raise NoOppositePairError("no class pair is realizable in the labeled set")
     quotas = one_vs_one_quotas(n_classes, cfg.per_iteration, realizable)
-    return [
-        _synthesize_one(data, model, cfg, rng, counter, pair)
-        for pair in sorted(quotas)
-        for _ in range(quotas[pair])
-    ]
+    todo = [pair for pair in sorted(quotas) for _ in range(quotas[pair])]
+    labels = model.predict_batch(data.epochs)
+    members = {c: data.class_indices(c) for c in present}
+    steps, epochs = cfg.bisection_steps, []
+    while len(epochs) < len(todo):
+        ends, draws, states = _plan(todo[len(epochs):], labels, members, cfg, data.shape, rng)
+        rows = [r for r, end in enumerate(ends) if end is not None]
+        if rows:
+            i, j = np.array([ends[r] for r in rows]).T
+            x_plus, x_minus, y_minus = _halve(data.epochs[i], data.epochs[j], labels[i], labels[j], model, steps)
+            offsets = []
+            for k, r in enumerate(rows):
+                diff = (x_plus[k] - x_minus[k]).ravel()
+                offsets.append(_offset(diff, draws[r], cfg.offset_norm))
+                if offsets[-1] is None:  # redraw in place, then plan the rest again
+                    rng.bit_generator.state = states[r]
+                    offsets[-1] = _redraw(diff, rng, data.shape, cfg.offset_norm, cfg.resample_limit - 1)
+                    rows, draws = rows[: k + 1], draws[: r + 1]
+                    break
+            n = len(rows)
+            x_plus, x_minus, _ = _halve(x_plus[:n], x_minus[:n], labels[i[:n]], y_minus[:n], model, steps)
+            for k, mid in enumerate(0.5 * (x_plus + x_minus)):
+                draws[rows[k]] = offsets[k] + mid
+            if counter is not None:
+                counter.add(2 * steps * n)
+        epochs += draws
+    return np.stack(epochs)
 
 
 def jacobian_augment(
@@ -404,7 +432,7 @@ def train_substitute_active(
     def propose(iteration, data, model, counter):
         if iteration > syn_cfg.n_iterations:
             return None
-        return np.stack(synthesize_one_vs_one(data, model, model_spec.classes, syn_cfg, rng, counter))
+        return synthesize_one_vs_one(data, model, model_spec.classes, syn_cfg, rng, counter)
 
     return _augment_rounds(oracle, xs, model_spec, train_cfg, syn_cfg.retrain, propose, on_round)
 

@@ -180,7 +180,10 @@ def test_report_errors_use_the_common_error_path(tmp_path, capsys):
     no_columns.write_text("a,b\n1,2\n", encoding="utf-8")
     for path in (tmp_path / "missing.csv", no_columns):
         assert main(["report", "--results", str(path)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+    assert str(no_columns) in err
+    assert "baseline_rca, bca, budget, dataset, method, noisy_rca, rca, substitute_model, target_model" in err
 
 
 def test_version_flag():

@@ -83,6 +83,41 @@ def test_config_wrong_types_raise_config_error(tmp_path, doc, key):
     assert key in str(info.value)
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"runs": 1.0}, "runs"),
+    ({"master_seed": 2.5}, "master_seed"),
+    ({"runs": True}, "runs"),
+    ({"synthesis": {"n_iterations": 1.5}}, "synthesis.n_iterations"),
+    ({"target": {"train": {"max_epochs": 10.0}}}, "target.train.max_epochs"),
+    ({"data": {"classes": "3"}}, "data.classes"),
+    ({"balance": {"per_class": False}}, "balance.per_class"),
+    ({"jacobian": {"query_cap": 2.5}}, "jacobian.query_cap"),
+    ({"budgets": [200.5]}, "budgets"),
+    ({"substitute": {"hidden": [8.0]}}, "substitute.hidden"),
+    ({"balance": {"strict": "no"}}, "balance.strict"),
+    ({"synthesis": {"offset_norm": True}}, "synthesis.offset_norm"),
+    ({"attack": {"epsilon": "0.1"}}, "attack.epsilon"),
+    ({"method": 3}, "method"),
+], ids=["runs-float", "seed-float", "runs-bool", "iterations-float", "max-epochs-float",
+        "classes-string", "per-class-bool", "query-cap-float", "budget-float", "hidden-float",
+        "strict-string", "offset-norm-bool", "epsilon-string", "method-number"])
+def test_config_scalar_fields_take_only_their_json_type(tmp_path, doc, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert key in str(info.value)
+
+
+def test_config_scalar_fields_take_their_json_types(tmp_path):
+    doc = {"jacobian": {"query_cap": None}, "runs": 2, "synthesis": {"offset_norm": 2},
+           "balance": {"strict": False}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    cfg = load_config(path)
+    assert (cfg.jacobian.query_cap, cfg.runs, cfg.synthesis.offset_norm, cfg.balance.strict) == (None, 2, 2, False)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         small_config(method="hybrid")

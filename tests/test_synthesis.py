@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -343,6 +344,115 @@ def test_strict_one_vs_one_synthesis_raises_instead_of_noise():
     one_class = LabeledSet(data.epochs, np.zeros(len(data), dtype=np.int64))
     with pytest.raises(NoOppositePairError):
         synthesize_one_vs_one(one_class, constant, 3, strict, np.random.default_rng(1))
+
+
+def reference_round(data, model, n_classes, cfg, rng, counter):
+    """One synthesis round composed per epoch from the public one-pair functions."""
+    present = [c for c in data.present_classes() if c < n_classes]
+    quotas = one_vs_one_quotas(n_classes, cfg.per_iteration, set(combinations(present, 2)))
+    out = []
+    for class_pair in sorted(quotas):
+        for _ in range(quotas[class_pair]):
+            for _ in range(cfg.reselect_limit):
+                pair = select_opposite_pair(data, rng, class_pair)
+                try:
+                    refined = binary_search_pair(pair, model, cfg.bisection_steps, counter)
+                except BoundaryLostError:
+                    continue
+                out.append(mid_perpendicular(refined, model, cfg.bisection_steps, cfg.offset_norm,
+                                             rng, counter, cfg.resample_limit))
+                break
+            else:
+                out.append(rng.standard_normal(data.shape))
+    return np.stack(out)
+
+
+class ZeroDrawRng:
+    """Delegates to a seeded Generator, but its ``nth`` standard_normal call returns zeros."""
+
+    def __init__(self, seed, nth):
+        self.gen = np.random.default_rng(seed)
+        self.bit_generator = self.gen.bit_generator
+        self.nth, self.normal_calls = nth, 0
+
+    def integers(self, *args, **kwargs):
+        return self.gen.integers(*args, **kwargs)
+
+    def standard_normal(self, shape=None):
+        self.normal_calls += 1
+        draw = self.gen.standard_normal(shape)
+        return np.zeros_like(draw) if self.normal_calls == self.nth else draw
+
+
+def trained_substitute(arch, k, seed, cls=SoftmaxClassifier):
+    data = gen_blobs(10, k, 2, 6, separation=4.0, seed=seed)
+    hidden = {"linear": (), "mlp": (5,), "tcn": (4,)}[arch]
+    model = cls(ModelSpec(arch, 2, 6, k, hidden=hidden, seed=seed, kernel_width=3))
+    model.fit(data, TrainConfig(max_epochs=20, patience=20, shuffle_seed=seed))
+    return data, model
+
+
+def assert_round_matches_reference(data, model, k, cfg, make_rng):
+    rng, ref_rng = make_rng(), make_rng()
+    counter, ref_counter = QueryCounter(), QueryCounter()
+    out = synthesize_one_vs_one(data, model, k, cfg, rng, counter)
+    ref = reference_round(data, model, k, cfg, ref_rng, ref_counter)
+    assert np.array_equal(out, ref)
+    assert counter.count == ref_counter.count
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return rng, ref_rng, counter
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("arch", ["linear", "mlp", "tcn"])
+def test_round_kernel_matches_per_epoch_reference(arch, k):
+    data, model = trained_substitute(arch, k, seed=k)
+    cfg = SynthesisConfig(per_iteration=23, bisection_steps=5, offset_norm=1.5, reselect_limit=2)
+    _, _, counter = assert_round_matches_reference(data, model, k, cfg, lambda: np.random.default_rng(k + 50))
+    assert counter.count > 0
+
+
+def test_round_kernel_redraws_a_degenerate_offset_mid_round():
+    data, model = trained_substitute("mlp", 2, seed=1)
+    cfg = SynthesisConfig(per_iteration=12, bisection_steps=4, offset_norm=1.5)
+    rng, ref_rng, counter = assert_round_matches_reference(data, model, 2, cfg, lambda: ZeroDrawRng(7, nth=7))
+    assert counter.count == 2 * 4 * 12  # every epoch planned, so the 7th draw was an offset
+    assert ref_rng.normal_calls == 12 + 1  # one redraw
+    assert rng.normal_calls == 12 + 1 + (12 - 7)  # the draws after it were planned twice
+
+
+def test_round_kernel_fallback_heavy():
+    data, _ = trained_substitute("mlp", 3, seed=2)
+    constant = ConstantSubstitute(ModelSpec("mlp", 2, 6, 3, hidden=(5,), seed=2))
+    cfg = SynthesisConfig(per_iteration=10, bisection_steps=4, offset_norm=1.5, reselect_limit=3)
+    _, _, counter = assert_round_matches_reference(data, constant, 3, cfg, lambda: np.random.default_rng(3))
+    assert counter.count == 0
+
+
+class CountingClassifier(SoftmaxClassifier):
+    """Counts single-epoch and batched forwards."""
+
+    predict_calls = batch_calls = 0
+
+    def predict(self, x):
+        self.predict_calls += 1
+        return super().predict(x)
+
+    def predict_batch(self, epochs):
+        self.batch_calls += 1
+        return super().predict_batch(epochs)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_round_runs_batched_forwards_only(k):
+    data, model = trained_substitute("mlp", k, seed=4, cls=CountingClassifier)
+    model.predict_calls = model.batch_calls = 0
+    cfg = SynthesisConfig(per_iteration=40, bisection_steps=6, offset_norm=1.5)
+    counter = QueryCounter()
+    synthesize_one_vs_one(data, model, k, cfg, np.random.default_rng(5), counter)
+    assert model.predict_calls == 0
+    assert model.batch_calls <= 2 * 6 + 1
+    assert counter.count == 2 * 6 * 40  # no epoch fell back to a random draw
 
 
 def test_active_training_improves_boundary_agreement():

@@ -53,9 +53,10 @@ class ThresholdModel:
         self.threshold = threshold
         self.calls = 0
 
-    def predict(self, x):
+    def predict_batch(self, epochs):
         self.calls += 1
-        return int(np.asarray(x).ravel()[0] > self.threshold)
+        epochs = np.asarray(epochs)
+        return (epochs.reshape(len(epochs), -1)[:, 0] > self.threshold).astype(np.int64)
 
 
 class FixedDrawRng:
