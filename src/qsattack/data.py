@@ -250,44 +250,3 @@ def read_epochs(path) -> LabeledSet:
     return LabeledSet(
         values.astype(np.float64).reshape(n, c, t), labels.astype(np.int64)
     )
-
-
-def epochs_to_delimited(path, data: LabeledSet, delimiter: str = ",") -> None:
-    """Text export: one row per epoch, C*T values then the label."""
-    flat = data.epochs.reshape(len(data), -1)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row, label in zip(flat, data.labels):
-            fh.write(delimiter.join(repr(float(v)) for v in row))
-            fh.write(f"{delimiter}{int(label)}\n")
-
-
-def epochs_from_delimited(path, channels: int, samples: int, delimiter: str = ",") -> LabeledSet:
-    """Read the text format written by :func:`epochs_to_delimited`."""
-    want = channels * samples
-    epochs, labels = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(delimiter)
-            if len(parts) != want + 1:
-                raise ValueError(
-                    f"line {line_no}: expected {want} values plus label, got {len(parts)} fields"
-                )
-            epochs.append(np.array([float(v) for v in parts[:-1]]).reshape(channels, samples))
-            labels.append(int(parts[-1]))
-    if not epochs:
-        return LabeledSet(np.zeros((0, channels, samples)), np.zeros(0, dtype=np.int64))
-    return LabeledSet(np.stack(epochs), np.array(labels, dtype=np.int64))
-
-
-def zscore_per_channel(data: LabeledSet) -> LabeledSet:
-    """Standardize each channel to zero mean, unit variance across the whole set.
-
-    Off by default everywhere in the pipeline; provided for external data.
-    """
-    mean = data.epochs.mean(axis=(0, 2), keepdims=True)
-    std = data.epochs.std(axis=(0, 2), keepdims=True)
-    std = np.where(std < 1e-12, 1.0, std)
-    return LabeledSet((data.epochs - mean) / std, data.labels.copy())

@@ -203,9 +203,12 @@ class SoftmaxClassifier:
         total = sum(int(np.prod(shape)) for _, shape, _ in self._table)
         self._params = np.zeros(total)
         self.views, offset = {}, 0  # named reshaped views into the flat vector
-        for name, shape, _ in self._table:
+        rng = np.random.default_rng(spec.seed)  # scaled-uniform init, bound 1/sqrt(fan_in)
+        for name, shape, fan_in in self._table:
             size = int(np.prod(shape))
             self.views[name] = self._params[offset : offset + size].reshape(shape)
+            bound = 1.0 / np.sqrt(fan_in)
+            self.views[name][...] = rng.uniform(-bound, bound, size=shape)
             offset += size
         # the dense head's (W, b) per layer; updates are in place, so these views stay live
         dense = [view for name, view in self.views.items() if not name.startswith("conv")]
@@ -213,7 +216,6 @@ class SoftmaxClassifier:
         self._adam_m = np.zeros(total)
         self._adam_v = np.zeros(total)
         self._adam_t = 0
-        self.reinitialize()
 
     # -- parameters ------------------------------------------------------
 
@@ -233,16 +235,6 @@ class SoftmaxClassifier:
                 f"expected {self._params.size} parameters, got {values.size}"
             )
         self._params[:] = values
-
-    def reinitialize(self, seed: int | None = None) -> None:
-        """Scaled-uniform init (bound 1/sqrt(fan_in)) and fresh optimizer state."""
-        rng = np.random.default_rng(self.spec.seed if seed is None else seed)
-        for name, shape, fan_in in self._table:
-            bound = 1.0 / np.sqrt(fan_in)
-            self.views[name][...] = rng.uniform(-bound, bound, size=shape)
-        self._adam_m[:] = 0.0
-        self._adam_v[:] = 0.0
-        self._adam_t = 0
 
     # -- forward ---------------------------------------------------------
 
@@ -329,10 +321,6 @@ class SoftmaxClassifier:
                 f"[{labels.min()}, {labels.max()}]"
             )
         return labels
-
-    def loss(self, x, label: int, class_weights=None) -> float:
-        """(Optionally class-weighted) cross-entropy of a single epoch."""
-        return self.dataset_loss(np.asarray(x, dtype=np.float64)[None], [label], class_weights)
 
     def dataset_loss(self, epochs, labels, class_weights=None) -> float:
         """Mean weighted cross-entropy over a batch."""

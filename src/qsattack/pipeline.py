@@ -42,8 +42,8 @@ import numpy as np
 
 from .attack import AdversarialExample, AttackConfig, craft_batch
 from .data import LabeledSet, balance_by_predicted_label, gen_blobs, gen_synthetic_epochs
-from .errors import ConfigError
-from .metrics import MetricReport, boundary_agreement, metric_report
+from .errors import ClassBalanceError, ConfigError
+from .metrics import MetricReport, metric_report
 from .models import ModelSpec, SoftmaxClassifier, TrainConfig, TrainHistory
 from .oracle import TargetOracle
 from .seeding import derive_seed
@@ -119,6 +119,11 @@ class ExperimentConfig:
         object.__setattr__(self, "budgets", budgets)
         if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
             raise ConfigError("budgets must be strictly increasing")
+        for name in ("target", "substitute"):  # refuse a bad model before any data or training
+            try:
+                _build_spec(getattr(self, name), self.data, 0)
+            except ValueError as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
 
 
 _NESTED = {
@@ -132,6 +137,8 @@ _NESTED = {
     "train": TrainConfig,
 }
 _TUPLE_FIELDS = {"hidden", "budgets"}  # JSON arrays of integers
+# seeds the pipeline derives per run index and stage, replacing any configured value
+_DERIVED_SEEDS = {"synthesis.seed", "jacobian.seed", "target.train.shuffle_seed", "substitute.train.shuffle_seed"}
 # JSON value types each scalar annotation accepts, keyed by the annotation
 # string (annotations are postponed); exact type matches keep bools out of numbers
 _SCALAR_TYPES = {
@@ -151,6 +158,8 @@ def _config_from_dict(cls, raw: dict, path: str):
     kwargs = {}
     for key, value in raw.items():
         where = f"{path}.{key}" if path else key
+        if where in _DERIVED_SEEDS:
+            raise ConfigError(f"{where} cannot be set: it derives from master_seed")
         if key in _NESTED:
             if not isinstance(value, dict):
                 raise ConfigError(f"{where} must be a JSON object")
@@ -252,13 +261,11 @@ class PreparedRun:
     """Everything of one run that does not depend on method or budget."""
 
     cfg: ExperimentConfig
-    run_index: int
     seeds: dict
     test_set: LabeledSet
     pool_set: LabeledSet
     target: SoftmaxClassifier
     history: TrainHistory
-    clean_preds: np.ndarray
     baseline: MetricReport
     noisy: MetricReport
     noisy_examples: AdversarialExample
@@ -267,14 +274,12 @@ class PreparedRun:
 
 @dataclass
 class RunResult:
-    run_index: int
     run_seed: int
     method: str
     budget: int | None
     baseline: MetricReport
     noisy: MetricReport
     attacked: MetricReport
-    agreement: float | None
     trace: AugmentationTrace | None
     balance_queries: int
     training_queries: int
@@ -360,15 +365,14 @@ def prepare_run(cfg: ExperimentConfig, run_index: int = 0) -> PreparedRun:
     target = SoftmaxClassifier(_build_spec(cfg.target, cfg.data, seeds["target-init"]))
     history = target.fit(train_set, replace(cfg.target.train, shuffle_seed=seeds["target-train"]))
 
-    clean_preds = target.predict_batch(test_set.epochs)
-    baseline = metric_report(clean_preds, test_set.labels, cfg.data.classes)
+    baseline = metric_report(target.predict_batch(test_set.epochs), test_set.labels, cfg.data.classes)
 
     noise_cfg = AttackConfig(epsilon=cfg.attack.epsilon, method="noise", noise_seed=seeds["noise"])
     noisy_examples = craft_batch(None, test_set.epochs, noise_cfg)
     noisy_preds = target.predict_batch(noisy_examples.perturbed)
     noisy = metric_report(noisy_preds, test_set.labels, cfg.data.classes)
-    return PreparedRun(cfg, run_index, seeds, test_set, pool_set, target, history,
-                       clean_preds, baseline, noisy, noisy_examples, noise_cfg)
+    return PreparedRun(cfg, seeds, test_set, pool_set, target, history, baseline, noisy,
+                       noisy_examples, noise_cfg)
 
 
 def _train_substitutes(prepared: PreparedRun, s0, budgets) -> list:
@@ -406,24 +410,20 @@ def _train_substitutes(prepared: PreparedRun, s0, budgets) -> list:
 def _score(prepared: PreparedRun, budget, balance_queries: int, substitute, trace) -> RunResult:
     """Craft from ``substitute`` (the noise control when None) and score the target."""
     cfg, test_set = prepared.cfg, prepared.test_set
-    agreement = None
     attacked, examples, crafting = prepared.noisy, prepared.noisy_examples, prepared.noise_config
     if substitute is not None:
         crafting = cfg.attack
         examples = craft_batch(substitute, test_set.epochs, crafting, true_labels=test_set.labels)
         attacked_preds = prepared.target.predict_batch(examples.perturbed)
         attacked = metric_report(attacked_preds, test_set.labels, cfg.data.classes)
-        agreement = boundary_agreement(substitute, prepared.clean_preds, test_set.epochs)
     training_queries = trace.rows[-1].target_queries if trace is not None else 0
     return RunResult(
-        run_index=prepared.run_index,
         run_seed=prepared.seeds["run"],
         method=cfg.method,
         budget=budget,
         baseline=prepared.baseline,
         noisy=prepared.noisy,
         attacked=attacked,
-        agreement=agreement,
         trace=trace,
         balance_queries=balance_queries,
         training_queries=training_queries,
@@ -452,6 +452,10 @@ def attack_runs(prepared: PreparedRun, budgets) -> list[RunResult]:
         balancer, prepared.pool_set.epochs, cfg.balance.per_class, prepared.seeds["balance"],
         cfg.balance.strict,
     )
+    if cfg.method != "noise" and None not in budgets and len(s0) != _s0_size(cfg):
+        raise ClassBalanceError(
+            f"the pool filled an initial set of {len(s0)} epochs, the budgets assume {_s0_size(cfg)}"
+        )
     states = [(None, None)] * len(budgets) if cfg.method == "noise" else _train_substitutes(prepared, s0, budgets)
     return [_score(prepared, budget, balancer.query_count, *state) for budget, state in zip(budgets, states)]
 

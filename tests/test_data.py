@@ -5,13 +5,10 @@ from qsattack.data import (
     LabeledSet,
     as_epoch_batch,
     balance_by_predicted_label,
-    epochs_from_delimited,
-    epochs_to_delimited,
     gen_blobs,
     gen_synthetic_epochs,
     read_epochs,
     write_epochs,
-    zscore_per_channel,
 )
 from qsattack.errors import ClassBalanceError, MalformedEpochFileError, ShapeMismatchError
 from qsattack.models import TrainConfig
@@ -177,29 +174,6 @@ def test_epo_shape_overflow(tmp_path):
     path.write_bytes(b"EPO1" + struct.pack("<III", 2**30, 2**10, 2**10))
     with pytest.raises(MalformedEpochFileError):
         read_epochs(path)
-
-
-def test_delimited_roundtrip(tmp_path):
-    dataset = LabeledSet(RNG.standard_normal((4, 2, 3)), np.array([0, 1, -1, 1]))
-    path = tmp_path / "set.csv"
-    epochs_to_delimited(path, dataset)
-    back = epochs_from_delimited(path, 2, 3)
-    assert np.array_equal(back.epochs, dataset.epochs)
-    assert np.array_equal(back.labels, dataset.labels)
-
-
-def test_delimited_rejects_bad_row(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("1.0,2.0,0\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        epochs_from_delimited(path, 2, 3)
-
-
-def test_zscore_per_channel():
-    data = gen_blobs(50, 2, 3, 8, separation=3.0, seed=14)
-    z = zscore_per_channel(data)
-    assert np.allclose(z.epochs.mean(axis=(0, 2)), 0.0, atol=1e-12)
-    assert np.allclose(z.epochs.std(axis=(0, 2)), 1.0, atol=1e-12)
 
 
 def test_extended_returns_new_set():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsattack import pipeline
-from qsattack.errors import ConfigError
+from qsattack.errors import ClassBalanceError, ConfigError
 from qsattack.models import TrainConfig
 from qsattack.pipeline import (
     BalanceConfig,
@@ -48,8 +48,12 @@ def small_config(**overrides):
 
 def test_config_json_roundtrip(tmp_path):
     cfg = small_config()
+    doc = config_to_dict(cfg)
+    # the derived seeds are not config keys; small_config leaves them at their defaults
+    del doc["synthesis"]["seed"], doc["jacobian"]["seed"]
+    del doc["target"]["train"]["shuffle_seed"], doc["substitute"]["train"]["shuffle_seed"]
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config_to_dict(cfg)), encoding="utf-8")
+    path.write_text(json.dumps(doc), encoding="utf-8")
     assert load_config(path) == cfg
 
 
@@ -73,8 +77,21 @@ def test_config_rejects_unknown_keys(tmp_path):
     ({"data": {"train_per_class": 0}}, "train_per_class"),
     ({"data": {"test_per_class": 0}}, "test_per_class"),
     ({"data": {"pool_per_class": -1}}, "pool_per_class"),
+    ({"substitute": {"architecture": "cnn"}}, "substitute"),
+    ({"target": {"architecture": "mlp", "hidden": [6, 6, 6]}}, "target"),
+    ({"data": {"samples": 8}, "substitute": {"architecture": "tcn", "hidden": [4], "kernel_width": 99}},
+     "substitute"),
+    ({"target": {"activation": "gelu"}}, "target"),
+    ({"data": {"classes": 1}}, "target"),
+    ({"synthesis": {"seed": 123}}, "synthesis.seed"),
+    ({"jacobian": {"seed": 77}}, "jacobian.seed"),
+    ({"target": {"train": {"shuffle_seed": 999}}}, "target.train.shuffle_seed"),
+    ({"substitute": {"train": {"shuffle_seed": 0}}}, "substitute.train.shuffle_seed"),
 ], ids=["data-not-object", "train-not-object", "budgets-number", "budgets-string",
-        "hidden-string", "train-below-1", "test-below-1", "pool-below-0"])
+        "hidden-string", "train-below-1", "test-below-1", "pool-below-0",
+        "unknown-architecture", "mlp-three-hidden", "tcn-kernel-too-wide", "unknown-activation",
+        "one-class", "synthesis-seed", "jacobian-seed", "target-shuffle-seed",
+        "substitute-shuffle-seed"])
 def test_config_wrong_types_raise_config_error(tmp_path, doc, key):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -257,3 +274,12 @@ def test_each_trajectory_oracle_caps_its_own_budget(monkeypatch, method):
     # largest budget; every one ends spent, so any further query is refused
     assert [o.budget for o in oracles] == ([60, 60] if method == "active" else [60, 20, 40, 60])
     assert [o.remaining for o in oracles] == [0] * len(oracles)
+
+
+@pytest.mark.parametrize("method", ["active", "jacobian"])
+def test_budgets_refused_when_lenient_balancing_leaves_initial_set_short(method):
+    # 30 pool epochs per class cannot fill 40 per class; lenient balancing keeps all 60
+    prepared = prepare_run(small_config(method=method, balance=BalanceConfig(per_class=40, strict=False)), 0)
+    with pytest.raises(ClassBalanceError, match="60 epochs.* 80"):
+        attack_runs(prepared, [80, 100, 120])
+    assert attack_run(prepared).trace.rows[0].train_set_size == 60  # no budget: trains on what it has

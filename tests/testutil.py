@@ -16,7 +16,7 @@ def fd_input_gradient(model, x, label, step=1e-3):
         xp[idx] += step
         xm = x.copy()
         xm[idx] -= step
-        grad[idx] = (model.loss(xp, label) - model.loss(xm, label)) / (2.0 * step)
+        grad[idx] = (model.dataset_loss(xp[None], [label]) - model.dataset_loss(xm[None], [label])) / (2.0 * step)
     return grad
 
 
