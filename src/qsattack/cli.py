@@ -10,8 +10,9 @@ Subcommands::
 
 Every run writes into a run-scoped subdirectory of the output directory
 and leaves a ``manifest.json`` holding the flattened config (less
-``out_dir``, so no output depends on where it is written), the derived
-per-stage seeds and library versions; failed runs leave a manifest with
+``out_dir``, so no output depends on where it is written, and less the
+derived seeds, so it loads back as a config), the derived per-stage
+seeds and library versions; failed runs leave a manifest with
 ``status: failed`` and a nonzero exit code.
 """
 

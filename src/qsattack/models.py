@@ -236,6 +236,13 @@ class SoftmaxClassifier:
             )
         self._params[:] = values
 
+    def copy(self) -> "SoftmaxClassifier":
+        """An independent copy with these parameters and Adam state: it predicts and trains on as this model would."""
+        twin = type(self)(self.spec)
+        twin.set_parameters(self._params)
+        twin._adam_m, twin._adam_v, twin._adam_t = self._adam_m.copy(), self._adam_v.copy(), self._adam_t
+        return twin
+
     # -- forward ---------------------------------------------------------
 
     def _forward(self, X: np.ndarray):

@@ -11,15 +11,17 @@ preparation serves every method and budget of its run index, since
 nothing in it depends on either; :func:`run_attack_experiment` chains the
 two stages for a single (method, budget).  :func:`attack_runs` scores
 several budgets of one preparation: it balances the pool once, and for
-the active method trains a single substitute whose rounds reach each
-budget in turn.
+either substitute method trains a single trajectory whose rounds reach
+each budget in turn.  A ``jacobian`` budget that ends inside a doubling
+round branches a leaf from the trajectory for that partial round.
 
 Budget accounting: the *training budget* of a run is the number of target
 queries spent on substitute training (initial set plus augmentation).
 Balancing the pool costs ``len(pool)`` additional queries, which are
 identical across methods and reported separately in the trace.  Balancing
-labels on an oracle capped at ``len(pool)``, and each substitute
-trajectory on its own oracle capped at its largest training budget.
+labels on an oracle capped at ``len(pool)``, the trajectory on its own
+oracle capped at what its whole rounds label, and each ``jacobian`` leaf
+on an oracle capped at the rows of its partial round.
 Evaluating the attack (labeling clean or perturbed test epochs) bypasses
 the oracle: that is the experimenter measuring the outcome, not the
 attacker querying.
@@ -51,6 +53,8 @@ from .synthesis import (
     AugmentationTrace,
     JacobianConfig,
     SynthesisConfig,
+    TraceRow,
+    jacobian_augment,
     train_substitute_active,
     train_substitute_jacobian,
 )
@@ -93,6 +97,10 @@ class NetConfig:
 class BalanceConfig:
     per_class: int = 100
     strict: bool = True
+
+    def __post_init__(self):
+        if self.per_class < 1:  # budgets are planned in multiples of the initial set size
+            raise ConfigError("per_class must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -138,12 +146,11 @@ _NESTED = {
 }
 _TUPLE_FIELDS = {"hidden", "budgets"}  # JSON arrays of integers
 # seeds the pipeline derives per run index and stage, replacing any configured value
-_DERIVED_SEEDS = {"synthesis.seed", "jacobian.seed", "target.train.shuffle_seed", "substitute.train.shuffle_seed"}
+_DERIVED_SEEDS = {"synthesis.seed", "target.train.shuffle_seed", "substitute.train.shuffle_seed"}
 # JSON value types each scalar annotation accepts, keyed by the annotation
 # string (annotations are postponed); exact type matches keep bools out of numbers
 _SCALAR_TYPES = {
     "int": ((int,), "an integer"),
-    "int | None": ((int, type(None)), "an integer or null"),
     "float": ((int, float), "a number"),
     "bool": ((bool,), "true or false"),
     "str": ((str,), "a string"),
@@ -186,13 +193,16 @@ def load_config(path) -> ExperimentConfig:
     return _config_from_dict(ExperimentConfig, raw, "")
 
 
-def config_to_dict(cfg) -> dict:
-    """Flatten any config dataclass into plain JSON-serializable types."""
+def config_to_dict(cfg, path: str = "") -> dict:
+    """Flatten a config into the plain JSON that :func:`load_config` reads back, less the derived seeds."""
     out = {}
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
+        where = f"{path}.{f.name}" if path else f.name
+        if where in _DERIVED_SEEDS:
+            continue
         if dataclasses.is_dataclass(value):
-            out[f.name] = config_to_dict(value)
+            out[f.name] = config_to_dict(value, where)
         elif isinstance(value, tuple):
             out[f.name] = list(value)
         else:
@@ -311,50 +321,36 @@ def _s0_size(cfg: ExperimentConfig) -> int:
     return cfg.balance.per_class * cfg.data.classes
 
 
-def _augmentation_queries(s0_size: int, budget: int) -> int:
-    extra = budget - s0_size
-    if extra < 0:
-        raise ConfigError(f"budget {budget} is below the initial set size {s0_size}")
-    return extra
+def check_budgets(cfg: ExperimentConfig, budgets) -> list:
+    """``(whole rounds, leftover)`` that spend each budget exactly, or None for ``noise``.
 
-
-def _active_rounds(cfg: ExperimentConfig, budget: int | None) -> int:
-    """Synthesis rounds after round 0 that spend ``budget``."""
-    if budget is None:
-        return cfg.synthesis.n_iterations
-    per_iteration = cfg.synthesis.per_iteration
-    extra = _augmentation_queries(_s0_size(cfg), budget)
-    if extra % per_iteration:
-        raise ConfigError(
-            f"budget {budget} minus initial {_s0_size(cfg)} must be a multiple of "
-            f"per_iteration={per_iteration}"
-        )
-    return extra // per_iteration
-
-
-def _resolve_jacobian_plan(cfg: ExperimentConfig, budget: int | None, seed: int) -> JacobianConfig:
-    jac = replace(cfg.jacobian, seed=seed)
-    if budget is None:
-        return jac
-    s0_size = _s0_size(cfg)
-    extra = _augmentation_queries(s0_size, budget)
-    # enough doubling rounds to consume the cap, which trims the last round
-    rounds = 1
-    while s0_size * (2**rounds - 1) < extra:
-        rounds += 1
-    return replace(jac, n_iterations=rounds, query_cap=extra)
-
-
-def check_budgets(cfg: ExperimentConfig, budgets) -> None:
-    """Raise :class:`ConfigError` for a budget ``cfg.method`` cannot spend exactly.
-
-    Needs no data or training, so a sweep can refuse a bad grid up front.
+    ``active`` rounds add ``per_iteration`` epochs, so its leftover is 0.
+    ``jacobian`` rounds double the labeled set: the plan is the most whole
+    rounds a budget covers, then one more kept to ``leftover`` epochs.  A
+    None budget runs the configured rounds.  Raises :class:`ConfigError`
+    for a budget ``cfg.method`` cannot spend; needs no data or training,
+    so a sweep can refuse a bad grid up front.
     """
+    if cfg.method == "noise":
+        return [None] * len(budgets)
+    s0_size, per_iteration, plans = _s0_size(cfg), cfg.synthesis.per_iteration, []
     for budget in budgets:
-        if cfg.method == "active":
-            _active_rounds(cfg, budget)
-        elif cfg.method == "jacobian":
-            _resolve_jacobian_plan(cfg, budget, 0)
+        if budget is None:
+            plans.append(((cfg.jacobian if cfg.method == "jacobian" else cfg.synthesis).n_iterations, 0))
+            continue
+        extra = budget - s0_size
+        if extra < 0:
+            raise ConfigError(f"budget {budget} is below the initial set size {s0_size}")
+        if cfg.method == "jacobian":  # r rounds label s0_size * 2**r in all
+            rounds = (budget // s0_size).bit_length() - 1
+            plans.append((rounds, budget - s0_size * 2**rounds))
+        elif extra % per_iteration:
+            raise ConfigError(
+                f"budget {budget} minus initial {s0_size} must be a multiple of per_iteration={per_iteration}"
+            )
+        else:
+            plans.append((extra // per_iteration, 0))
+    return plans
 
 
 def prepare_run(cfg: ExperimentConfig, run_index: int = 0) -> PreparedRun:
@@ -375,36 +371,47 @@ def prepare_run(cfg: ExperimentConfig, run_index: int = 0) -> PreparedRun:
                        noisy_examples, noise_cfg)
 
 
-def _train_substitutes(prepared: PreparedRun, s0, budgets) -> list:
-    """``(substitute, trace)`` as it stood at each budget, one oracle per trajectory.
+def _train_substitutes(prepared: PreparedRun, s0, budgets, plans) -> list:
+    """``(substitute, trace)`` as it stood at each budget, from one trajectory of whole rounds.
 
-    Each oracle is capped at its trajectory's largest training budget.  A
-    ``jacobian`` plan subsamples its last round at the budget's own size,
-    so budgets are not nested and each gets its own trajectory.
+    The trajectory's oracle is capped at what its rounds label.  A plan
+    with no leftover copies the substitute and trace at its round; a
+    ``jacobian`` leftover branches a leaf there: one more round kept to
+    ``leftover`` seeded rows, labeled on its own oracle capped at
+    ``leftover``, and fit on a copy of the substitute (a fresh one
+    ``from-scratch``), as a run stopping at that budget would end.
     """
     cfg, seeds = prepared.cfg, prepared.seeds
     spec = _build_spec(cfg.substitute, cfg.data, seeds["substitute-init"])
     train = replace(cfg.substitute.train, shuffle_seed=seeds["substitute-train"])
-    if cfg.method == "jacobian":
-        return [
-            train_substitute_jacobian(TargetOracle(prepared.target, budget=budget), s0, spec, train,
-                                      _resolve_jacobian_plan(cfg, budget, seeds["synthesis"]))
-            for budget in budgets
-        ]
-    oracle = TargetOracle(prepared.target, budget=None if None in budgets else max(budgets))
-    rounds = [_active_rounds(cfg, budget) for budget in budgets]
-    states = {}
+    jac, states = cfg.jacobian, {}
 
-    def on_round(model, trace):
+    def leaf(model, trace, data, leftover):
+        new = jacobian_augment(data, model, jac.step_size)
+        new = new[np.sort(np.random.default_rng(seeds["synthesis"]).choice(len(new), leftover, replace=False))]
+        labels = TargetOracle(prepared.target, budget=leftover).query_labels(new)
+        model = model.copy() if jac.retrain == "fine-tune" else SoftmaxClassifier(spec)
+        model.fit(data.extended(new, labels), train)
+        last = trace.rows[-1]
+        row = TraceRow(last.iteration + 1, last.target_queries + leftover,
+                       last.substitute_queries + len(data), len(data) + leftover, synthesized=new)
+        return model, AugmentationTrace(trace.rows + [row])
+
+    def on_round(model, trace, data):
         done = len(trace.rows) - 1
-        if done in rounds:  # later rounds fine-tune this model in place: copy its parameters
-            snapshot = SoftmaxClassifier(spec)
-            snapshot.set_parameters(model.parameters)
-            states[done] = (snapshot, AugmentationTrace(list(trace.rows)))
+        for plan in plans:  # later rounds train this model in place: snapshots and leaves copy it
+            if plan[0] == done:
+                states[plan] = (leaf(model, trace, data, plan[1]) if plan[1]
+                                else (model.copy(), AugmentationTrace(list(trace.rows))))
 
-    plan = replace(cfg.synthesis, seed=seeds["synthesis"], n_iterations=max(rounds))
-    train_substitute_active(oracle, s0, spec, train, plan, on_round=on_round)
-    return [states[r] for r in rounds]
+    cap = None if None in budgets else max(budget - leftover for budget, (_, leftover) in zip(budgets, plans))
+    oracle, rounds = TargetOracle(prepared.target, budget=cap), max(r for r, _ in plans)
+    if cfg.method == "jacobian":
+        train_substitute_jacobian(oracle, s0, spec, train, replace(jac, n_iterations=rounds), on_round)
+    else:
+        plan = replace(cfg.synthesis, seed=seeds["synthesis"], n_iterations=rounds)
+        train_substitute_active(oracle, s0, spec, train, plan, on_round)
+    return [states[plan] for plan in plans]
 
 
 def _score(prepared: PreparedRun, budget, balance_queries: int, substitute, trace) -> RunResult:
@@ -440,12 +447,14 @@ def attack_runs(prepared: PreparedRun, budgets) -> list[RunResult]:
     """:func:`attack_run` for each budget, one result per budget in order.
 
     Balances the pool once, since S0 depends on neither method nor budget.
-    ``active`` trains one substitute up to the largest budget and scores
-    each budget from the round that reaches it, which gives what separate
-    runs would: a round never depends on how many rounds follow it.
+    ``active`` and ``jacobian`` train one substitute trajectory and score
+    each budget from the round that reaches it, or from a ``jacobian``
+    leaf branched at its last whole round (see :func:`_train_substitutes`).
+    That gives what separate runs would: a round never depends on how many
+    rounds follow it.
     """
     cfg = prepared.cfg
-    check_budgets(cfg, budgets)
+    plans = check_budgets(cfg, budgets)
     # an oracle takes no 0 cap; an empty pool fails in balancing or pretraining instead
     balancer = TargetOracle(prepared.target, budget=len(prepared.pool_set) or None)
     s0 = balance_by_predicted_label(
@@ -456,7 +465,7 @@ def attack_runs(prepared: PreparedRun, budgets) -> list[RunResult]:
         raise ClassBalanceError(
             f"the pool filled an initial set of {len(s0)} epochs, the budgets assume {_s0_size(cfg)}"
         )
-    states = [(None, None)] * len(budgets) if cfg.method == "noise" else _train_substitutes(prepared, s0, budgets)
+    states = [(None, None)] * len(budgets) if cfg.method == "noise" else _train_substitutes(prepared, s0, budgets, plans)
     return [_score(prepared, budget, balancer.query_count, *state) for budget, state in zip(budgets, states)]
 
 

@@ -92,20 +92,16 @@ class JacobianConfig:
     """Gradient-step augmentation baseline."""
 
     step_size: float = 0.5
-    n_iterations: int = 1
-    retrain: str = "fine-tune"
-    seed: int = 0                # used only when query_cap forces subsampling
-    query_cap: int | None = None  # max new target queries across all rounds
+    n_iterations: int = 1        # doubling rounds after round 0; 0 pretrains only
+    retrain: str = "fine-tune"   # "fine-tune" | "from-scratch"
 
     def __post_init__(self):
         if self.step_size <= 0:
             raise ValueError("step_size must be > 0")
-        if self.n_iterations < 1:
-            raise ValueError("n_iterations must be >= 1")
+        if self.n_iterations < 0:
+            raise ValueError("n_iterations must be >= 0")
         if self.retrain not in ("fine-tune", "from-scratch"):
             raise ValueError(f"unknown retrain mode {self.retrain!r}")
-        if self.query_cap is not None and self.query_cap < 0:
-            raise ValueError("query_cap must be >= 0 when set")
 
 
 class QueryCounter:
@@ -374,34 +370,31 @@ def _check_budget(oracle, needed: int) -> None:
         )
 
 
-def _augment_rounds(oracle, xs, model_spec: ModelSpec, train_cfg: TrainConfig, retrain: str, propose,
-                    on_round=None):
+def _augment_rounds(oracle, xs, model_spec: ModelSpec, train_cfg: TrainConfig, cfg, propose, on_round=None):
     """The loop both trainers share: label the new epochs, append them, train, trace.
 
     Round 0 labels the initial set ``xs`` and trains a fresh substitute on
-    it (trace row 0, ``synthesized`` None); round ``i >= 1`` labels
-    ``propose(i, data, model, counter)``, the round's new (m, C, T) epochs,
-    and the loop stops when that returns None.  Trace query counts are
-    relative to the oracle counter at entry.  ``on_round(model, trace)``,
-    when given, sees the substitute and the trace so far after every round;
-    later rounds keep training that same model unless ``retrain`` is
+    it (trace row 0, ``synthesized`` None); rounds 1 to ``cfg.n_iterations``
+    label ``propose(data, model, counter)``, the round's new (m, C, T)
+    epochs.  Trace query counts are relative to the oracle counter at
+    entry.  ``on_round(model, trace, data)``, when given, sees the
+    substitute, the trace so far and the labeled set after every round;
+    later rounds keep training that same model unless ``cfg.retrain`` is
     ``"from-scratch"``.
     """
     start = oracle.query_count
     data, model = LabeledSet(xs[:0], []), None
     trace, counter = AugmentationTrace(), QueryCounter()
-    iteration, new = 0, xs
-    while new is not None:
+    for iteration in range(cfg.n_iterations + 1):
+        new = propose(data, model, counter) if iteration else xs
         data = data.extended(new, oracle.query_labels(new))
-        if model is None or retrain == "from-scratch":
+        if model is None or cfg.retrain == "from-scratch":
             model = SoftmaxClassifier(model_spec)
         model.fit(data, train_cfg)
         trace.rows.append(TraceRow(iteration, oracle.query_count - start, counter.count, len(data),
                                    synthesized=new if iteration else None))
         if on_round is not None:
-            on_round(model, trace)
-        iteration += 1
-        new = propose(iteration, data, model, counter)
+            on_round(model, trace, data)
     return model, trace
 
 
@@ -422,19 +415,17 @@ def train_substitute_active(
     ``len(initial) + n_iterations * per_iteration`` exactly.  Round ``i``
     runs exactly as the last round of an ``n_iterations=i`` run would
     (``n_iterations=0`` stops after round 0), so
-    ``on_round(model, trace)`` (see :func:`_augment_rounds`) sees every
-    shorter run's final state on the way.
+    ``on_round(model, trace, data)`` (see :func:`_augment_rounds`) sees
+    every shorter run's final state on the way.
     """
     xs = as_epoch_batch(initial_epochs, model_spec.input_shape)
     _check_budget(oracle, len(xs) + syn_cfg.n_iterations * syn_cfg.per_iteration)
     rng = np.random.default_rng(syn_cfg.seed)
 
-    def propose(iteration, data, model, counter):
-        if iteration > syn_cfg.n_iterations:
-            return None
+    def propose(data, model, counter):
         return synthesize_one_vs_one(data, model, model_spec.classes, syn_cfg, rng, counter)
 
-    return _augment_rounds(oracle, xs, model_spec, train_cfg, syn_cfg.retrain, propose, on_round)
+    return _augment_rounds(oracle, xs, model_spec, train_cfg, syn_cfg, propose, on_round)
 
 
 def train_substitute_jacobian(
@@ -443,28 +434,18 @@ def train_substitute_jacobian(
     model_spec: ModelSpec,
     train_cfg: TrainConfig,
     jac_cfg: JacobianConfig,
+    on_round=None,
 ) -> tuple[SoftmaxClassifier, AugmentationTrace]:
     """Baseline substitute training by repeated signed-gradient augmentation.
 
-    Each round doubles the labeled set, so after N uncapped rounds the new
-    target queries total ``len(initial) * (2**N - 1)``.  When ``query_cap``
-    is set, the final round is subsampled (seeded) to stay within it.
+    Each round doubles the labeled set, so after N rounds the new target
+    queries total ``len(initial) * (2**N - 1)``.  As for the active method,
+    ``on_round`` sees every shorter run's final state on the way.
     """
     xs = as_epoch_batch(initial_epochs, model_spec.input_shape)
-    growth = len(xs) * (2**jac_cfg.n_iterations - 1)
-    if jac_cfg.query_cap is not None:
-        growth = min(jac_cfg.query_cap, growth)
-    _check_budget(oracle, len(xs) + growth)
-    cap_rng = np.random.default_rng(jac_cfg.seed)
+    _check_budget(oracle, len(xs) * 2**jac_cfg.n_iterations)
 
-    def propose(iteration, data, model, counter):
-        spent = len(data) - len(xs)
-        if iteration > jac_cfg.n_iterations or spent >= growth:
-            return None
-        new = jacobian_augment(data, model, jac_cfg.step_size, counter)
-        if spent + len(new) > growth:
-            keep = cap_rng.choice(len(new), size=growth - spent, replace=False)
-            new = new[np.sort(keep)]
-        return new
+    def propose(data, model, counter):
+        return jacobian_augment(data, model, jac_cfg.step_size, counter)
 
-    return _augment_rounds(oracle, xs, model_spec, train_cfg, jac_cfg.retrain, propose)
+    return _augment_rounds(oracle, xs, model_spec, train_cfg, jac_cfg, propose, on_round)

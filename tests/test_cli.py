@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from qsattack.cli import main
 from qsattack.data import read_epochs
 from qsattack.models import load_checkpoint
+from qsattack.pipeline import ExperimentConfig, load_config
 from testutil import read_rows, write_config
 
 
@@ -71,6 +73,17 @@ def test_attack_equal_budgets_between_methods(tmp_path):
     assert (adv / "originals.epo").exists() and (adv / "perturbed.epo").exists()
     manifest = json.loads((adv / "manifest.json").read_text())
     assert manifest["gradient_source"] == "substitute"
+
+
+def test_attack_manifest_config_loads_back(tmp_path):
+    cfg = write_config(tmp_path, method="jacobian", budgets=[47])
+    out = tmp_path / "jac"
+    assert main(["attack", "--config", str(cfg), "--out", str(out), "--budget", "47"]) == 0
+    written = tmp_path / "manifest-config.json"
+    written.write_text(json.dumps(json.loads((out / "manifest.json").read_text())["config"]), encoding="utf-8")
+    # the manifest leaves out out_dir, so the loaded config keeps the default
+    expected = replace(load_config(cfg), out_dir=ExperimentConfig().out_dir)
+    assert load_config(written) == expected
 
 
 def test_attack_bad_config_fails_with_manifest(tmp_path, capsys):

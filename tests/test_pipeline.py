@@ -1,11 +1,16 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsattack import pipeline
+from qsattack.data import balance_by_predicted_label
 from qsattack.errors import ClassBalanceError, ConfigError
 from qsattack.models import TrainConfig
+from qsattack.oracle import TargetOracle
 from qsattack.pipeline import (
     BalanceConfig,
     DataConfig,
@@ -13,6 +18,7 @@ from qsattack.pipeline import (
     NetConfig,
     attack_run,
     attack_runs,
+    check_budgets,
     config_to_dict,
     load_config,
     prepare_run,
@@ -20,7 +26,7 @@ from qsattack.pipeline import (
     stage_seeds,
     write_run_trace,
 )
-from qsattack.synthesis import JacobianConfig, SynthesisConfig
+from qsattack.synthesis import JacobianConfig, SynthesisConfig, train_substitute_jacobian
 from qsattack.attack import AttackConfig
 
 FAST_TRAIN = TrainConfig(max_epochs=5, patience=2, batch_size=16)
@@ -50,8 +56,8 @@ def test_config_json_roundtrip(tmp_path):
     cfg = small_config()
     doc = config_to_dict(cfg)
     # the derived seeds are not config keys; small_config leaves them at their defaults
-    del doc["synthesis"]["seed"], doc["jacobian"]["seed"]
-    del doc["target"]["train"]["shuffle_seed"], doc["substitute"]["train"]["shuffle_seed"]
+    assert "seed" not in doc["synthesis"]
+    assert "shuffle_seed" not in doc["target"]["train"] and "shuffle_seed" not in doc["substitute"]["train"]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert load_config(path) == cfg
@@ -77,6 +83,7 @@ def test_config_rejects_unknown_keys(tmp_path):
     ({"data": {"train_per_class": 0}}, "train_per_class"),
     ({"data": {"test_per_class": 0}}, "test_per_class"),
     ({"data": {"pool_per_class": -1}}, "pool_per_class"),
+    ({"balance": {"per_class": 0}}, "per_class must be >= 1"),
     ({"substitute": {"architecture": "cnn"}}, "substitute"),
     ({"target": {"architecture": "mlp", "hidden": [6, 6, 6]}}, "target"),
     ({"data": {"samples": 8}, "substitute": {"architecture": "tcn", "hidden": [4], "kernel_width": 99}},
@@ -84,11 +91,11 @@ def test_config_rejects_unknown_keys(tmp_path):
     ({"target": {"activation": "gelu"}}, "target"),
     ({"data": {"classes": 1}}, "target"),
     ({"synthesis": {"seed": 123}}, "synthesis.seed"),
-    ({"jacobian": {"seed": 77}}, "jacobian.seed"),
+    ({"jacobian": {"seed": 77}}, "unknown key(s) ['seed'] in jacobian"),
     ({"target": {"train": {"shuffle_seed": 999}}}, "target.train.shuffle_seed"),
     ({"substitute": {"train": {"shuffle_seed": 0}}}, "substitute.train.shuffle_seed"),
 ], ids=["data-not-object", "train-not-object", "budgets-number", "budgets-string",
-        "hidden-string", "train-below-1", "test-below-1", "pool-below-0",
+        "hidden-string", "train-below-1", "test-below-1", "pool-below-0", "balance-below-1",
         "unknown-architecture", "mlp-three-hidden", "tcn-kernel-too-wide", "unknown-activation",
         "one-class", "synthesis-seed", "jacobian-seed", "target-shuffle-seed",
         "substitute-shuffle-seed"])
@@ -108,7 +115,6 @@ def test_config_wrong_types_raise_config_error(tmp_path, doc, key):
     ({"target": {"train": {"max_epochs": 10.0}}}, "target.train.max_epochs"),
     ({"data": {"classes": "3"}}, "data.classes"),
     ({"balance": {"per_class": False}}, "balance.per_class"),
-    ({"jacobian": {"query_cap": 2.5}}, "jacobian.query_cap"),
     ({"budgets": [200.5]}, "budgets"),
     ({"substitute": {"hidden": [8.0]}}, "substitute.hidden"),
     ({"balance": {"strict": "no"}}, "balance.strict"),
@@ -116,7 +122,7 @@ def test_config_wrong_types_raise_config_error(tmp_path, doc, key):
     ({"attack": {"epsilon": "0.1"}}, "attack.epsilon"),
     ({"method": 3}, "method"),
 ], ids=["runs-float", "seed-float", "runs-bool", "iterations-float", "max-epochs-float",
-        "classes-string", "per-class-bool", "query-cap-float", "budget-float", "hidden-float",
+        "classes-string", "per-class-bool", "budget-float", "hidden-float",
         "strict-string", "offset-norm-bool", "epsilon-string", "method-number"])
 def test_config_scalar_fields_take_only_their_json_type(tmp_path, doc, key):
     path = tmp_path / "cfg.json"
@@ -127,12 +133,12 @@ def test_config_scalar_fields_take_only_their_json_type(tmp_path, doc, key):
 
 
 def test_config_scalar_fields_take_their_json_types(tmp_path):
-    doc = {"jacobian": {"query_cap": None}, "runs": 2, "synthesis": {"offset_norm": 2},
+    doc = {"jacobian": {"n_iterations": 0}, "runs": 2, "synthesis": {"offset_norm": 2},
            "balance": {"strict": False}}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     cfg = load_config(path)
-    assert (cfg.jacobian.query_cap, cfg.runs, cfg.synthesis.offset_norm, cfg.balance.strict) == (None, 2, 2, False)
+    assert (cfg.jacobian.n_iterations, cfg.runs, cfg.synthesis.offset_norm, cfg.balance.strict) == (0, 2, 2, False)
 
 
 def test_config_validation():
@@ -221,12 +227,27 @@ def test_runs_are_reproducible():
     assert np.array_equal(a.substitute.parameters, b.substitute.parameters)
 
 
-def test_attack_runs_equal_separate_runs_per_budget():
-    # one active substitute serves budgets 20, 40 and 60 (0, 1 and 2 rounds);
-    # each result must keep the substitute as it stood at its own round,
-    # not the one later rounds fine-tuned in place
-    prepared = prepare_run(small_config(), 0)
-    budgets = [20, 40, 60]
+# (iteration, target_queries, substitute_queries, train_set_size) of each
+# jacobian budget's trace, as separate capped runs per budget recorded them
+# before the budgets shared one trajectory; |S0| = 20
+JACOBIAN_ROWS = {
+    20: [(0, 20, 0, 20)],
+    25: [(0, 20, 0, 20), (1, 25, 20, 25)],
+    40: [(0, 20, 0, 20), (1, 40, 20, 40)],
+    47: [(0, 20, 0, 20), (1, 40, 20, 40), (2, 47, 60, 47)],
+    80: [(0, 20, 0, 20), (1, 40, 20, 40), (2, 80, 60, 80)],
+}
+
+
+@pytest.mark.parametrize("method, budgets", [
+    ("active", [20, 40, 60]), ("jacobian", list(JACOBIAN_ROWS)),
+], ids=["active", "jacobian"])
+def test_attack_runs_equal_separate_runs_per_budget(method, budgets):
+    # one substitute trajectory serves every budget: active 0, 1 and 2
+    # rounds; jacobian whole rounds 0, 1 and 2 plus leaves that end with a
+    # partial round (25 and 47); each result must keep the substitute as it
+    # stood at its own budget, not the one later rounds trained in place
+    prepared = prepare_run(small_config(method=method), 0)
     shared = attack_runs(prepared, budgets)
     assert [r.budget for r in shared] == budgets
     for budget, result in zip(budgets, shared):
@@ -242,6 +263,56 @@ def test_attack_runs_equal_separate_runs_per_budget():
         assert result.total_queries == alone.total_queries
         assert np.array_equal(result.attacked.confusion, alone.attacked.confusion)
     assert not np.array_equal(shared[0].substitute.parameters, shared[-1].substitute.parameters)
+    if method == "jacobian":
+        rows = {r.budget: [(x.iteration, x.target_queries, x.substitute_queries, x.train_set_size)
+                           for x in r.trace.rows] for r in shared}
+        assert rows == JACOBIAN_ROWS
+
+
+def test_jacobian_whole_round_budgets_equal_standalone_training():
+    # a budget that ends on a whole round is a plain uncapped run of that many rounds
+    cfg = small_config(method="jacobian")
+    prepared, seeds = prepare_run(cfg, 0), stage_seeds(cfg.master_seed, 0)
+    s0 = balance_by_predicted_label(TargetOracle(prepared.target), prepared.pool_set.epochs,
+                                    cfg.balance.per_class, seeds["balance"])
+    spec = pipeline._build_spec(cfg.substitute, cfg.data, seeds["substitute-init"])
+    train = replace(cfg.substitute.train, shuffle_seed=seeds["substitute-train"])
+    for rounds, result in enumerate(attack_runs(prepared, [20, 40, 80])):
+        alone, _ = train_substitute_jacobian(TargetOracle(prepared.target), s0, spec, train,
+                                             replace(cfg.jacobian, n_iterations=rounds))
+        assert np.array_equal(result.substitute.parameters, alone.parameters)
+
+
+@settings(max_examples=200, deadline=None)
+@given(per_class=st.integers(1, 50), classes=st.integers(2, 4), extra=st.integers(0, 5000))
+def test_jacobian_plan_is_whole_rounds_then_a_partial_one(per_class, classes, extra):
+    cfg = small_config(method="jacobian", balance=BalanceConfig(per_class=per_class),
+                       data=replace(small_config().data, classes=classes))
+    s0_size = per_class * classes
+    [(rounds, leftover)] = check_budgets(cfg, [s0_size + extra])
+    assert s0_size * (2**rounds - 1) + leftover == extra
+    assert 0 <= leftover < s0_size * 2**rounds
+
+
+@settings(max_examples=200, deadline=None)
+@given(per_class=st.integers(1, 50), per_iteration=st.integers(1, 300), extra=st.integers(0, 5000))
+def test_active_plan_refuses_exactly_the_budgets_rounds_cannot_spend(per_class, per_iteration, extra):
+    cfg = small_config(balance=BalanceConfig(per_class=per_class),
+                       synthesis=replace(small_config().synthesis, per_iteration=per_iteration))
+    budget = 2 * per_class + extra
+    if extra % per_iteration:
+        with pytest.raises(ConfigError):
+            check_budgets(cfg, [budget])
+    else:
+        assert check_budgets(cfg, [budget]) == [(extra // per_iteration, 0)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(method=st.sampled_from(["active", "jacobian"]), per_class=st.integers(1, 50), short=st.integers(1, 100))
+def test_budget_below_initial_set_is_refused(method, per_class, short):
+    cfg = small_config(method=method, balance=BalanceConfig(per_class=per_class))
+    with pytest.raises(ConfigError, match="below the initial set size"):
+        check_budgets(cfg, [2 * per_class - short])
 
 
 @pytest.mark.parametrize("method", ["active", "jacobian", "noise"])
@@ -270,9 +341,11 @@ def test_each_trajectory_oracle_caps_its_own_budget(monkeypatch, method):
 
     monkeypatch.setattr(pipeline, "TargetOracle", RecordingOracle)
     attack_runs(prepare_run(small_config(method=method), 0), [20, 40, 60])
-    # the balancing oracle is capped at the pool, then each trajectory at its
-    # largest budget; every one ends spent, so any further query is refused
-    assert [o.budget for o in oracles] == ([60, 60] if method == "active" else [60, 20, 40, 60])
+    # the balancing oracle is capped at the pool and the trajectory at what its
+    # whole rounds label: 60 for active; 40 = |S0| * 2**1 for jacobian, whose
+    # budget 60 is round 1 plus a leaf with its own oracle capped at the 20
+    # rows of its partial round; every one ends spent, so any further query is refused
+    assert [o.budget for o in oracles] == ([60, 60] if method == "active" else [60, 40, 20])
     assert [o.remaining for o in oracles] == [0] * len(oracles)
 
 
