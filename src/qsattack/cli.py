@@ -32,10 +32,11 @@ from . import __version__
 from .attack import save_adversarial_batch
 from .data import write_epochs
 from .errors import ConfigError
-from .metrics import sweep_curve, write_results_csv
+from .metrics import sweep_curve
 from .models import save_checkpoint
 from .pipeline import (
     ExperimentConfig,
+    RunResult,
     attack_runs,
     check_budgets,
     config_to_dict,
@@ -46,8 +47,60 @@ from .pipeline import (
     prepare_run,
     run_attack_experiment,
     stage_seeds,
-    write_run_trace,
 )
+
+RESULT_COLUMNS = (
+    "dataset",
+    "target_model",
+    "substitute_model",
+    "method",
+    "budget",
+    "seed",
+    "rca",
+    "bca",
+    "baseline_rca",
+    "baseline_bca",
+    "noisy_rca",
+    "noisy_bca",
+)
+_TRACE_COLUMNS = ("stage", "iteration", "target_queries", "substitute_queries", "train_set_size")
+_SWEEP_COLUMNS = ("budget", "rca_mean", "rca_std", "bca_mean", "bca_std", "runs")
+
+
+def _write_csv(path, header, rows) -> None:
+    """The one CSV writer: ``results.csv``, ``trace.csv``, ``sweep.csv`` and ``report.csv``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _results_row(cfg: ExperimentConfig, result: RunResult) -> list:
+    """One row per (dataset, models, method, budget, seed), in ``RESULT_COLUMNS`` order."""
+    return [
+        dataset_name(cfg.data),
+        model_name(cfg.target),
+        model_name(cfg.substitute) if result.method != "noise" else "",
+        result.method,
+        result.budget if result.budget is not None else result.training_queries,
+        result.run_seed,
+        *(repr(value) for report in (result.attacked, result.baseline, result.noisy)  # rca, bca of each
+          for value in (report.rca, report.bca)),
+    ]
+
+
+def _trace_rows(result: RunResult) -> list:
+    """Stage-labeled query ledger for one run.
+
+    One ``balance`` row, then one ``augment`` row per augmentation-trace
+    row; ``target_queries`` is the absolute oracle counter so totals are
+    directly comparable across methods.
+    """
+    rows = [["balance", 0, result.balance_queries, 0, 0]]
+    if result.trace is not None:
+        rows += [["augment", row.iteration, result.balance_queries + row.target_queries,
+                  row.substitute_queries, row.train_set_size] for row in result.trace.rows]
+    return rows
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
@@ -128,20 +181,20 @@ def cmd_attack(cfg: ExperimentConfig) -> int:
         result = run_attack_experiment(cfg, run, budget=budget)
         run_dir = out / f"run-{run:03d}"
         run_dir.mkdir(parents=True, exist_ok=True)
-        write_run_trace(run_dir / "trace.csv", result)
+        _write_csv(run_dir / "trace.csv", _TRACE_COLUMNS, _trace_rows(result))
         source = "substitute" if result.method != "noise" else "noise-generator"
         save_adversarial_batch(run_dir / "adversarial", result.examples, result.attack_config, source)
         if result.substitute is not None:
             save_checkpoint(result.substitute, run_dir / "substitute.ckpt")
         save_checkpoint(result.target, run_dir / "target.ckpt")
-        rows.append(result.results_row(cfg))
+        rows.append(_results_row(cfg, result))
         seeds_by_run[run] = result.seeds
         print(
             f"run {run}: method={result.method} queries={result.total_queries} "
             f"baseline_rca={result.baseline.rca:.4f} noisy_rca={result.noisy.rca:.4f} "
             f"attacked_rca={result.attacked.rca:.4f}"
         )
-    write_results_csv(out / "results.csv", rows)
+    _write_csv(out / "results.csv", RESULT_COLUMNS, rows)
     _write_manifest(out, "attack", cfg, "ok", extra={"seeds": seeds_by_run, "budget": budget})
     print(f"results: {out / 'results.csv'}")
     return 0
@@ -157,13 +210,15 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     # comprehension keeps only each budget's results row and attacked report,
     # so a run's models are freed before the next run trains
     scored = [
-        [(r.results_row(cfg), r.attacked) for r in attack_runs(prepare_run(cfg, run), cfg.budgets)]
+        [(_results_row(cfg, r), r.attacked) for r in attack_runs(prepare_run(cfg, run), cfg.budgets)]
         for run in range(cfg.runs)
     ]
     curve = sweep_curve(cfg.budgets, [[attacked for _, attacked in run] for run in scored])
     rows = [run[i][0] for i in range(len(cfg.budgets)) for run in scored]  # budget-outer order
-    curve.to_csv(out / "sweep.csv")
-    write_results_csv(out / "results.csv", rows)
+    _write_csv(out / "sweep.csv", _SWEEP_COLUMNS,
+               [[p.budget, repr(p.rca_mean), repr(p.rca_std), repr(p.bca_mean), repr(p.bca_std), p.runs]
+                for p in curve.points])
+    _write_csv(out / "results.csv", RESULT_COLUMNS, rows)
     seeds_by_run = {run: stage_seeds(cfg.master_seed, run) for run in range(cfg.runs)}
     _write_manifest(out, "sweep", cfg, "ok", extra={"seeds": seeds_by_run})
     for point in curve.points:
@@ -175,7 +230,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     return 0
 
 
-_REPORT_KEY = ("dataset", "target_model", "substitute_model", "method", "budget")
+_REPORT_KEY = RESULT_COLUMNS[:5]  # dataset, models, method, budget
 _REPORT_MEANS = ("rca", "bca", "baseline_rca", "noisy_rca")
 
 
@@ -187,7 +242,12 @@ def cmd_report(result_paths, out_dir: str | None) -> int:
             missing = sorted(set(_REPORT_KEY + _REPORT_MEANS) - set(reader.fieldnames or ()))
             if missing:
                 raise ValueError(f"{path} lacks the result column(s) {', '.join(missing)}")
-            rows.extend(reader)
+            for row in reader:
+                try:  # budgets group and sort as numbers
+                    row["budget"] = int(row["budget"])
+                except (TypeError, ValueError):
+                    raise ValueError(f"{path} holds budget {row['budget']!r}, not an integer") from None
+                rows.append(row)
     if not rows:
         print("no result rows found", file=sys.stderr)
         return 1
@@ -203,21 +263,16 @@ def cmd_report(result_paths, out_dir: str | None) -> int:
     report_rows = []
     for key in sorted(groups):
         bucket = groups[key]
-        mean = lambda col: float(np.mean([float(r[col]) for r in bucket]))
-        line = {**dict(zip(_REPORT_KEY, key)), "runs": len(bucket), **{col: mean(col) for col in _REPORT_MEANS}}
-        report_rows.append(line)
+        means = [float(np.mean([float(r[col]) for r in bucket])) for col in _REPORT_MEANS]
+        report_rows.append([*key, len(bucket), *means])
         print(
-            f"{key[0]:<20} {key[1]:<10} {key[2]:<10} {key[3]:<9} {key[4]:>7} "
-            f"{len(bucket):>4} {line['rca']:>7.4f} {line['bca']:>7.4f} "
-            f"{line['baseline_rca']:>7.4f} {line['noisy_rca']:>7.4f}"
+            f"{key[0]:<20} {key[1]:<10} {key[2]:<10} {key[3]:<9} {key[4]:>7} {len(bucket):>4} "
+            + " ".join(f"{mean:>7.4f}" for mean in means)
         )
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "report.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(report_rows[0]))
-            writer.writeheader()
-            writer.writerows(report_rows)
+        _write_csv(out / "report.csv", (*_REPORT_KEY, "runs", *_REPORT_MEANS), report_rows)
         print(f"report: {out / 'report.csv'}")
     return 0
 

@@ -229,13 +229,19 @@ def write_epochs(path, data: LabeledSet) -> None:
 
 
 def read_epochs(path) -> LabeledSet:
-    """Read an EPO1 file, validating magic, header and exact payload length."""
+    """Read an EPO1 file, validating magic, header, exact payload length, values and labels.
+
+    Raises :class:`MalformedEpochFileError` at the offset of the first
+    problem: C or T of 0, a non-finite value, or a label below -1.
+    """
     raw = Path(path).read_bytes()
     if len(raw) < 4 or raw[:4] != _MAGIC:
         raise MalformedEpochFileError("bad magic, expected b'EPO1'", offset=0)
     if len(raw) < 16:
         raise MalformedEpochFileError("truncated header", offset=len(raw))
     n, c, t = _HEADER.unpack_from(raw, 4)
+    if c == 0 or t == 0:
+        raise MalformedEpochFileError(f"an epoch needs C and T >= 1, got C={c} T={t}", offset=8 if c == 0 else 12)
     n_values = n * c * t
     if n_values > _MAX_VALUES:
         raise MalformedEpochFileError(f"shape ({n}, {c}, {t}) overflows sane limits", offset=4)
@@ -247,6 +253,13 @@ def read_epochs(path) -> LabeledSet:
         )
     values = np.frombuffer(raw, dtype="<f4", count=n_values, offset=16)
     labels = np.frombuffer(raw, dtype="<i4", count=n, offset=16 + 4 * n_values)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        raise MalformedEpochFileError(f"value {values[bad[0]]} is not finite", offset=16 + 4 * int(bad[0]))
+    bad = np.flatnonzero(labels < -1)
+    if len(bad):  # labels follow the values
+        raise MalformedEpochFileError(f"label {labels[bad[0]]} is below -1",
+                                      offset=16 + 4 * (n_values + int(bad[0])))
     return LabeledSet(
         values.astype(np.float64).reshape(n, c, t), labels.astype(np.int64)
     )

@@ -8,7 +8,6 @@ avoids 0/0 and is recorded on the report).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -107,15 +106,6 @@ class SweepCurve:
 
     points: list = field(default_factory=list)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["budget", "rca_mean", "rca_std", "bca_mean", "bca_std", "runs"])
-            for p in self.points:
-                writer.writerow(
-                    [p.budget, repr(p.rca_mean), repr(p.rca_std), repr(p.bca_mean), repr(p.bca_std), p.runs]
-                )
-
 
 def sweep_curve(budgets, reports) -> SweepCurve:
     """Mean and population std per budget; ``reports[r][i]`` is run ``r`` at ``budgets[i]``."""
@@ -134,28 +124,3 @@ def sweep_curve(budgets, reports) -> SweepCurve:
             )
         )
     return curve
-
-
-RESULT_COLUMNS = [
-    "dataset",
-    "target_model",
-    "substitute_model",
-    "method",
-    "budget",
-    "seed",
-    "rca",
-    "bca",
-    "baseline_rca",
-    "baseline_bca",
-    "noisy_rca",
-    "noisy_bca",
-]
-
-
-def write_results_csv(path, rows) -> None:
-    """Flattened result table: one row per (dataset, models, method, budget, seed)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in RESULT_COLUMNS})

@@ -75,6 +75,8 @@ class ModelSpec:
             raise ValueError("classes must be >= 2")
         if self.channels < 1 or self.samples < 1:
             raise ValueError("channels and samples must be >= 1")
+        if self.seed < 0:  # numpy takes no negative seed
+            raise ValueError("seed must be >= 0")
         if any(h < 1 for h in self.hidden):
             raise ValueError("hidden sizes must all be >= 1")
         if self.architecture == "linear" and self.hidden:
@@ -440,7 +442,11 @@ def load_checkpoint(path) -> SoftmaxClassifier:
     fields = {}
     params = []
     in_params = False
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedCheckpointError(f"checkpoint is not UTF-8 text: {exc}") from None
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue

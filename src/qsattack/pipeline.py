@@ -34,9 +34,10 @@ reproducible in isolation and stays paired across methods and budgets.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
+import math
+import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -123,6 +124,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
+        if self.attack.method == "noise":  # a substitute run would craft noise and be labeled with it
+            raise ConfigError("attack.method must be fgsm or ufgsm; the noise control is method 'noise'")
         budgets = tuple(int(b) for b in self.budgets)
         object.__setattr__(self, "budgets", budgets)
         if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
@@ -134,49 +137,41 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: {exc}") from exc
 
 
-_NESTED = {
-    "data": DataConfig,
-    "target": NetConfig,
-    "substitute": NetConfig,
-    "balance": BalanceConfig,
-    "synthesis": SynthesisConfig,
-    "jacobian": JacobianConfig,
-    "attack": AttackConfig,
-    "train": TrainConfig,
-}
-_TUPLE_FIELDS = {"hidden", "budgets"}  # JSON arrays of integers
 # seeds the pipeline derives per run index and stage, replacing any configured value
-_DERIVED_SEEDS = {"synthesis.seed", "target.train.shuffle_seed", "substitute.train.shuffle_seed"}
-# JSON value types each scalar annotation accepts, keyed by the annotation
-# string (annotations are postponed); exact type matches keep bools out of numbers
+_DERIVED_SEEDS = {
+    "synthesis.seed", "target.train.shuffle_seed", "substitute.train.shuffle_seed", "attack.noise_seed",
+}
+# JSON value types each scalar annotation accepts; exact type matches keep bools out of numbers
 _SCALAR_TYPES = {
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a number"),
-    "bool": ((bool,), "true or false"),
-    "str": ((str,), "a string"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a finite number"),
+    bool: ((bool,), "true or false"),
+    str: ((str,), "a string"),
 }
 
 
 def _config_from_dict(cls, raw: dict, path: str):
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    """Build ``cls`` from JSON: a dataclass-typed field is a nested section, a ``tuple`` an integer array."""
+    types = typing.get_type_hints(cls)
     unknown = set(raw) - set(types)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {path or 'config'}")
     kwargs = {}
     for key, value in raw.items():
         where = f"{path}.{key}" if path else key
+        kind = types[key]
         if where in _DERIVED_SEEDS:
             raise ConfigError(f"{where} cannot be set: it derives from master_seed")
-        if key in _NESTED:
+        if dataclasses.is_dataclass(kind):
             if not isinstance(value, dict):
                 raise ConfigError(f"{where} must be a JSON object")
-            kwargs[key] = _config_from_dict(_NESTED[key], value, where)
-        elif key in _TUPLE_FIELDS:
+            kwargs[key] = _config_from_dict(kind, value, where)
+        elif kind is tuple:
             if not isinstance(value, list) or any(type(v) is not int for v in value):
                 raise ConfigError(f"{where} must be a JSON array of integers")
             kwargs[key] = tuple(value)
-        elif type(value) not in _SCALAR_TYPES[types[key]][0]:
-            raise ConfigError(f"{where} must be {_SCALAR_TYPES[types[key]][1]}, got {value!r}")
+        elif type(value) not in _SCALAR_TYPES[kind][0] or (type(value) is float and not math.isfinite(value)):
+            raise ConfigError(f"{where} must be {_SCALAR_TYPES[kind][1]}, got {value!r}")
         else:
             kwargs[key] = value
     try:
@@ -299,22 +294,6 @@ class RunResult:
     attack_config: AttackConfig | None = None  # what crafted ``examples``
     substitute: SoftmaxClassifier | None = None
     target: SoftmaxClassifier | None = None
-
-    def results_row(self, cfg: ExperimentConfig) -> dict:
-        return {
-            "dataset": dataset_name(cfg.data),
-            "target_model": model_name(cfg.target),
-            "substitute_model": model_name(cfg.substitute) if self.method != "noise" else "",
-            "method": self.method,
-            "budget": self.budget if self.budget is not None else self.training_queries,
-            "seed": self.run_seed,
-            "rca": repr(self.attacked.rca),
-            "bca": repr(self.attacked.bca),
-            "baseline_rca": repr(self.baseline.rca),
-            "baseline_bca": repr(self.baseline.bca),
-            "noisy_rca": repr(self.noisy.rca),
-            "noisy_bca": repr(self.noisy.bca),
-        }
 
 
 def _s0_size(cfg: ExperimentConfig) -> int:
@@ -477,29 +456,3 @@ def attack_run(prepared: PreparedRun, budget: int | None = None) -> RunResult:
 def run_attack_experiment(cfg: ExperimentConfig, run_index: int = 0, budget: int | None = None) -> RunResult:
     """Execute one full attack run: :func:`prepare_run` then :func:`attack_run`."""
     return attack_run(prepare_run(cfg, run_index), budget)
-
-
-def write_run_trace(path, result: RunResult) -> None:
-    """Stage-labeled query ledger for one run.
-
-    One ``balance`` row, then one ``augment`` row per augmentation-trace
-    row; ``target_queries`` is the absolute oracle counter so totals are
-    directly comparable across methods.
-    """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["stage", "iteration", "target_queries", "substitute_queries", "train_set_size"]
-        )
-        writer.writerow(["balance", 0, result.balance_queries, 0, 0])
-        if result.trace is not None:
-            for row in result.trace.rows:
-                writer.writerow(
-                    [
-                        "augment",
-                        row.iteration,
-                        result.balance_queries + row.target_queries,
-                        row.substitute_queries,
-                        row.train_set_size,
-                    ]
-                )

@@ -188,6 +188,20 @@ def test_report_aggregates(tmp_path, capsys):
     assert report_rows[0]["runs"] == "2"
 
 
+def test_report_orders_budgets_as_numbers(tmp_path, capsys):
+    path = tmp_path / "results.csv"
+    header = "dataset,target_model,substitute_model,method,budget,seed,rca,bca,baseline_rca,baseline_bca,noisy_rca,noisy_bca"
+    rows = [f"blobs-k2-4x16,mlp-16,mlp-16,active,{b},7,0.5,0.5,0.9,0.9,0.8,0.8" for b in (1000, 200, 400)]
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    assert main(["report", "--results", str(path), "--out", str(tmp_path / "rep")]) == 0
+    printed = [line.split()[4] for line in capsys.readouterr().out.splitlines()[1:4]]
+    assert printed == ["200", "400", "1000"]
+    assert [r["budget"] for r in read_rows(tmp_path / "rep" / "report.csv")] == ["200", "400", "1000"]
+    path.write_text("\n".join([header, rows[0].replace(",1000,", ",2e1,")]) + "\n", encoding="utf-8")
+    assert main(["report", "--results", str(path)]) == 1
+    assert f"{path} holds budget '2e1', not an integer" in capsys.readouterr().err
+
+
 def test_report_errors_use_the_common_error_path(tmp_path, capsys):
     no_columns = tmp_path / "other.csv"
     no_columns.write_text("a,b\n1,2\n", encoding="utf-8")

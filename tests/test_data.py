@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsattack.data import (
     LabeledSet,
@@ -13,7 +17,7 @@ from qsattack.data import (
 from qsattack.errors import ClassBalanceError, MalformedEpochFileError, ShapeMismatchError
 from qsattack.models import TrainConfig
 from qsattack.oracle import TargetOracle
-from testutil import make_model
+from testutil import make_model, mutations
 
 RNG = np.random.default_rng(99)
 
@@ -168,12 +172,43 @@ def test_epo_truncated_payload(tmp_path):
 
 
 def test_epo_shape_overflow(tmp_path):
-    import struct
-
     path = tmp_path / "o.epo"
     path.write_bytes(b"EPO1" + struct.pack("<III", 2**30, 2**10, 2**10))
     with pytest.raises(MalformedEpochFileError):
         read_epochs(path)
+
+
+@pytest.mark.parametrize("offset, patch", [
+    (8, struct.pack("<I", 0)),
+    (12, struct.pack("<I", 0)),
+    (16 + 4 * 5, struct.pack("<f", np.nan)),
+    (16 + 4 * 7, struct.pack("<f", -np.inf)),
+    (16 + 4 * 12 + 4, struct.pack("<i", -2)),  # the second of three labels after 12 values
+], ids=["zero-channels", "zero-samples", "nan-value", "inf-value", "label-below-minus-one"])
+def test_epo_refuses_bad_shape_values_and_labels_at_their_offset(tmp_path, offset, patch):
+    path = tmp_path / "x.epo"
+    write_epochs(path, LabeledSet(RNG.standard_normal((3, 2, 2)), np.array([0, 1, -1])))
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + 4] = patch
+    path.write_bytes(bytes(raw))
+    with pytest.raises(MalformedEpochFileError) as info:
+        read_epochs(path)
+    assert info.value.offset == offset
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_epo_mutations_read_back_exactly_or_raise_the_typed_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.epo"
+    write_epochs(path, LabeledSet(np.arange(12.0).reshape(3, 2, 2), np.array([0, 1, -1])))
+    raw = data.draw(mutations(path.read_bytes()))
+    path.write_bytes(raw)
+    try:
+        dataset = read_epochs(path)
+    except MalformedEpochFileError:
+        return
+    write_epochs(path, dataset)
+    assert path.read_bytes() == raw
 
 
 def test_extended_returns_new_set():

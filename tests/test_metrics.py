@@ -9,9 +9,9 @@ from qsattack.metrics import (
     paired_sign_test,
     rca,
     sweep_curve,
-    write_results_csv,
 )
-from testutil import make_model
+from qsattack.cli import main
+from testutil import make_model, write_config
 
 RNG = np.random.default_rng(31)
 
@@ -120,24 +120,17 @@ def test_sweep_curve_aggregation_matches_recomputation():
 
 
 def test_sweep_curve_csv(tmp_path):
-    curve = sweep_curve([100, 200], [[fixed_report(0.25)] * 2] * 2)
-    path = tmp_path / "sweep.csv"
-    curve.to_csv(path)
-    lines = path.read_text().strip().splitlines()
+    cfg = write_config(tmp_path, runs=2, budgets=[20, 40])
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+    lines = (tmp_path / "sweep" / "sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "budget,rca_mean,rca_std,bca_mean,bca_std,runs"
     assert len(lines) == 3
 
 
 def test_write_results_csv(tmp_path):
-    row = {
-        "dataset": "blobs-k2-2x6", "target_model": "mlp-16", "substitute_model": "mlp-16",
-        "method": "active", "budget": 400, "seed": 123,
-        "rca": "0.5", "bca": "0.5", "baseline_rca": "0.9", "baseline_bca": "0.9",
-        "noisy_rca": "0.89", "noisy_bca": "0.89",
-    }
-    path = tmp_path / "results.csv"
-    write_results_csv(path, [row])
-    lines = path.read_text().strip().splitlines()
+    cfg = write_config(tmp_path)
+    assert main(["attack", "--config", str(cfg), "--out", str(tmp_path / "attack")]) == 0
+    lines = (tmp_path / "attack" / "results.csv").read_text().strip().splitlines()
     assert lines[0] == ("dataset,target_model,substitute_model,method,budget,seed,"
                         "rca,bca,baseline_rca,baseline_bca,noisy_rca,noisy_bca")
     assert len(lines) == 2

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsattack.data import LabeledSet, gen_blobs
 from qsattack.errors import MalformedCheckpointError, ShapeMismatchError
@@ -13,7 +15,7 @@ from qsattack.models import (
     load_checkpoint,
     save_checkpoint,
 )
-from testutil import fd_input_gradient, logistic_model, make_model, rel_err
+from testutil import fd_input_gradient, logistic_model, make_model, mutations, rel_err
 
 DATA = Path(__file__).parent / "data"
 
@@ -273,9 +275,23 @@ def test_checkpoint_errors_are_typed_and_name_the_fault(tmp_path):
         "'channels'": good.replace("channels: 2", "channels: two"),
         "not a number": good + "not-a-number\n",
         "declares": good + "0.5\n",  # one parameter more than n_params
+        "UTF-8": good.replace("mlp", "ml\udcff"),
+        "seed must be >= 0": good.replace("seed: 4", "seed: -4"),
     }
     for fragment, text in cases.items():
-        path.write_text(text, encoding="utf-8")
+        path.write_text(text, encoding="utf-8", errors="surrogateescape")
         with pytest.raises(MalformedCheckpointError) as info:
             load_checkpoint(path)
         assert fragment in str(info.value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_checkpoint_mutations_load_or_raise_the_typed_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+    save_checkpoint(make_model("mlp", seed=4), path)
+    path.write_bytes(data.draw(mutations(path.read_bytes())))
+    try:
+        load_checkpoint(path)
+    except MalformedCheckpointError:
+        pass

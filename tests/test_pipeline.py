@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsattack import pipeline
+from qsattack.cli import main
 from qsattack.data import balance_by_predicted_label
 from qsattack.errors import ClassBalanceError, ConfigError
 from qsattack.models import TrainConfig
@@ -24,10 +25,10 @@ from qsattack.pipeline import (
     prepare_run,
     run_attack_experiment,
     stage_seeds,
-    write_run_trace,
 )
 from qsattack.synthesis import JacobianConfig, SynthesisConfig, train_substitute_jacobian
 from qsattack.attack import AttackConfig
+from testutil import read_rows, write_config
 
 FAST_TRAIN = TrainConfig(max_epochs=5, patience=2, batch_size=16)
 TARGET_TRAIN = TrainConfig(max_epochs=40, patience=5, batch_size=16)
@@ -58,6 +59,7 @@ def test_config_json_roundtrip(tmp_path):
     # the derived seeds are not config keys; small_config leaves them at their defaults
     assert "seed" not in doc["synthesis"]
     assert "shuffle_seed" not in doc["target"]["train"] and "shuffle_seed" not in doc["substitute"]["train"]
+    assert "noise_seed" not in doc["attack"]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert load_config(path) == cfg
@@ -94,11 +96,13 @@ def test_config_rejects_unknown_keys(tmp_path):
     ({"jacobian": {"seed": 77}}, "unknown key(s) ['seed'] in jacobian"),
     ({"target": {"train": {"shuffle_seed": 999}}}, "target.train.shuffle_seed"),
     ({"substitute": {"train": {"shuffle_seed": 0}}}, "substitute.train.shuffle_seed"),
+    ({"attack": {"noise_seed": 7}}, "attack.noise_seed cannot be set"),
+    ({"attack": {"method": "noise"}}, "attack.method must be fgsm or ufgsm"),
 ], ids=["data-not-object", "train-not-object", "budgets-number", "budgets-string",
         "hidden-string", "train-below-1", "test-below-1", "pool-below-0", "balance-below-1",
         "unknown-architecture", "mlp-three-hidden", "tcn-kernel-too-wide", "unknown-activation",
         "one-class", "synthesis-seed", "jacobian-seed", "target-shuffle-seed",
-        "substitute-shuffle-seed"])
+        "substitute-shuffle-seed", "attack-noise-seed", "attack-method-noise"])
 def test_config_wrong_types_raise_config_error(tmp_path, doc, key):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -121,9 +125,15 @@ def test_config_wrong_types_raise_config_error(tmp_path, doc, key):
     ({"synthesis": {"offset_norm": True}}, "synthesis.offset_norm"),
     ({"attack": {"epsilon": "0.1"}}, "attack.epsilon"),
     ({"method": 3}, "method"),
+    # json writes and reads NaN and Infinity bare
+    ({"attack": {"epsilon": float("nan")}}, "attack.epsilon must be a finite number"),
+    ({"synthesis": {"offset_norm": float("inf")}}, "synthesis.offset_norm must be a finite number"),
+    ({"data": {"separation": float("-inf")}}, "data.separation must be a finite number"),
+    ({"substitute": {"train": {"learning_rate": float("inf")}}}, "substitute.train.learning_rate must be a finite"),
 ], ids=["runs-float", "seed-float", "runs-bool", "iterations-float", "max-epochs-float",
         "classes-string", "per-class-bool", "budget-float", "hidden-float",
-        "strict-string", "offset-norm-bool", "epsilon-string", "method-number"])
+        "strict-string", "offset-norm-bool", "epsilon-string", "method-number",
+        "epsilon-nan", "offset-norm-inf", "separation-minus-inf", "learning-rate-inf"])
 def test_config_scalar_fields_take_only_their_json_type(tmp_path, doc, key):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -199,24 +209,25 @@ def test_budget_equal_to_initial_set_pretrains_only():
 
 
 def test_run_trace_csv(tmp_path):
-    result = run_attack_experiment(small_config(), 0)
-    path = tmp_path / "trace.csv"
-    write_run_trace(path, result)
-    lines = path.read_text().strip().splitlines()
+    cfg = write_config(tmp_path)
+    assert main(["attack", "--config", str(cfg), "--out", str(tmp_path / "attack")]) == 0
+    result = run_attack_experiment(load_config(cfg), 0)
+    lines = (tmp_path / "attack" / "run-000" / "trace.csv").read_text().strip().splitlines()
     assert lines[0] == "stage,iteration,target_queries,substitute_queries,train_set_size"
     assert lines[1].startswith("balance,0,60,")
     assert lines[-1].split(",")[2] == str(result.total_queries)
 
 
-def test_results_row_layout():
-    cfg = small_config()
-    result = run_attack_experiment(cfg, 0)
-    row = result.results_row(cfg)
+def test_results_row_layout(tmp_path):
+    cfg = write_config(tmp_path)
+    assert main(["attack", "--config", str(cfg), "--out", str(tmp_path / "attack")]) == 0
+    result = run_attack_experiment(load_config(cfg), 0)
+    row = read_rows(tmp_path / "attack" / "results.csv")[0]
     assert row["dataset"] == "blobs-k2-2x8"
     assert row["target_model"] == "mlp-6"
     assert row["method"] == "active"
     assert float(row["rca"]) == result.attacked.rca
-    assert row["seed"] == result.run_seed
+    assert row["seed"] == str(result.run_seed)
 
 
 def test_runs_are_reproducible():

@@ -4,6 +4,7 @@ import csv
 import json
 
 import numpy as np
+from hypothesis import strategies as st
 
 from qsattack.models import ModelSpec, SoftmaxClassifier
 
@@ -104,3 +105,16 @@ def read_rows(path):
     """Rows of a CSV file as dicts keyed by the header."""
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
+
+
+def mutations(good: bytes):
+    """Strategy: ``good`` with up to four bytes overwritten, then cut short or left whole."""
+    edits = st.lists(st.tuples(st.integers(0, len(good) - 1), st.integers(0, 255)), max_size=4)
+
+    def apply(plan):
+        raw = bytearray(good)
+        for position, value in plan[0]:
+            raw[position] = value
+        return bytes(raw[:plan[1]])
+
+    return st.tuples(edits, st.none() | st.integers(0, len(good))).map(apply)
