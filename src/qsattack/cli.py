@@ -242,11 +242,13 @@ def cmd_report(result_paths, out_dir: str | None) -> int:
             missing = sorted(set(_REPORT_KEY + _REPORT_MEANS) - set(reader.fieldnames or ()))
             if missing:
                 raise ValueError(f"{path} lacks the result column(s) {', '.join(missing)}")
-            for row in reader:
-                try:  # budgets group and sort as numbers
-                    row["budget"] = int(row["budget"])
-                except (TypeError, ValueError):
-                    raise ValueError(f"{path} holds budget {row['budget']!r}, not an integer") from None
+            parsers = [("budget", int, "an integer")] + [(col, float, "a number") for col in _REPORT_MEANS]
+            for row in reader:  # budgets group and sort as numbers
+                for col, parse, kind in parsers:
+                    try:
+                        row[col] = parse(row[col])
+                    except (TypeError, ValueError):
+                        raise ValueError(f"{path} holds {col} {row[col]!r}, not {kind}") from None
                 rows.append(row)
     if not rows:
         print("no result rows found", file=sys.stderr)
@@ -263,7 +265,7 @@ def cmd_report(result_paths, out_dir: str | None) -> int:
     report_rows = []
     for key in sorted(groups):
         bucket = groups[key]
-        means = [float(np.mean([float(r[col]) for r in bucket])) for col in _REPORT_MEANS]
+        means = [float(np.mean([r[col] for r in bucket])) for col in _REPORT_MEANS]
         report_rows.append([*key, len(bucket), *means])
         print(
             f"{key[0]:<20} {key[1]:<10} {key[2]:<10} {key[3]:<9} {key[4]:>7} {len(bucket):>4} "

@@ -189,11 +189,13 @@ def _logsumexp(z: np.ndarray) -> np.ndarray:
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
-    return np.maximum(z, 0.0) if kind == "relu" else np.tanh(z)
+    """Apply the activation to ``z`` in place and return it."""
+    return np.maximum(z, 0.0, out=z) if kind == "relu" else np.tanh(z, out=z)
 
 
-def _act_prime(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    return (z > 0).astype(np.float64) if kind == "relu" else 1.0 - a * a
+def _act_prime(a: np.ndarray, kind: str) -> np.ndarray:
+    """Derivative from the activation alone: relu(z) > 0 exactly where z > 0."""
+    return a > 0 if kind == "relu" else 1.0 - a * a
 
 
 class SoftmaxClassifier:
@@ -252,28 +254,28 @@ class SoftmaxClassifier:
         spec = self.spec
         n = X.shape[0]
         cache = {}
-        if spec.architecture == "tcn":  # correlate each channel with every filter, pool over time
-            windows = np.lib.stride_tricks.sliding_window_view(X, spec.kernel_width, axis=2)
-            feat = np.einsum("nclk,fk->nfcl", windows, self.views["conv_w"])
-            feat += self.views["conv_b"][None, :, None, None]
-            act = _act(feat, spec.activation)
-            cache = {"windows": windows, "feat": feat, "act": act}
-            acts = [act.mean(axis=3).reshape(n, -1)]
+        if spec.architecture == "tcn":  # im2col: one row per (epoch, channel, window), one matmul
+            k, (n_filters,) = spec.kernel_width, spec.hidden
+            cols = np.lib.stride_tricks.sliding_window_view(X, k, axis=2).reshape(-1, k)
+            act = cols @ self.views["conv_w"].T
+            act += self.views["conv_b"]
+            act = _act(act, spec.activation).reshape(n, spec.channels, spec.samples - k + 1, n_filters)
+            cache = {"cols": cols, "act": act}
+            # the dense head reads the pooled features in (filter, channel) order
+            acts = [act.mean(axis=2).transpose(0, 2, 1).reshape(n, -1)]
         else:
             acts = [X.reshape(n, -1)]
-        pre = []
         for W, b in self._dense[:-1]:
-            pre.append(acts[-1] @ W.T + b)
-            acts.append(_act(pre[-1], spec.activation))
+            acts.append(_act(acts[-1] @ W.T + b, spec.activation))
         W, b = self._dense[-1]
-        cache.update(acts=acts, pre=pre)
+        cache["acts"] = acts
         return acts[-1] @ W.T + b, cache
 
     def _backward(self, X, cache, dlogits, want_params: bool, want_inputs: bool):
         """Backprop ``dlogits`` to the flat parameter gradient and/or input gradients."""
         spec = self.spec
         tcn = spec.architecture == "tcn"
-        acts, pre = cache["acts"], cache["pre"]
+        acts = cache["acts"]
         grads = []  # per-tensor parameter gradients, last table entry first
         delta = dlogits
         for layer in range(len(self._dense) - 1, -1, -1):
@@ -283,22 +285,20 @@ class SoftmaxClassifier:
                 break
             delta = delta @ self._dense[layer][0]
             if layer:
-                delta *= _act_prime(pre[layer - 1], acts[layer], spec.activation)
+                delta *= _act_prime(acts[layer], spec.activation)
         dX = delta.reshape(X.shape) if want_inputs and not tcn else None
         if tcn:  # filter bank: spread the pooled-feature gradient evenly over the time windows
-            windows, feat, act = cache["windows"], cache["feat"], cache["act"]
-            window_count = act.shape[3]
-            dpooled = delta.reshape(X.shape[0], spec.hidden[0], spec.channels)
-            dact = np.broadcast_to(dpooled[..., None] / window_count, act.shape)
-            dfeat = dact * _act_prime(feat, act, spec.activation)
+            cols, act = cache["cols"], cache["act"]
+            n, n_filters, window_count = X.shape[0], spec.hidden[0], act.shape[2]
+            dpooled = delta.reshape(n, n_filters, spec.channels).transpose(0, 2, 1) / window_count
+            dfeat = (_act_prime(act, spec.activation) * dpooled[:, :, None, :]).reshape(-1, n_filters)
             if want_params:
-                grads += [dfeat.sum(axis=(0, 2, 3)), np.einsum("nfcl,nclk->fk", dfeat, windows)]
+                grads += [dfeat.sum(axis=0), dfeat.T @ cols]
             if want_inputs:
+                dcols = (dfeat @ self.views["conv_w"]).reshape(n, spec.channels, window_count, -1)
                 dX = np.zeros_like(X)
                 for k in range(spec.kernel_width):
-                    dX[:, :, k : k + window_count] += np.einsum(
-                        "nfcl,f->ncl", dfeat, self.views["conv_w"][:, k]
-                    )
+                    dX[:, :, k : k + window_count] += dcols[..., k]
         flat = np.concatenate([g.ravel() for g in reversed(grads)]) if want_params else None
         return flat, dX
 
@@ -457,6 +457,8 @@ def load_checkpoint(path) -> SoftmaxClassifier:
                 raise MalformedCheckpointError(
                     f"line {lineno}: parameter {line!r} is not a number"
                 ) from None
+            if not np.isfinite(params[-1]):
+                raise MalformedCheckpointError(f"line {lineno}: parameter {line!r} is not finite")
             continue
         if line == "params:":
             in_params = True

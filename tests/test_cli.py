@@ -202,6 +202,17 @@ def test_report_orders_budgets_as_numbers(tmp_path, capsys):
     assert f"{path} holds budget '2e1', not an integer" in capsys.readouterr().err
 
 
+def test_report_names_the_file_and_column_of_an_unreadable_value(tmp_path, capsys):
+    path = tmp_path / "results.csv"
+    header = "dataset,target_model,substitute_model,method,budget,seed,rca,bca,baseline_rca,baseline_bca,noisy_rca,noisy_bca"
+    good = "blobs-k2-4x16,mlp-16,mlp-16,active,200,7,0.5,0.5,0.9,0.9,0.8,0.8"
+    for col, value in (("rca", "x"), ("noisy_rca", ""), ("baseline_rca", "0.9.1")):
+        cells = dict(zip(header.split(","), good.split(",")), **{col: value})
+        path.write_text("\n".join([header, ",".join(cells.values())]) + "\n", encoding="utf-8")
+        assert main(["report", "--results", str(path)]) == 1
+        assert f"error: {path} holds {col} {value!r}, not a number" in capsys.readouterr().err
+
+
 def test_report_errors_use_the_common_error_path(tmp_path, capsys):
     no_columns = tmp_path / "other.csv"
     no_columns.write_text("a,b\n1,2\n", encoding="utf-8")

@@ -10,6 +10,7 @@ from qsattack.data import LabeledSet, gen_blobs
 from qsattack.errors import MalformedCheckpointError, ShapeMismatchError
 from qsattack.models import (
     ModelSpec,
+    SoftmaxClassifier,
     TrainConfig,
     class_weight_vector,
     load_checkpoint,
@@ -127,6 +128,64 @@ def test_input_gradient_matches_finite_differences():
         analytic = model.input_gradient(x, 2)
         numeric = fd_input_gradient(model, x, 2)
         assert rel_err(analytic, numeric) < 1e-4
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("arch, hidden, width", [
+    ("linear", (), 3), ("mlp", (5,), 3), ("mlp", (5, 4), 3),
+    ("tcn", (3,), 1), ("tcn", (3,), 3), ("tcn", (3,), 6),  # width 6 == samples: one window
+])
+def test_param_gradient_matches_finite_differences(arch, hidden, width, activation, step=1e-6):
+    model = make_model(arch, classes=3, seed=width, hidden=hidden, activation=activation, kernel_width=width)
+    rng = np.random.default_rng(21)
+    X, y, weights = rng.standard_normal((5, 2, 6)), rng.integers(0, 3, 5), np.array([0.5, 1.0, 2.0])
+    analytic = model._loss_and_param_grad(X, y, weights)
+    theta, numeric = model.parameters, np.zeros(model.n_parameters)
+    for i in range(theta.size):
+        for sign in (1.0, -1.0):
+            shifted = theta.copy()
+            shifted[i] += sign * step
+            model.set_parameters(shifted)
+            numeric[i] += sign * model.dataset_loss(X, y, weights) / (2.0 * step)
+    assert rel_err(analytic, numeric) < 1e-7
+
+
+def _per_tap_filter_bank(X, conv_w, conv_b, activation):
+    """Reference tcn features: one shifted multiply-add per filter tap, (n, F, C, windows)."""
+    n_filters, width = conv_w.shape
+    windows = X.shape[2] - width + 1
+    conv = np.zeros((X.shape[0], n_filters, X.shape[1], windows))
+    for tap in range(width):
+        conv += conv_w[None, :, tap, None, None] * X[:, None, :, tap : tap + windows]
+    feat = conv + conv_b[None, :, None, None]
+    act = np.maximum(feat, 0.0) if activation == "relu" else np.tanh(feat)
+    return conv, act
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 6), channels=st.integers(1, 4), samples=st.integers(1, 20),
+       n_filters=st.integers(1, 6), activation=st.sampled_from(["relu", "tanh"]),
+       data=st.data())
+def test_filter_bank_matches_per_tap_loop_and_its_adjoint(n, channels, samples, n_filters, activation, data):
+    width = data.draw(st.integers(1, samples), label="kernel_width")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    spec = ModelSpec("tcn", channels, samples, 3, hidden=(n_filters,), activation=activation,
+                     kernel_width=width, seed=seed)
+    model = SoftmaxClassifier(spec)
+    rng = np.random.default_rng(seed)
+    X, y = rng.standard_normal((n, channels, samples)), rng.integers(0, 3, n)
+    conv_w, conv_b, W0 = model.views["conv_w"], model.views["conv_b"], model.views["W0"]
+    conv, act = _per_tap_filter_bank(X, conv_w, conv_b, activation)
+    _, cache = model._forward(X)
+    assert np.max(np.abs(cache["acts"][0] - act.mean(axis=3).reshape(n, -1))) <= 1e-12
+    # the input gradient is conv^T(G) for G = act' * (pooled-feature gradient spread over the windows)
+    dlogits = model.probs_batch(X)
+    dlogits[np.arange(n), y] -= 1.0
+    dpooled = (dlogits @ W0).reshape(n, n_filters, channels, 1) / conv.shape[3]
+    G = ((act > 0) if activation == "relu" else 1.0 - act * act) * dpooled
+    dX = model.input_gradient_batch(X, y)
+    scale = np.sum(np.abs(conv * G)) + np.sum(np.abs(X * dX))
+    assert abs(np.sum(conv * G) - np.sum(X * dX)) <= 1e-12 * scale
 
 
 def test_input_gradient_batch_matches_single():
@@ -270,6 +329,8 @@ def test_checkpoint_errors_are_typed_and_name_the_fault(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(make_model("mlp", seed=4), path)
     good = path.read_text(encoding="utf-8")
+    lines = good.splitlines()
+    first = lines.index("params:") + 1  # 0-based index of the first parameter line
     cases = {
         "'n_params'": "\n".join(l for l in good.splitlines() if not l.startswith("n_params:")),
         "'channels'": good.replace("channels: 2", "channels: two"),
@@ -278,6 +339,9 @@ def test_checkpoint_errors_are_typed_and_name_the_fault(tmp_path):
         "UTF-8": good.replace("mlp", "ml\udcff"),
         "seed must be >= 0": good.replace("seed: 4", "seed: -4"),
     }
+    for bad in ("nan", "inf", "-Infinity"):
+        text = "\n".join(lines[:first] + [bad] + lines[first + 1 :]) + "\n"
+        cases[f"line {first + 1}: parameter {bad!r} is not finite"] = text
     for fragment, text in cases.items():
         path.write_text(text, encoding="utf-8", errors="surrogateescape")
         with pytest.raises(MalformedCheckpointError) as info:
