@@ -9,7 +9,9 @@ softmax.
 * ``tcn``: a filter bank in front of the dense head: one bank of 1-D
   filters shared across channels and slid along the time axis,
   activation, global average pooling per (filter, channel); the dense
-  head reads the pooled features and has no hidden layer.
+  head reads the pooled features and has no hidden layer.  The bank is
+  one matmul against a banded filter matrix and the pooling one matmul
+  against a fixed averaging matrix; their gradients are matmuls too.
 
 Parameters are a single flat float64 vector with named views, which keeps
 Adam and checkpointing trivial.  All math is float64 and fully
@@ -217,6 +219,11 @@ class SoftmaxClassifier:
         # the dense head's (W, b) per layer; updates are in place, so these views stay live
         dense = [view for name, view in self.views.items() if not name.startswith("conv")]
         self._dense = list(zip(dense[::2], dense[1::2]))
+        if spec.architecture == "tcn":  # flat indices of band[w + j, w*F + f] = conv_w[f, j]
+            windows, (n_filters,) = spec.samples - spec.kernel_width + 1, spec.hidden
+            w, f, j = np.ix_(np.arange(windows), np.arange(n_filters), np.arange(spec.kernel_width))
+            self._band_idx = (w + j) * (windows * n_filters) + w * n_filters + f  # (windows, F, k)
+            self._pool = np.tile(np.eye(n_filters) / windows, (windows, 1))  # (windows*F, F) mean
         self._adam_m = np.zeros(total)
         self._adam_v = np.zeros(total)
         self._adam_t = 0
@@ -252,19 +259,21 @@ class SoftmaxClassifier:
     def _forward(self, X: np.ndarray):
         """Batched logits plus the cache needed for backprop."""
         spec = self.spec
-        n = X.shape[0]
+        n, (C, T) = X.shape[0], spec.input_shape
         cache = {}
-        if spec.architecture == "tcn":  # im2col: one row per (epoch, channel, window), one matmul
-            k, (n_filters,) = spec.kernel_width, spec.hidden
-            cols = np.lib.stride_tricks.sliding_window_view(X, k, axis=2).reshape(-1, k)
-            act = cols @ self.views["conv_w"].T
-            act += self.views["conv_b"]
-            act = _act(act, spec.activation).reshape(n, spec.channels, spec.samples - k + 1, n_filters)
-            cache = {"cols": cols, "act": act}
-            # the dense head reads the pooled features in (filter, channel) order
-            acts = [act.mean(axis=2).transpose(0, 2, 1).reshape(n, -1)]
+        if spec.architecture == "tcn":  # banded filter matrix: one row per (epoch, channel), one matmul
+            n_filters, X2d, band = spec.hidden[0], X.reshape(n * C, T), np.zeros((T, self._pool.shape[0]))
+            band.reshape(band.size)[self._band_idx] = self.views["conv_w"]  # written anew every forward
+            act = X2d @ band  # (n*C, windows*F)
+            by_filter = act.reshape(act.size // n_filters, n_filters)  # a view: add the bias in place
+            by_filter += self.views["conv_b"]
+            _act(act, spec.activation)
+            cache = {"X2d": X2d, "band": band, "act": act}
+            # mean over the windows by one matmul; the dense head reads (filter, channel) order
+            pooled = (act @ self._pool).reshape(n, C, n_filters)
+            acts = [pooled.transpose(0, 2, 1).reshape(n, n_filters * C)]
         else:
-            acts = [X.reshape(n, -1)]
+            acts = [X.reshape(n, C * T)]
         for W, b in self._dense[:-1]:
             acts.append(_act(acts[-1] @ W.T + b, spec.activation))
         W, b = self._dense[-1]
@@ -287,26 +296,23 @@ class SoftmaxClassifier:
             if layer:
                 delta *= _act_prime(acts[layer], spec.activation)
         dX = delta.reshape(X.shape) if want_inputs and not tcn else None
-        if tcn:  # filter bank: spread the pooled-feature gradient evenly over the time windows
-            cols, act = cache["cols"], cache["act"]
-            n, n_filters, window_count = X.shape[0], spec.hidden[0], act.shape[2]
-            dpooled = delta.reshape(n, n_filters, spec.channels).transpose(0, 2, 1) / window_count
-            dfeat = (_act_prime(act, spec.activation) * dpooled[:, :, None, :]).reshape(-1, n_filters)
-            if want_params:
-                grads += [dfeat.sum(axis=0), dfeat.T @ cols]
+        if tcn:  # filter bank: the averaging matmul's transpose spreads dpooled over the windows
+            X2d, band, act = cache["X2d"], cache["band"], cache["act"]
+            n, n_filters, C = X.shape[0], spec.hidden[0], spec.channels
+            dpooled = delta.reshape(n, n_filters, C).transpose(0, 2, 1).reshape(n * C, n_filters)
+            dfeat = dpooled @ self._pool.T  # (n*C, windows*F)
+            dfeat *= _act_prime(act, spec.activation)
+            if want_params:  # conv_w sums X2d.T @ dfeat along each tap's band diagonal
+                by_filter = dfeat.reshape(dfeat.size // n_filters, n_filters)
+                grads += [np.ones(len(by_filter)) @ by_filter,
+                          (X2d.T @ dfeat).ravel()[self._band_idx].sum(axis=0)]
             if want_inputs:
-                dcols = (dfeat @ self.views["conv_w"]).reshape(n, spec.channels, window_count, -1)
-                dX = np.zeros_like(X)
-                for k in range(spec.kernel_width):
-                    dX[:, :, k : k + window_count] += dcols[..., k]
+                dX = (dfeat @ band.T).reshape(X.shape)
         flat = np.concatenate([g.ravel() for g in reversed(grads)]) if want_params else None
         return flat, dX
 
     def probs_batch(self, epochs) -> np.ndarray:
-        X = as_epoch_batch(epochs, self.spec.input_shape)
-        if len(X) == 0:
-            return np.zeros((0, self.spec.classes))
-        logits, _ = self._forward(X)
+        logits, _ = self._forward(as_epoch_batch(epochs, self.spec.input_shape))
         return _softmax(logits)
 
     def probs(self, x) -> np.ndarray:
@@ -332,9 +338,11 @@ class SoftmaxClassifier:
         return labels
 
     def dataset_loss(self, epochs, labels, class_weights=None) -> float:
-        """Mean weighted cross-entropy over a batch."""
+        """Mean weighted cross-entropy over a non-empty batch."""
         X = as_epoch_batch(epochs, self.spec.input_shape)
         y = self._check_labels(labels)
+        if len(X) == 0:
+            raise ValueError("cannot take the mean loss of an empty batch")
         logits, _ = self._forward(X)
         ce = _logsumexp(logits) - logits[np.arange(len(y)), y]
         if class_weights is not None:

@@ -186,15 +186,35 @@ def test_filter_bank_matches_per_tap_loop_and_its_adjoint(n, channels, samples, 
     dX = model.input_gradient_batch(X, y)
     scale = np.sum(np.abs(conv * G)) + np.sum(np.abs(X * dX))
     assert abs(np.sum(conv * G) - np.sum(X * dX)) <= 1e-12 * scale
+    # the mean loss's filter gradients: dconv_w[f, tap] = sum G * X shifted by tap, dconv_b[f] = sum G
+    grads = model._loss_and_param_grad(X, y, np.ones(3))
+    n_w = n_filters * width  # conv_w then conv_b lead the flat vector
+    dconv_w, dconv_b = grads[:n_w].reshape(n_filters, width), grads[n_w : n_w + n_filters]
+    windows = conv.shape[3]
+    terms = np.stack([G * X[:, None, :, tap : tap + windows] for tap in range(width)], axis=-1) / n
+    assert np.all(np.abs(dconv_w - terms.sum(axis=(0, 2, 3))) <= 1e-12 * np.abs(terms).sum(axis=(0, 2, 3)))
+    assert np.all(np.abs(dconv_b - G.sum(axis=(0, 2, 3)) / n) <= 1e-12 * np.abs(G).sum(axis=(0, 2, 3)) / n)
 
 
-def test_input_gradient_batch_matches_single():
-    model = make_model("mlp", seed=11)
+@pytest.mark.parametrize("arch", ["linear", "mlp", "tcn"])
+def test_input_gradient_batch_matches_single(arch):
+    model = make_model(arch, classes=3, seed=11)
     xs = RNG.standard_normal((5, 2, 6))
-    labels = [0, 1, 0, 1, 1]
-    batch = model.input_gradient_batch(xs, labels)
+    labels = [0, 1, 2, 1, 1]
+    batch, probs = model.input_gradient_batch(xs, labels), model.probs_batch(xs)
     for i in range(5):
         assert np.allclose(batch[i], model.input_gradient(xs[i], labels[i]), atol=1e-12)
+        assert np.allclose(probs[i], model.probs(xs[i]), atol=1e-12)
+
+
+@pytest.mark.parametrize("arch", ["linear", "mlp", "tcn"])
+def test_empty_batch_gives_empty_gradients_and_refuses_a_mean_loss(arch):
+    model = make_model(arch, classes=3)
+    empty = np.zeros((0, 2, 6))
+    assert model.input_gradient_batch(empty, []).shape == (0, 2, 6)
+    assert model.probs_batch(empty).shape == (0, 3)
+    with pytest.raises(ValueError, match="empty batch"):
+        model.dataset_loss(empty, [])
 
 
 def test_input_gradient_rejects_bad_label():
