@@ -45,7 +45,6 @@ from .models import (
     SoftmaxClassifier,
     TrainConfig,
     TrainHistory,
-    class_weight_vector,
     load_checkpoint,
     save_checkpoint,
 )

@@ -176,6 +176,7 @@ def cmd_attack(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     budget = cfg.budgets[0] if cfg.budgets else None
+    check_budgets(cfg, [budget])  # a bad budget costs no training
     rows, seeds_by_run = [], {}
     for run in range(cfg.runs):
         result = run_attack_experiment(cfg, run, budget=budget)

@@ -110,7 +110,6 @@ class TrainConfig:
     max_epochs: int = 200
     patience: int = 10
     validation_fraction: float = 0.2
-    class_weights: str = "uniform"  # "uniform" | "inverse-frequency"
     batch_size: int = 32
     shuffle_seed: int = 0
 
@@ -125,8 +124,6 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must be in (0, 1)")
-        if self.class_weights not in ("uniform", "inverse-frequency"):
-            raise ValueError(f"unknown class_weights mode {self.class_weights!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
@@ -141,28 +138,6 @@ class TrainHistory:
     @property
     def n_epochs(self) -> int:
         return len(self.val_loss)
-
-
-def class_weight_vector(labels, n_classes: int, mode: str = "uniform") -> np.ndarray:
-    """Per-class loss weights; inverse class frequency normalized to mean 1.
-
-    Classes absent from ``labels`` keep weight 1 (never used).  With two
-    or fewer distinct classes required for inverse weighting to make
-    sense, single-class data is rejected in that mode.
-    """
-    if mode == "uniform":
-        return np.ones(n_classes)
-    if mode != "inverse-frequency":
-        raise ValueError(f"unknown class_weights mode {mode!r}")
-    labels = np.asarray(labels, dtype=np.int64)
-    counts = np.bincount(labels, minlength=n_classes)
-    present = counts > 0
-    if present.sum() < 2:
-        raise ValueError("inverse-frequency weighting needs at least two classes present")
-    weights = np.ones(n_classes)
-    inv = 1.0 / counts[present]
-    weights[present] = inv / inv.mean()
-    return weights
 
 
 def _layer_table(spec: ModelSpec):
@@ -328,8 +303,11 @@ class SoftmaxClassifier:
 
     # -- loss and gradients ----------------------------------------------
 
-    def _check_labels(self, labels) -> np.ndarray:
+    def _check_labels(self, labels, n: int) -> np.ndarray:
+        """Labels as int64, one per epoch of an ``n``-epoch batch, each in range."""
         labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape != (n,):
+            raise ShapeMismatchError(f"{n} epochs need a label vector of shape ({n},), got {labels.shape}")
         if labels.size and (labels.min() < 0 or labels.max() >= self.spec.classes):
             raise ValueError(
                 f"labels must be in [0, {self.spec.classes - 1}], got range "
@@ -337,40 +315,35 @@ class SoftmaxClassifier:
             )
         return labels
 
-    def dataset_loss(self, epochs, labels, class_weights=None) -> float:
-        """Mean weighted cross-entropy over a non-empty batch."""
+    def dataset_loss(self, epochs, labels) -> float:
+        """Mean cross-entropy over a non-empty batch."""
         X = as_epoch_batch(epochs, self.spec.input_shape)
-        y = self._check_labels(labels)
+        y = self._check_labels(labels, len(X))
         if len(X) == 0:
             raise ValueError("cannot take the mean loss of an empty batch")
         logits, _ = self._forward(X)
-        ce = _logsumexp(logits) - logits[np.arange(len(y)), y]
-        if class_weights is not None:
-            ce = np.asarray(class_weights)[y] * ce
-        return float(ce.mean())
+        return float((_logsumexp(logits) - logits[np.arange(len(y)), y]).mean())
 
-    def input_gradient_batch(self, epochs, labels, class_weights=None) -> np.ndarray:
-        """Per-epoch gradient of the (weighted) cross-entropy w.r.t. the input."""
+    def input_gradient_batch(self, epochs, labels) -> np.ndarray:
+        """Per-epoch gradient of the cross-entropy w.r.t. the input."""
         X = as_epoch_batch(epochs, self.spec.input_shape)
-        y = self._check_labels(labels)
+        y = self._check_labels(labels, len(X))
         logits, cache = self._forward(X)
         dlogits = _softmax(logits)
         dlogits[np.arange(len(y)), y] -= 1.0
-        if class_weights is not None:
-            dlogits *= np.asarray(class_weights)[y][:, None]
         _, dX = self._backward(X, cache, dlogits, want_params=False, want_inputs=True)
         return dX
 
-    def input_gradient(self, x, label: int, class_weights=None) -> np.ndarray:
+    def input_gradient(self, x, label: int) -> np.ndarray:
         """Exact analytic gradient of the scalar loss w.r.t. every input entry."""
-        return self.input_gradient_batch(np.asarray(x, dtype=np.float64)[None], [label], class_weights)[0]
+        return self.input_gradient_batch(np.asarray(x, dtype=np.float64)[None], [label])[0]
 
-    def _loss_and_param_grad(self, X, y, weights):
+    def _loss_and_param_grad(self, X, y):
+        """Flat parameter gradient of the mean cross-entropy over the batch."""
         logits, cache = self._forward(X)
-        w = weights[y]
         dlogits = _softmax(logits)
         dlogits[np.arange(len(y)), y] -= 1.0
-        dlogits *= (w / len(y))[:, None]
+        dlogits *= 1.0 / len(y)  # times the reciprocal: a division rounds differently
         grads, _ = self._backward(X, cache, dlogits, want_params=True, want_inputs=False)
         return grads
 
@@ -394,12 +367,11 @@ class SoftmaxClassifier:
             raise ValueError("training data is empty")
         if n < 2:
             raise ValueError("need at least 2 examples to hold out validation data")
-        y = self._check_labels(data.labels)
+        y = self._check_labels(data.labels, n)
         if data.shape != self.spec.input_shape:
             raise ShapeMismatchError(
                 f"data shape {data.shape} does not match model input {self.spec.input_shape}"
             )
-        weights = class_weight_vector(y, self.spec.classes, cfg.class_weights)
         rng = np.random.default_rng(cfg.shuffle_seed)
         perm = rng.permutation(n)
         n_val = min(max(int(round(cfg.validation_fraction * n)), 1), n - 1)
@@ -415,9 +387,9 @@ class SoftmaxClassifier:
             order = rng.permutation(len(train_idx))
             for start in range(0, len(order), cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
-                grads = self._loss_and_param_grad(X_train[batch], y_train[batch], weights)
+                grads = self._loss_and_param_grad(X_train[batch], y_train[batch])
                 self._adam_step(grads, cfg)
-            val_losses.append(self.dataset_loss(X_val, y_val, weights))
+            val_losses.append(self.dataset_loss(X_val, y_val))
             if val_losses[-1] < best_loss:
                 best_loss = val_losses[-1]
                 best_params = self._params.copy()

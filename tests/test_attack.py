@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsattack.attack import (
     AttackConfig,
@@ -17,6 +19,20 @@ from qsattack.models import TrainConfig
 from testutil import logistic_model, make_model
 
 RNG = np.random.default_rng(55)
+
+
+@settings(max_examples=150, deadline=None)
+@given(arch=st.sampled_from(["linear", "mlp", "tcn"]), method=st.sampled_from(["fgsm", "ufgsm", "noise"]),
+       n=st.integers(0, 8), epsilon=st.floats(0.0, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_crafted_deltas_are_quantized_steps(arch, method, n, epsilon, seed):
+    rng = np.random.default_rng(seed)
+    model = make_model(arch, classes=3, seed=seed % 997)
+    xs = 5.0 * rng.standard_normal((n, 2, 6))
+    cfg = AttackConfig(epsilon, method, noise_seed=seed)
+    batch = craft_batch(model, xs, cfg, true_labels=rng.integers(0, 3, n))
+    assert batch.delta.shape == xs.shape
+    assert np.all(np.isin(batch.delta, [-epsilon, 0.0, epsilon]))
+    assert np.array_equal(batch.perturbed, xs + batch.delta)
 
 
 def test_zero_epsilon_is_identity():

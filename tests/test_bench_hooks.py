@@ -15,7 +15,23 @@ from qsattack import cli
 from testutil import write_config
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import tracing  # noqa: E402
 from tracing import Tracer, layer_metrics  # noqa: E402
+
+# _PATCHES entries whose names the package no longer has; the metrics they fed read 0
+_KNOWN_STALE = {("qsattack.pipeline", "boundary_agreement"), ("SweepCurve", "to_csv")}
+
+
+def test_tracer_wraps_every_live_patch():
+    # a deletion in src/ that unhooks a patch would zero a per-layer metric without failing anything
+    tracer = Tracer()
+    tracer.install()
+    try:
+        unwrapped = {(owner.__name__, attr) for owner, attr, *_ in tracing._PATCHES
+                     if not hasattr(vars(owner).get(attr), "__wrapped__")}
+    finally:
+        tracer.uninstall()
+    assert unwrapped <= _KNOWN_STALE
 
 
 @pytest.mark.parametrize("command", ["attack", "sweep"])

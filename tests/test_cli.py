@@ -6,7 +6,7 @@ import pytest
 
 from qsattack.cli import main
 from qsattack.data import read_epochs
-from qsattack.models import load_checkpoint
+from qsattack.models import SoftmaxClassifier, load_checkpoint
 from qsattack.pipeline import ExperimentConfig, load_config
 from testutil import read_rows, write_config
 
@@ -94,6 +94,17 @@ def test_attack_bad_config_fails_with_manifest(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert capsys.readouterr().err
+
+
+def test_attack_refuses_bad_budget_before_training(tmp_path, monkeypatch):
+    # |S0| = 20, so a budget of 10 cannot even label the initial set
+    fits, fit = [], SoftmaxClassifier.fit
+    monkeypatch.setattr(SoftmaxClassifier, "fit", lambda *a, **kw: fits.append(1) or fit(*a, **kw))
+    cfg, out = write_config(tmp_path), tmp_path / "out"
+    assert main(["attack", "--config", str(cfg), "--out", str(out), "--budget", "10"]) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["status"], manifest["stage"]) == ("failed", "ConfigError")
+    assert fits == []
 
 
 def test_unknown_config_key_fails(tmp_path):

@@ -12,7 +12,6 @@ from qsattack.models import (
     ModelSpec,
     SoftmaxClassifier,
     TrainConfig,
-    class_weight_vector,
     load_checkpoint,
     save_checkpoint,
 )
@@ -138,15 +137,15 @@ def test_input_gradient_matches_finite_differences():
 def test_param_gradient_matches_finite_differences(arch, hidden, width, activation, step=1e-6):
     model = make_model(arch, classes=3, seed=width, hidden=hidden, activation=activation, kernel_width=width)
     rng = np.random.default_rng(21)
-    X, y, weights = rng.standard_normal((5, 2, 6)), rng.integers(0, 3, 5), np.array([0.5, 1.0, 2.0])
-    analytic = model._loss_and_param_grad(X, y, weights)
+    X, y = rng.standard_normal((5, 2, 6)), rng.integers(0, 3, 5)
+    analytic = model._loss_and_param_grad(X, y)
     theta, numeric = model.parameters, np.zeros(model.n_parameters)
     for i in range(theta.size):
         for sign in (1.0, -1.0):
             shifted = theta.copy()
             shifted[i] += sign * step
             model.set_parameters(shifted)
-            numeric[i] += sign * model.dataset_loss(X, y, weights) / (2.0 * step)
+            numeric[i] += sign * model.dataset_loss(X, y) / (2.0 * step)
     assert rel_err(analytic, numeric) < 1e-7
 
 
@@ -187,7 +186,7 @@ def test_filter_bank_matches_per_tap_loop_and_its_adjoint(n, channels, samples, 
     scale = np.sum(np.abs(conv * G)) + np.sum(np.abs(X * dX))
     assert abs(np.sum(conv * G) - np.sum(X * dX)) <= 1e-12 * scale
     # the mean loss's filter gradients: dconv_w[f, tap] = sum G * X shifted by tap, dconv_b[f] = sum G
-    grads = model._loss_and_param_grad(X, y, np.ones(3))
+    grads = model._loss_and_param_grad(X, y)
     n_w = n_filters * width  # conv_w then conv_b lead the flat vector
     dconv_w, dconv_b = grads[:n_w].reshape(n_filters, width), grads[n_w : n_w + n_filters]
     windows = conv.shape[3]
@@ -225,12 +224,14 @@ def test_input_gradient_rejects_bad_label():
         model.input_gradient(RNG.standard_normal((2, 6)), -1)
 
 
-def test_class_weighted_gradient_scales_by_weight():
-    model = make_model("mlp", seed=2)
-    x = RNG.standard_normal((2, 6))
-    base = model.input_gradient(x, 1)
-    weighted = model.input_gradient(x, 1, class_weights=[1.0, 2.5])
-    assert np.allclose(weighted, 2.5 * base, atol=1e-12)
+@pytest.mark.parametrize("arch", ["linear", "mlp", "tcn"])
+@pytest.mark.parametrize("n_labels", [2, 4])
+def test_label_count_must_equal_batch_size(arch, n_labels):
+    model = make_model(arch, classes=2)
+    xs, labels = RNG.standard_normal((3, 2, 6)), [0, 1, 0, 1][:n_labels]
+    for loss_or_gradient in (model.input_gradient_batch, model.dataset_loss):
+        with pytest.raises(ShapeMismatchError, match=rf"3 epochs .*\(3,\), got \({n_labels},\)"):
+            loss_or_gradient(xs, labels)
 
 
 def test_train_fits_separable_blobs():
@@ -248,8 +249,6 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(validation_fraction=1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(class_weights="balanced")
 
 
 def test_train_rejects_empty_data():
@@ -281,37 +280,16 @@ def test_train_restores_best_validation_parameters():
     perm = rng.permutation(len(data))
     n_val = min(max(int(round(cfg.validation_fraction * len(data))), 1), len(data) - 1)
     val = perm[:n_val]
-    final_val_loss = model.dataset_loss(data.epochs[val], data.labels[val],
-                                        np.ones(2))
+    final_val_loss = model.dataset_loss(data.epochs[val], data.labels[val])
     assert final_val_loss <= min(hist.val_loss) + 1e-12
     assert hist.best_epoch == int(np.argmin(hist.val_loss))
 
 
-def test_uniform_weights_equal_unweighted_exactly():
-    model = make_model("mlp", seed=4)
-    xs = RNG.standard_normal((12, 2, 6))
-    ys = RNG.integers(0, 2, 12)
-    unweighted = model.dataset_loss(xs, ys)
-    uniform = model.dataset_loss(xs, ys, class_weight_vector(ys, 2, "uniform"))
-    assert uniform == unweighted
-
-
-def test_inverse_frequency_weights():
-    labels = np.array([0, 0, 0, 1])
-    w = class_weight_vector(labels, 2, "inverse-frequency")
-    # inverse counts 1/3 and 1, normalized to mean 1
-    assert w == pytest.approx([0.5, 1.5])
-    with pytest.raises(ValueError):
-        class_weight_vector(np.zeros(4, dtype=int), 2, "inverse-frequency")
-
-
-def test_single_class_training_needs_uniform_weights():
+def test_single_class_training_fits():
     epochs = RNG.standard_normal((10, 2, 6))
     data = LabeledSet(epochs, np.zeros(10, dtype=np.int64))
     model = make_model("mlp", seed=8)
-    with pytest.raises(ValueError):
-        model.fit(data, TrainConfig(class_weights="inverse-frequency"))
-    model.fit(data, TrainConfig(max_epochs=2, patience=1))  # uniform mode is fine
+    model.fit(data, TrainConfig(max_epochs=2, patience=1))
 
 
 def test_checkpoint_roundtrip(tmp_path):

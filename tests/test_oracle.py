@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsattack.errors import BudgetExhaustedError, ShapeMismatchError
 from qsattack.oracle import TargetOracle
@@ -44,6 +46,25 @@ def test_budget_is_all_or_nothing():
     assert oracle.remaining == 4
     oracle.query_labels(RNG.standard_normal((4, 2, 6)))
     assert oracle.query_count == 10
+
+
+@settings(max_examples=100, deadline=None)
+@given(budget=st.one_of(st.none(), st.integers(1, 30)), sizes=st.lists(st.integers(0, 12), max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_every_call_is_charged_whole_or_refused_whole(budget, sizes, seed):
+    model = make_model("mlp", seed=3)
+    oracle = TargetOracle(model, budget=budget)
+    rng = np.random.default_rng(seed)
+    for size in sizes:
+        xs, count, remaining = rng.standard_normal((size, 2, 6)), oracle.query_count, oracle.remaining
+        if budget is not None and count + size > budget:
+            with pytest.raises(BudgetExhaustedError) as info:
+                oracle.query_labels(xs)
+            assert info.value.remaining == remaining
+            assert (oracle.query_count, oracle.remaining) == (count, remaining)
+        else:
+            assert np.array_equal(oracle.query_labels(xs), model.predict_batch(xs))
+            assert oracle.query_count == count + size
 
 
 def test_budget_validation():

@@ -96,13 +96,14 @@ def test_config_rejects_unknown_keys(tmp_path):
     ({"jacobian": {"seed": 77}}, "unknown key(s) ['seed'] in jacobian"),
     ({"target": {"train": {"shuffle_seed": 999}}}, "target.train.shuffle_seed"),
     ({"substitute": {"train": {"shuffle_seed": 0}}}, "substitute.train.shuffle_seed"),
+    ({"target": {"train": {"class_weights": "uniform"}}}, "unknown key(s) ['class_weights'] in target.train"),
     ({"attack": {"noise_seed": 7}}, "attack.noise_seed cannot be set"),
     ({"attack": {"method": "noise"}}, "attack.method must be fgsm or ufgsm"),
 ], ids=["data-not-object", "train-not-object", "budgets-number", "budgets-string",
         "hidden-string", "train-below-1", "test-below-1", "pool-below-0", "balance-below-1",
         "unknown-architecture", "mlp-three-hidden", "tcn-kernel-too-wide", "unknown-activation",
         "one-class", "synthesis-seed", "jacobian-seed", "target-shuffle-seed",
-        "substitute-shuffle-seed", "attack-noise-seed", "attack-method-noise"])
+        "substitute-shuffle-seed", "target-class-weights", "attack-noise-seed", "attack-method-noise"])
 def test_config_wrong_types_raise_config_error(tmp_path, doc, key):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
