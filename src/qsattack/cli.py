@@ -175,6 +175,8 @@ def cmd_train_target(cfg: ExperimentConfig) -> int:
 def cmd_attack(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    if len(cfg.budgets) > 1:
+        raise ConfigError(f"attack runs one budget, not {list(cfg.budgets)}: pick one with --budget, or use sweep")
     budget = cfg.budgets[0] if cfg.budgets else None
     check_budgets(cfg, [budget])  # a bad budget costs no training
     rows, seeds_by_run = [], {}

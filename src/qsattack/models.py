@@ -47,6 +47,7 @@ from .errors import MalformedCheckpointError, ShapeMismatchError
 _ARCHITECTURES = ("linear", "mlp", "tcn")
 _ACTIVATIONS = ("relu", "tanh")
 _CHECKPOINT_FORMAT = "qsattack-model-1"
+_BETA1, _BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8  # Kingma & Ba (2015)
 
 
 @dataclass(frozen=True)
@@ -104,9 +105,6 @@ class TrainConfig:
     """Adam + cross-entropy + early-stopping hyperparameters."""
 
     learning_rate: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     max_epochs: int = 200
     patience: int = 10
     validation_fraction: float = 0.2
@@ -116,8 +114,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ValueError("Adam betas must be in [0, 1)")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if self.patience < 1:
@@ -349,11 +345,11 @@ class SoftmaxClassifier:
 
     def _adam_step(self, grads: np.ndarray, cfg: TrainConfig) -> None:
         self._adam_t += 1
-        self._adam_m = cfg.beta1 * self._adam_m + (1.0 - cfg.beta1) * grads
-        self._adam_v = cfg.beta2 * self._adam_v + (1.0 - cfg.beta2) * grads * grads
-        m_hat = self._adam_m / (1.0 - cfg.beta1**self._adam_t)
-        v_hat = self._adam_v / (1.0 - cfg.beta2**self._adam_t)
-        self._params -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon)
+        self._adam_m = _BETA1 * self._adam_m + (1.0 - _BETA1) * grads
+        self._adam_v = _BETA2 * self._adam_v + (1.0 - _BETA2) * grads * grads
+        m_hat = self._adam_m / (1.0 - _BETA1**self._adam_t)
+        v_hat = self._adam_v / (1.0 - _BETA2**self._adam_t)
+        self._params -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPSILON)
 
     def fit(self, data: LabeledSet, cfg: TrainConfig) -> TrainHistory:
         """Minibatch Adam with early stopping on a held-out validation split.

@@ -37,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -126,6 +127,8 @@ class ExperimentConfig:
             raise ConfigError("runs must be >= 1")
         if self.attack.method == "noise":  # a substitute run would craft noise and be labeled with it
             raise ConfigError("attack.method must be fgsm or ufgsm; the noise control is method 'noise'")
+        if any(isinstance(b, bool) or not isinstance(b, numbers.Integral) or b < 0 for b in self.budgets):
+            raise ConfigError(f"budgets must be non-negative integers, got {list(self.budgets)}")
         budgets = tuple(int(b) for b in self.budgets)
         object.__setattr__(self, "budgets", budgets)
         if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
@@ -357,8 +360,8 @@ def _train_substitutes(prepared: PreparedRun, s0, budgets, plans) -> list:
     with no leftover copies the substitute and trace at its round; a
     ``jacobian`` leftover branches a leaf there: one more round kept to
     ``leftover`` seeded rows, labeled on its own oracle capped at
-    ``leftover``, and fit on a copy of the substitute (a fresh one
-    ``from-scratch``), as a run stopping at that budget would end.
+    ``leftover``, and fit on a copy of the substitute, as a run stopping
+    at that budget would end.
     """
     cfg, seeds = prepared.cfg, prepared.seeds
     spec = _build_spec(cfg.substitute, cfg.data, seeds["substitute-init"])
@@ -369,7 +372,7 @@ def _train_substitutes(prepared: PreparedRun, s0, budgets, plans) -> list:
         new = jacobian_augment(data, model, jac.step_size)
         new = new[np.sort(np.random.default_rng(seeds["synthesis"]).choice(len(new), leftover, replace=False))]
         labels = TargetOracle(prepared.target, budget=leftover).query_labels(new)
-        model = model.copy() if jac.retrain == "fine-tune" else SoftmaxClassifier(spec)
+        model = model.copy()
         model.fit(data.extended(new, labels), train)
         last = trace.rows[-1]
         row = TraceRow(last.iteration + 1, last.target_queries + leftover,

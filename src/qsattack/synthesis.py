@@ -34,6 +34,8 @@ from .errors import (
 from .models import ModelSpec, SoftmaxClassifier, TrainConfig
 
 _NORM_FLOOR = 1e-8
+_RESELECT_LIMIT = 32  # pair picks per epoch before it falls back to a Gaussian draw
+_RESAMPLE_LIMIT = 16  # offset draws before an orthogonalization counts as degenerate
 
 
 @dataclass(frozen=True)
@@ -67,10 +69,6 @@ class SynthesisConfig:
     bisection_steps: int = 10    # midpoint halvings per boundary search
     offset_norm: float = 1.0     # L2 magnitude of the orthogonal offset
     seed: int = 0
-    retrain: str = "fine-tune"   # "fine-tune" | "from-scratch"
-    resample_limit: int = 16     # redraws allowed on degenerate orthogonalization
-    reselect_limit: int = 32     # pair reselections before the random fallback
-    random_fallback: bool = True
 
     def __post_init__(self):
         if self.n_iterations < 0:
@@ -81,10 +79,6 @@ class SynthesisConfig:
             raise ValueError("bisection_steps must be >= 1")
         if self.offset_norm <= 0:
             raise ValueError("offset_norm must be > 0")
-        if self.retrain not in ("fine-tune", "from-scratch"):
-            raise ValueError(f"unknown retrain mode {self.retrain!r}")
-        if self.resample_limit < 1 or self.reselect_limit < 1:
-            raise ValueError("resample_limit and reselect_limit must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -93,15 +87,12 @@ class JacobianConfig:
 
     step_size: float = 0.5
     n_iterations: int = 1        # doubling rounds after round 0; 0 pretrains only
-    retrain: str = "fine-tune"   # "fine-tune" | "from-scratch"
 
     def __post_init__(self):
         if self.step_size <= 0:
             raise ValueError("step_size must be > 0")
         if self.n_iterations < 0:
             raise ValueError("n_iterations must be >= 0")
-        if self.retrain not in ("fine-tune", "from-scratch"):
-            raise ValueError(f"unknown retrain mode {self.retrain!r}")
 
 
 class QueryCounter:
@@ -201,19 +192,19 @@ def _redraw(diff, rng, shape, offset_norm: float, draws: int) -> np.ndarray:
 
 
 def mid_perpendicular(pair: OppositePair, model, steps: int, offset_norm: float, rng: np.random.Generator,
-                      counter: QueryCounter | None = None, resample_limit: int = 16) -> np.ndarray:
+                      counter: QueryCounter | None = None) -> np.ndarray:
     """Synthesize one epoch offset orthogonally from a refined boundary midpoint.
 
     A random epoch is orthogonalized against the pair difference
     (projection removal), rescaled to L2 norm ``offset_norm``, and added
     to the midpoint of a fresh ``steps``-step halving run on the pair.
-    Raises :class:`DegenerateDirectionError` when all ``resample_limit``
+    Raises :class:`DegenerateDirectionError` when all ``_RESAMPLE_LIMIT``
     draws leave an orthogonal component below the norm floor.
     """
     if offset_norm <= 0:
         raise ValueError("offset_norm must be > 0")
     diff = (pair.x_plus - pair.x_minus).ravel()
-    offset = _redraw(diff, rng, pair.x_plus.shape, offset_norm, max(1, resample_limit))
+    offset = _redraw(diff, rng, pair.x_plus.shape, offset_norm, _RESAMPLE_LIMIT)
     refined = binary_search_pair(pair, model, steps, counter)
     return offset + 0.5 * (refined.x_plus + refined.x_minus)
 
@@ -241,25 +232,23 @@ def select_opposite_pair(
     return OppositePair(data.epochs[i], data.epochs[j], int(a), int(b))
 
 
-def _plan(class_pairs, labels, members, cfg: SynthesisConfig, shape, rng):
+def _plan(class_pairs, labels, members, shape, rng):
     """Every rng draw for one epoch per entry of ``class_pairs``, in order, with no forward pass.
 
     Per epoch: index picks until the substitute ``labels`` of the two
-    endpoints differ (at most ``reselect_limit`` tries), then one draw, the
-    offset of a planned pair or the whole epoch of a random fallback.
+    endpoints differ (at most ``_RESELECT_LIMIT`` tries), then one draw, the
+    offset of a planned pair or the whole epoch of a Gaussian fallback.
     Returns the endpoint indices (None for a fallback), the draws, and the
     generator state after each draw.
     """
     ends, draws, states = [], [], []
     for a, b in class_pairs:
         end = None
-        for _ in range(cfg.reselect_limit):
+        for _ in range(_RESELECT_LIMIT):
             i, j = _pick(members[a], members[b], rng)
             if labels[i] != labels[j]:
                 end = (i, j)
                 break
-        if end is None and not cfg.random_fallback:
-            raise BoundaryLostError(f"substitute agrees on every selected pair after {cfg.reselect_limit} tries")
         ends.append(end)
         draws.append(rng.standard_normal(shape))
         states.append(rng.bit_generator.state)
@@ -310,16 +299,14 @@ def synthesize_one_vs_one(data: LabeledSet, model, n_classes: int, cfg: Synthesi
     present = [c for c in data.present_classes() if c < n_classes]
     realizable = set(combinations(present, 2))  # a < b, since present is sorted
     if not realizable:
-        if cfg.random_fallback:
-            return rng.standard_normal((cfg.per_iteration,) + data.shape)
-        raise NoOppositePairError("no class pair is realizable in the labeled set")
+        return rng.standard_normal((cfg.per_iteration,) + data.shape)
     quotas = one_vs_one_quotas(n_classes, cfg.per_iteration, realizable)
     todo = [pair for pair in sorted(quotas) for _ in range(quotas[pair])]
     labels = model.predict_batch(data.epochs)
     members = {c: data.class_indices(c) for c in present}
     steps, epochs = cfg.bisection_steps, []
     while len(epochs) < len(todo):
-        ends, draws, states = _plan(todo[len(epochs):], labels, members, cfg, data.shape, rng)
+        ends, draws, states = _plan(todo[len(epochs):], labels, members, data.shape, rng)
         rows = [r for r, end in enumerate(ends) if end is not None]
         if rows:
             i, j = np.array([ends[r] for r in rows]).T
@@ -330,7 +317,7 @@ def synthesize_one_vs_one(data: LabeledSet, model, n_classes: int, cfg: Synthesi
                 offsets.append(_offset(diff, draws[r], cfg.offset_norm))
                 if offsets[-1] is None:  # redraw in place, then plan the rest again
                     rng.bit_generator.state = states[r]
-                    offsets[-1] = _redraw(diff, rng, data.shape, cfg.offset_norm, cfg.resample_limit - 1)
+                    offsets[-1] = _redraw(diff, rng, data.shape, cfg.offset_norm, _RESAMPLE_LIMIT - 1)
                     rows, draws = rows[: k + 1], draws[: r + 1]
                     break
             n = len(rows)
@@ -370,26 +357,23 @@ def _check_budget(oracle, needed: int) -> None:
         )
 
 
-def _augment_rounds(oracle, xs, model_spec: ModelSpec, train_cfg: TrainConfig, cfg, propose, on_round=None):
-    """The loop both trainers share: label the new epochs, append them, train, trace.
+def _augment_rounds(oracle, xs, model_spec: ModelSpec, train_cfg: TrainConfig, rounds: int, propose, on_round=None):
+    """The loop both trainers share: label the new epochs, append them, fine-tune, trace.
 
     Round 0 labels the initial set ``xs`` and trains a fresh substitute on
-    it (trace row 0, ``synthesized`` None); rounds 1 to ``cfg.n_iterations``
-    label ``propose(data, model, counter)``, the round's new (m, C, T)
-    epochs.  Trace query counts are relative to the oracle counter at
-    entry.  ``on_round(model, trace, data)``, when given, sees the
-    substitute, the trace so far and the labeled set after every round;
-    later rounds keep training that same model unless ``cfg.retrain`` is
-    ``"from-scratch"``.
+    it (trace row 0, ``synthesized`` None); rounds 1 to ``rounds`` label
+    ``propose(data, model, counter)``, the round's new (m, C, T) epochs,
+    and keep training that same substitute.  Trace query counts are
+    relative to the oracle counter at entry.  ``on_round(model, trace,
+    data)``, when given, sees the substitute, the trace so far and the
+    labeled set after every round.
     """
     start = oracle.query_count
-    data, model = LabeledSet(xs[:0], []), None
+    data, model = LabeledSet(xs[:0], []), SoftmaxClassifier(model_spec)
     trace, counter = AugmentationTrace(), QueryCounter()
-    for iteration in range(cfg.n_iterations + 1):
+    for iteration in range(rounds + 1):
         new = propose(data, model, counter) if iteration else xs
         data = data.extended(new, oracle.query_labels(new))
-        if model is None or cfg.retrain == "from-scratch":
-            model = SoftmaxClassifier(model_spec)
         model.fit(data, train_cfg)
         trace.rows.append(TraceRow(iteration, oracle.query_count - start, counter.count, len(data),
                                    synthesized=new if iteration else None))
@@ -411,7 +395,7 @@ def train_substitute_active(
     Per later round, ``per_iteration`` epochs are synthesized against
     the current substitute over the one-vs-one class pairs (a single pair
     for two classes), labeled by the target in one batch, appended, and
-    the substitute retrained.  Target queries total
+    the substitute fine-tuned.  Target queries total
     ``len(initial) + n_iterations * per_iteration`` exactly.  Round ``i``
     runs exactly as the last round of an ``n_iterations=i`` run would
     (``n_iterations=0`` stops after round 0), so
@@ -425,7 +409,7 @@ def train_substitute_active(
     def propose(data, model, counter):
         return synthesize_one_vs_one(data, model, model_spec.classes, syn_cfg, rng, counter)
 
-    return _augment_rounds(oracle, xs, model_spec, train_cfg, syn_cfg, propose, on_round)
+    return _augment_rounds(oracle, xs, model_spec, train_cfg, syn_cfg.n_iterations, propose, on_round)
 
 
 def train_substitute_jacobian(
@@ -448,4 +432,4 @@ def train_substitute_jacobian(
     def propose(data, model, counter):
         return jacobian_augment(data, model, jac_cfg.step_size, counter)
 
-    return _augment_rounds(oracle, xs, model_spec, train_cfg, jac_cfg, propose, on_round)
+    return _augment_rounds(oracle, xs, model_spec, train_cfg, jac_cfg.n_iterations, propose, on_round)

@@ -3,20 +3,25 @@
 ``bench/tracing.py`` wraps public names of the package from outside.  A
 refactor that renames or reshapes one of them makes a traced command fail
 or silently read 0; this runs tiny ``attack`` and ``sweep`` commands under
-the tracer so that shows up in the tier-1 suite.
+the tracer so that shows up in the tier-1 suite.  It also loads every
+workload config, so a config key the package drops while a workload still
+sets it fails here rather than in the benchmark run.
 """
 
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 from qsattack import cli
+from qsattack.pipeline import load_config
 from testutil import write_config
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import tracing  # noqa: E402
 from tracing import Tracer, layer_metrics  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 # _PATCHES entries whose names the package no longer has; the metrics they fed read 0
 _KNOWN_STALE = {("qsattack.pipeline", "boundary_agreement"), ("SweepCurve", "to_csv")}
@@ -32,6 +37,15 @@ def test_tracer_wraps_every_live_patch():
     finally:
         tracer.uninstall()
     assert unwrapped <= _KNOWN_STALE
+
+
+@pytest.mark.parametrize("tiny", [False, True], ids=["full", "tiny"])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_configs_load(tmp_path, name, seed, tiny):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(WORKLOADS[name].config(seed, tiny)), encoding="utf-8")
+    assert load_config(path).master_seed == seed
 
 
 @pytest.mark.parametrize("command", ["attack", "sweep"])

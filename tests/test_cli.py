@@ -107,6 +107,27 @@ def test_attack_refuses_bad_budget_before_training(tmp_path, monkeypatch):
     assert fits == []
 
 
+def test_noise_attack_refuses_a_negative_budget(tmp_path, capsys):
+    # the noise control plans no rounds, so only the config check stands between -5 and results.csv
+    cfg, out = write_config(tmp_path, method="noise"), tmp_path / "out"
+    assert main(["attack", "--config", str(cfg), "--out", str(out), "--budget", "-5"]) == 1
+    assert "budgets must be non-negative integers" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
+def test_attack_refuses_several_budgets_before_training(tmp_path, monkeypatch, capsys):
+    fits, fit = [], SoftmaxClassifier.fit
+    monkeypatch.setattr(SoftmaxClassifier, "fit", lambda *a, **kw: fits.append(1) or fit(*a, **kw))
+    cfg, out = write_config(tmp_path, budgets=[20, 40]), tmp_path / "out"
+    assert main(["attack", "--config", str(cfg), "--out", str(out)]) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["status"], manifest["stage"]) == ("failed", "ConfigError")
+    assert "--budget" in capsys.readouterr().err
+    assert fits == []
+    assert main(["attack", "--config", str(cfg), "--out", str(out), "--budget", "40"]) == 0
+    assert [row["budget"] for row in read_rows(out / "results.csv")] == ["40"]
+
+
 def test_unknown_config_key_fails(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"attacc": {}}), encoding="utf-8")
@@ -133,17 +154,13 @@ def test_sweep_csv_and_determinism(tmp_path):
         assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
 
 
-@pytest.mark.parametrize("method, retrain", [
-    ("active", "fine-tune"), ("jacobian", "fine-tune"), ("noise", "fine-tune"), ("active", "from-scratch"),
-], ids=["active", "jacobian", "noise", "active-from-scratch"])
-def test_sweep_rows_equal_attack_rows_per_budget(tmp_path, method, retrain):
+@pytest.mark.parametrize("method", ["active", "jacobian", "noise"])
+def test_sweep_rows_equal_attack_rows_per_budget(tmp_path, method):
     # sweep trains one target per run index and, for active, one substitute
     # whose rounds reach each budget; attack --budget trains its own, so
     # equal rows mean the sharing is exact
     budgets = [20, 40, 60]
-    synthesis = {"n_iterations": 1, "per_iteration": 20, "bisection_steps": 4,
-                 "offset_norm": 3.0, "retrain": retrain}
-    cfg = write_config(tmp_path, runs=2, budgets=budgets, method=method, synthesis=synthesis)
+    cfg = write_config(tmp_path, runs=2, budgets=budgets, method=method)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
     expected = []
     for budget in budgets:

@@ -85,6 +85,7 @@ def test_config_rejects_unknown_keys(tmp_path):
     ({"data": {"train_per_class": 0}}, "train_per_class"),
     ({"data": {"test_per_class": 0}}, "test_per_class"),
     ({"data": {"pool_per_class": -1}}, "pool_per_class"),
+    ({"budgets": [-5]}, "budgets must be non-negative integers"),
     ({"balance": {"per_class": 0}}, "per_class must be >= 1"),
     ({"substitute": {"architecture": "cnn"}}, "substitute"),
     ({"target": {"architecture": "mlp", "hidden": [6, 6, 6]}}, "target"),
@@ -100,7 +101,7 @@ def test_config_rejects_unknown_keys(tmp_path):
     ({"attack": {"noise_seed": 7}}, "attack.noise_seed cannot be set"),
     ({"attack": {"method": "noise"}}, "attack.method must be fgsm or ufgsm"),
 ], ids=["data-not-object", "train-not-object", "budgets-number", "budgets-string",
-        "hidden-string", "train-below-1", "test-below-1", "pool-below-0", "balance-below-1",
+        "hidden-string", "train-below-1", "test-below-1", "pool-below-0", "budget-negative", "balance-below-1",
         "unknown-architecture", "mlp-three-hidden", "tcn-kernel-too-wide", "unknown-activation",
         "one-class", "synthesis-seed", "jacobian-seed", "target-shuffle-seed",
         "substitute-shuffle-seed", "target-class-weights", "attack-noise-seed", "attack-method-noise"])
@@ -143,6 +144,24 @@ def test_config_scalar_fields_take_only_their_json_type(tmp_path, doc, key):
     assert key in str(info.value)
 
 
+@pytest.mark.parametrize("section, key", [
+    ("synthesis", "retrain"), ("synthesis", "resample_limit"), ("synthesis", "reselect_limit"),
+    ("synthesis", "random_fallback"), ("jacobian", "retrain"),
+    *((f"{net}.train", key) for net in ("target", "substitute") for key in ("beta1", "beta2", "adam_epsilon")),
+])
+def test_config_refuses_removed_keys(tmp_path, section, key):
+    # fine-tuning, the Gaussian fallback and Adam's constants are fixed; an older manifest names them
+    doc = config_to_dict(small_config())
+    node = doc
+    for name in section.split("."):
+        node = node[name]
+    node[key] = {"retrain": "fine-tune", "random_fallback": True}.get(key, 1)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"unknown key\(s\) \['{key}'\] in {section}$"):
+        load_config(path)
+
+
 def test_config_scalar_fields_take_their_json_types(tmp_path):
     doc = {"jacobian": {"n_iterations": 0}, "runs": 2, "synthesis": {"offset_norm": 2},
            "balance": {"strict": False}}
@@ -157,6 +176,10 @@ def test_config_validation():
         small_config(method="hybrid")
     with pytest.raises(ConfigError):
         small_config(budgets=(300, 200))
+    for budgets in ((-5,), (20, 40.5), (True,)):  # no truncation, no bool as 1
+        with pytest.raises(ConfigError, match="budgets must be non-negative integers"):
+            small_config(budgets=budgets)
+    assert [type(b) for b in small_config(budgets=(np.int64(40),)).budgets] == [int]  # JSON-writable
     with pytest.raises(ConfigError):
         small_config(runs=0)
 

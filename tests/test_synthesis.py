@@ -1,8 +1,11 @@
 from dataclasses import replace
+from functools import cache
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qsattack import synthesis
 from qsattack.data import LabeledSet, gen_blobs
@@ -133,7 +136,7 @@ def test_mid_perpendicular_degenerate_direction():
     pair = OppositePair([[1.0, 0.0]], [[0.0, 0.0]], 1, 0)
     parallel = FixedDrawRng([np.array([3.0, 0.0])] * 20)  # no orthogonal part
     with pytest.raises(DegenerateDirectionError):
-        mid_perpendicular(pair, model, 0, 1.0, parallel, resample_limit=4)
+        mid_perpendicular(pair, model, 0, 1.0, parallel)
 
 
 def test_mid_perpendicular_coincident_pair_rejected():
@@ -306,39 +309,29 @@ class ConstantSubstitute(SoftmaxClassifier):
         return np.zeros(len(epochs), dtype=np.int64)
 
 
-def test_strict_binary_synthesis_raises_instead_of_noise(monkeypatch):
+def test_binary_synthesis_falls_back_to_gaussian_epochs(monkeypatch):
     spec = ModelSpec("mlp", 2, 6, 2, hidden=(5,), seed=3)
-    strict = SynthesisConfig(n_iterations=1, per_iteration=2, bisection_steps=3,
-                             offset_norm=2.0, seed=4, reselect_limit=3, random_fallback=False)
+    cfg = SynthesisConfig(n_iterations=1, per_iteration=2, bisection_steps=3, offset_norm=2.0, seed=4)
     # the target labels everything class 0, so no opposite pair exists
     constant_target = make_model("linear", channels=2, samples=6)
     constant_target.set_parameters(np.zeros(constant_target.n_parameters))
     constant_target.views["b0"][0] = 1.0
     s0 = make_oracle_and_s0()[2]
-    with pytest.raises(NoOppositePairError):
-        train_substitute_active(TargetOracle(constant_target), s0, spec, FAST_TRAIN, strict)
+    _, trace = train_substitute_active(TargetOracle(constant_target), s0, spec, FAST_TRAIN, cfg)
+    assert trace.rows[-1].train_set_size == len(s0) + 2
     # both classes are labeled but the substitute puts every pair on one side
     monkeypatch.setattr(synthesis, "SoftmaxClassifier", ConstantSubstitute)
-    _, oracle, s0 = make_oracle_and_s0()
-    with pytest.raises(BoundaryLostError):
-        train_substitute_active(oracle, s0, spec, FAST_TRAIN, strict)
-    lenient = SynthesisConfig(n_iterations=1, per_iteration=2, bisection_steps=3,
-                              offset_norm=2.0, seed=4, reselect_limit=3)
-    _, trace = train_substitute_active(make_oracle_and_s0()[1], s0, spec, FAST_TRAIN, lenient)
-    assert trace.rows[-1].train_set_size == len(s0) + 2  # Gaussian fallback epochs
+    _, trace = train_substitute_active(make_oracle_and_s0()[1], s0, spec, FAST_TRAIN, cfg)
+    assert trace.rows[-1].train_set_size == len(s0) + 2
+    assert trace.rows[-1].substitute_queries == 0  # no pair was halved
 
 
-def test_strict_one_vs_one_synthesis_raises_instead_of_noise():
-    strict = SynthesisConfig(per_iteration=6, bisection_steps=3, offset_norm=2.0,
-                             reselect_limit=3, random_fallback=False)
+def test_one_vs_one_synthesis_without_a_pair_draws_gaussian_epochs():
     data = gen_blobs(4, 3, 2, 6, separation=5.0, seed=21)
-    constant = make_model("linear", channels=2, samples=6, classes=3)
-    constant.set_parameters(np.zeros(constant.n_parameters))
-    with pytest.raises(BoundaryLostError):
-        synthesize_one_vs_one(data, constant, 3, strict, np.random.default_rng(1))
     one_class = LabeledSet(data.epochs, np.zeros(len(data), dtype=np.int64))
-    with pytest.raises(NoOppositePairError):
-        synthesize_one_vs_one(one_class, constant, 3, strict, np.random.default_rng(1))
+    model = make_model("linear", channels=2, samples=6, classes=3)
+    out = synthesize_one_vs_one(one_class, model, 3, SynthesisConfig(per_iteration=6), np.random.default_rng(1))
+    assert np.array_equal(out, np.random.default_rng(1).standard_normal((6, 2, 6)))
 
 
 def reference_round(data, model, n_classes, cfg, rng, counter):
@@ -348,14 +341,13 @@ def reference_round(data, model, n_classes, cfg, rng, counter):
     out = []
     for class_pair in sorted(quotas):
         for _ in range(quotas[class_pair]):
-            for _ in range(cfg.reselect_limit):
+            for _ in range(synthesis._RESELECT_LIMIT):
                 pair = select_opposite_pair(data, rng, class_pair)
                 try:
                     refined = binary_search_pair(pair, model, cfg.bisection_steps, counter)
                 except BoundaryLostError:
                     continue
-                out.append(mid_perpendicular(refined, model, cfg.bisection_steps, cfg.offset_norm,
-                                             rng, counter, cfg.resample_limit))
+                out.append(mid_perpendicular(refined, model, cfg.bisection_steps, cfg.offset_norm, rng, counter))
                 break
             else:
                 out.append(rng.standard_normal(data.shape))
@@ -400,9 +392,10 @@ def assert_round_matches_reference(data, model, k, cfg, make_rng):
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("arch", ["linear", "mlp", "tcn"])
-def test_round_kernel_matches_per_epoch_reference(arch, k):
+def test_round_kernel_matches_per_epoch_reference(monkeypatch, arch, k):
+    monkeypatch.setattr(synthesis, "_RESELECT_LIMIT", 2)  # so that planned and fallback epochs mix in a round
     data, model = trained_substitute(arch, k, seed=k)
-    cfg = SynthesisConfig(per_iteration=23, bisection_steps=5, offset_norm=1.5, reselect_limit=2)
+    cfg = SynthesisConfig(per_iteration=23, bisection_steps=5, offset_norm=1.5)
     _, _, counter = assert_round_matches_reference(data, model, k, cfg, lambda: np.random.default_rng(k + 50))
     assert counter.count > 0
 
@@ -419,9 +412,68 @@ def test_round_kernel_redraws_a_degenerate_offset_mid_round():
 def test_round_kernel_fallback_heavy():
     data, _ = trained_substitute("mlp", 3, seed=2)
     constant = ConstantSubstitute(ModelSpec("mlp", 2, 6, 3, hidden=(5,), seed=2))
-    cfg = SynthesisConfig(per_iteration=10, bisection_steps=4, offset_norm=1.5, reselect_limit=3)
+    cfg = SynthesisConfig(per_iteration=10, bisection_steps=4, offset_norm=1.5)
     _, _, counter = assert_round_matches_reference(data, constant, 3, cfg, lambda: np.random.default_rng(3))
     assert counter.count == 0
+
+
+@cache
+def fitted_substitute(arch, k):
+    return trained_substitute(arch, k, seed=k)
+
+
+def halved_pairs(arch, k, m, steps, spread, seed):
+    """m pairs as the round kernel plans them, endpoints the substitute splits, halved ``steps`` times.
+
+    The endpoints are the substitute's training epochs moved by ``spread``
+    Gaussian noise, so pairs also start off the data.  Returns the model,
+    the endpoints and their labels before halving, and what ``_halve``
+    returns.
+    """
+    data, model = fitted_substitute(arch, k)
+    rng = np.random.default_rng(seed)
+    points = data.epochs + spread * rng.standard_normal(data.epochs.shape)
+    labels = model.predict_batch(points)
+    assume(len(np.unique(labels)) > 1)
+    i = rng.integers(len(points), size=m)
+    j = np.array([rng.choice(np.flatnonzero(labels != labels[a])) for a in i])
+    before = (points[i], points[j], labels[i], labels[j])
+    return model, before, synthesis._halve(*before, model, steps)
+
+
+PAIRS = dict(arch=st.sampled_from(["linear", "mlp", "tcn"]), k=st.sampled_from([2, 3]), m=st.integers(1, 8),
+             steps=st.integers(1, 16), spread=st.sampled_from([0.0, 1.0, 8.0]), seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(**PAIRS)
+def test_halving_contracts_every_pair_and_keeps_its_bracket(arch, k, m, steps, spread, seed):
+    model, (x_plus0, x_minus0, y_plus, _), (x_plus, x_minus, y_minus) = halved_pairs(arch, k, m, steps, spread, seed)
+    before = np.linalg.norm((x_plus0 - x_minus0).reshape(m, -1), axis=1)
+    after = np.linalg.norm((x_plus - x_minus).reshape(m, -1), axis=1)
+    np.testing.assert_allclose(after / before, 2.0**-steps, rtol=1e-6)  # c03's tolerance
+    assert np.array_equal(model.predict_batch(x_plus), y_plus)
+    assert np.array_equal(model.predict_batch(x_minus), y_minus)  # a third class may take the minus end
+    assert np.all(y_minus != y_plus)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**PAIRS, q=st.floats(0.1, 10.0), along=st.floats(-10.0, 10.0), across=st.sampled_from([0.0, 1e-12, 1.0]))
+def test_offset_is_orthogonal_at_norm_q_or_none_below_the_floor(arch, k, m, steps, spread, seed, q, along, across):
+    # a draw of ``along`` units along the pair difference plus ``across`` times Gaussian noise
+    _, _, (x_plus, x_minus, _) = halved_pairs(arch, k, m, steps, spread, seed)
+    noise = np.random.default_rng(seed + 1).standard_normal(x_plus.shape)
+    for row in range(m):
+        diff = (x_plus[row] - x_minus[row]).ravel()
+        unit = diff / np.linalg.norm(diff)
+        draw = along * unit.reshape(x_plus[row].shape) + across * noise[row]
+        offset = synthesis._offset(diff, draw, q)
+        if across < 1.0:  # the orthogonal part is at most 1e-12 times a noise vector, or rounding
+            assert offset is None
+            continue
+        assert offset.shape == draw.shape
+        assert abs(float(offset.ravel() @ diff)) <= 1e-6 * np.linalg.norm(offset) * np.linalg.norm(diff)
+        assert abs(np.linalg.norm(offset) - q) <= 1e-6  # c04's tolerances
 
 
 class CountingClassifier(SoftmaxClassifier):
@@ -527,7 +579,5 @@ def test_synthesis_config_validation():
         JacobianConfig(n_iterations=-1)
     with pytest.raises(ValueError):
         SynthesisConfig(offset_norm=0.0)
-    with pytest.raises(ValueError):
-        SynthesisConfig(retrain="sometimes")
     with pytest.raises(ValueError):
         JacobianConfig(step_size=0.0)
