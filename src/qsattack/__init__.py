@@ -26,7 +26,6 @@ from .errors import (
     DegenerateDirectionError,
     MalformedCheckpointError,
     MalformedEpochFileError,
-    NoOppositePairError,
     ShapeMismatchError,
 )
 from .metrics import (
@@ -61,7 +60,6 @@ from .synthesis import (
     jacobian_augment,
     mid_perpendicular,
     one_vs_one_quotas,
-    select_opposite_pair,
     synthesize_one_vs_one,
     train_substitute_active,
     train_substitute_jacobian,

@@ -82,7 +82,7 @@ def _results_row(cfg: ExperimentConfig, result: RunResult) -> list:
         model_name(cfg.target),
         model_name(cfg.substitute) if result.method != "noise" else "",
         result.method,
-        result.budget if result.budget is not None else result.training_queries,
+        result.budget,
         result.run_seed,
         *(repr(value) for report in (result.attacked, result.baseline, result.noisy)  # rca, bca of each
           for value in (report.rca, report.bca)),
@@ -101,18 +101,6 @@ def _trace_rows(result: RunResult) -> list:
         rows += [["augment", row.iteration, result.balance_queries + row.target_queries,
                   row.substitute_queries, row.train_set_size] for row in result.trace.rows]
     return rows
-
-
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, master_seed=args.seed)
-    if getattr(args, "out", None) is not None:
-        cfg = replace(cfg, out_dir=str(args.out))
-    if getattr(args, "method", None) is not None:
-        cfg = replace(cfg, method=args.method)
-    if getattr(args, "budget", None) is not None:
-        cfg = replace(cfg, budgets=(args.budget,))
-    return cfg
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig, status: str,
@@ -177,8 +165,8 @@ def cmd_attack(cfg: ExperimentConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if len(cfg.budgets) > 1:
         raise ConfigError(f"attack runs one budget, not {list(cfg.budgets)}: pick one with --budget, or use sweep")
-    budget = cfg.budgets[0] if cfg.budgets else None
-    check_budgets(cfg, [budget])  # a bad budget costs no training
+    check_budgets(cfg, cfg.budgets)  # a bad budget costs no training
+    budget = cfg.budgets[0] if cfg.budgets else None  # None: the configured rounds
     rows, seeds_by_run = [], {}
     for run in range(cfg.runs):
         result = run_attack_experiment(cfg, run, budget=budget)
@@ -318,7 +306,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "report":
             return cmd_report(args.results, args.out)
-        cfg = _apply_overrides(load_config(args.config), args)
+        cfg = load_config(args.config)
+        # --out first: a refused override leaves the last config that built, and its manifest
+        for name, flag in (("out_dir", "out"), ("master_seed", "seed"), ("method", "method"), ("budgets", "budget")):
+            value = getattr(args, flag, None)
+            if value is not None:
+                cfg = replace(cfg, **{name: (value,) if flag == "budget" else value})
         handler = {
             "gen-data": cmd_gen_data,
             "train-target": cmd_train_target,

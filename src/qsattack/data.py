@@ -1,5 +1,8 @@
 """Synthetic multichannel epochs, class balancing, and the EPO1 file format.
 
+Balancing draws the same number of epochs from every class the target
+predicts, and refuses a pool in which any class falls short.
+
 An epoch is a plain ``(channels, samples)`` float ndarray; a dataset is a
 :class:`LabeledSet`.  Label ``-1`` marks an unlabeled epoch.
 
@@ -182,18 +185,17 @@ def gen_synthetic_epochs(
     return LabeledSet(epochs, labels)
 
 
-def balance_by_predicted_label(
-    oracle, pool, per_class: int, seed: int = 0, strict: bool = True
-) -> np.ndarray:
+def balance_by_predicted_label(oracle, pool, per_class: int, seed: int = 0) -> np.ndarray:
     """Downsample a pool to ``per_class`` epochs per oracle-predicted class.
 
     Labels the whole pool through the oracle (consuming ``len(pool)``
     target queries), groups epochs by the predicted label, and samples
-    uniformly without replacement inside each group.  In strict mode every
-    class must have at least ``per_class`` members; in lenient mode a
-    short class contributes everything it has.
+    uniformly without replacement inside each group.  Raises
+    :class:`ClassBalanceError` when a class has fewer than ``per_class``
+    members.
 
-    Returns the selected epochs as an (m, C, T) array, grouped by class.
+    Returns the selected epochs as a ``(per_class * n_classes, C, T)``
+    array, grouped by class.
     """
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
@@ -204,14 +206,8 @@ def balance_by_predicted_label(
     for c in range(oracle.n_classes):
         idx = np.flatnonzero(labels == c)
         if len(idx) < per_class:
-            if strict:
-                raise ClassBalanceError(
-                    f"predicted class {c} has {len(idx)} epochs, need {per_class}"
-                )
-            take = idx
-        else:
-            take = rng.choice(idx, size=per_class, replace=False)
-        picks.append(np.sort(take))
+            raise ClassBalanceError(f"predicted class {c} has {len(idx)} epochs, need {per_class}")
+        picks.append(np.sort(rng.choice(idx, size=per_class, replace=False)))
     return xs[np.concatenate(picks)]
 
 

@@ -17,10 +17,6 @@ class BoundaryLostError(RuntimeError):
     """Both endpoints of a candidate pair fall on the same side of the substitute boundary."""
 
 
-class NoOppositePairError(RuntimeError):
-    """The labeled set does not contain both classes needed to form a pair."""
-
-
 class DegenerateDirectionError(RuntimeError):
     """Orthogonalization collapsed below the norm floor for every resample."""
 

@@ -17,6 +17,10 @@ round branches a leaf from the trajectory for that partial round.
 
 Budget accounting: the *training budget* of a run is the number of target
 queries spent on substitute training (initial set plus augmentation).
+The initial set S0 always holds ``per_class`` epochs of every class.  A
+run given no budget spends what its configured rounds label:
+``|S0| + n_iterations * per_iteration`` for ``active``,
+``|S0| * 2**n_iterations`` for ``jacobian`` and 0 for ``noise``.
 Balancing the pool costs ``len(pool)`` additional queries, which are
 identical across methods and reported separately in the trace.  Balancing
 labels on an oracle capped at ``len(pool)``, the trajectory on its own
@@ -46,7 +50,7 @@ import numpy as np
 
 from .attack import AdversarialExample, AttackConfig, craft_batch
 from .data import LabeledSet, balance_by_predicted_label, gen_blobs, gen_synthetic_epochs
-from .errors import ClassBalanceError, ConfigError
+from .errors import ConfigError
 from .metrics import MetricReport, metric_report
 from .models import ModelSpec, SoftmaxClassifier, TrainConfig, TrainHistory
 from .oracle import TargetOracle
@@ -84,6 +88,11 @@ class DataConfig:
         for name, least in (("train_per_class", 1), ("test_per_class", 1), ("pool_per_class", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}")
+        if self.generator == "erp" and self.samples < 8:
+            raise ConfigError(f"data.samples must be >= 8 for erp epochs, got {self.samples}")
+        if self.generator == "blobs" and self.channels * self.samples < self.classes:
+            raise ConfigError(f"data.classes {self.classes} exceeds channels * samples = "
+                              f"{self.channels * self.samples}, the blobs' distinct means")
 
 
 @dataclass(frozen=True)
@@ -98,11 +107,13 @@ class NetConfig:
 @dataclass(frozen=True)
 class BalanceConfig:
     per_class: int = 100
-    strict: bool = True
+    strict: bool = True  # accepted only as true: every predicted class fills ``per_class``
 
     def __post_init__(self):
         if self.per_class < 1:  # budgets are planned in multiples of the initial set size
             raise ConfigError("per_class must be >= 1")
+        if self.strict is not True:
+            raise ConfigError("balance.strict must be true: a class short of per_class is refused")
 
 
 @dataclass(frozen=True)
@@ -284,7 +295,7 @@ class PreparedRun:
 class RunResult:
     run_seed: int
     method: str
-    budget: int | None
+    budget: int
     baseline: MetricReport
     noisy: MetricReport
     attacked: MetricReport
@@ -308,18 +319,14 @@ def check_budgets(cfg: ExperimentConfig, budgets) -> list:
 
     ``active`` rounds add ``per_iteration`` epochs, so its leftover is 0.
     ``jacobian`` rounds double the labeled set: the plan is the most whole
-    rounds a budget covers, then one more kept to ``leftover`` epochs.  A
-    None budget runs the configured rounds.  Raises :class:`ConfigError`
-    for a budget ``cfg.method`` cannot spend; needs no data or training,
-    so a sweep can refuse a bad grid up front.
+    rounds a budget covers, then one more kept to ``leftover`` epochs.
+    Raises :class:`ConfigError` for a budget ``cfg.method`` cannot spend;
+    needs no data or training, so a sweep can refuse a bad grid up front.
     """
     if cfg.method == "noise":
         return [None] * len(budgets)
     s0_size, per_iteration, plans = _s0_size(cfg), cfg.synthesis.per_iteration, []
     for budget in budgets:
-        if budget is None:
-            plans.append(((cfg.jacobian if cfg.method == "jacobian" else cfg.synthesis).n_iterations, 0))
-            continue
         extra = budget - s0_size
         if extra < 0:
             raise ConfigError(f"budget {budget} is below the initial set size {s0_size}")
@@ -358,42 +365,41 @@ def _train_substitutes(prepared: PreparedRun, s0, budgets, plans) -> list:
 
     The trajectory's oracle is capped at what its rounds label.  A plan
     with no leftover copies the substitute and trace at its round; a
-    ``jacobian`` leftover branches a leaf there: one more round kept to
-    ``leftover`` seeded rows, labeled on its own oracle capped at
-    ``leftover``, and fit on a copy of the substitute, as a run stopping
-    at that budget would end.
+    ``jacobian`` leftover branches a leaf there once the trajectory is
+    done: one more round kept to ``leftover`` seeded rows of the
+    trajectory's next proposal (computed only past its last round),
+    labeled on its own oracle capped at ``leftover``, and fit on a copy
+    of the substitute, as a run stopping at that budget would end.
     """
     cfg, seeds = prepared.cfg, prepared.seeds
     spec = _build_spec(cfg.substitute, cfg.data, seeds["substitute-init"])
     train = replace(cfg.substitute.train, shuffle_seed=seeds["substitute-train"])
     jac, states = cfg.jacobian, {}
 
-    def leaf(model, trace, data, leftover):
-        new = jacobian_augment(data, model, jac.step_size)
+    def on_round(model, trace, data):
+        done = len(trace.rows) - 1
+        for plan in plans:  # later rounds train this model in place: keep a copy
+            if plan[0] == done:
+                states[plan] = (model.copy(), AugmentationTrace(list(trace.rows)), data)
+
+    def leaf(model, trace, data, done, leftover):
+        new = trunk.rows[done + 1].synthesized if done < rounds else jacobian_augment(data, model, jac.step_size)
         new = new[np.sort(np.random.default_rng(seeds["synthesis"]).choice(len(new), leftover, replace=False))]
         labels = TargetOracle(prepared.target, budget=leftover).query_labels(new)
-        model = model.copy()
         model.fit(data.extended(new, labels), train)
         last = trace.rows[-1]
         row = TraceRow(last.iteration + 1, last.target_queries + leftover,
                        last.substitute_queries + len(data), len(data) + leftover, synthesized=new)
         return model, AugmentationTrace(trace.rows + [row])
 
-    def on_round(model, trace, data):
-        done = len(trace.rows) - 1
-        for plan in plans:  # later rounds train this model in place: snapshots and leaves copy it
-            if plan[0] == done:
-                states[plan] = (leaf(model, trace, data, plan[1]) if plan[1]
-                                else (model.copy(), AugmentationTrace(list(trace.rows))))
-
-    cap = None if None in budgets else max(budget - leftover for budget, (_, leftover) in zip(budgets, plans))
+    cap = max(budget - leftover for budget, (_, leftover) in zip(budgets, plans))
     oracle, rounds = TargetOracle(prepared.target, budget=cap), max(r for r, _ in plans)
     if cfg.method == "jacobian":
-        train_substitute_jacobian(oracle, s0, spec, train, replace(jac, n_iterations=rounds), on_round)
+        _, trunk = train_substitute_jacobian(oracle, s0, spec, train, replace(jac, n_iterations=rounds), on_round)
     else:
         plan = replace(cfg.synthesis, seed=seeds["synthesis"], n_iterations=rounds)
-        train_substitute_active(oracle, s0, spec, train, plan, on_round)
-    return [states[plan] for plan in plans]
+        _, trunk = train_substitute_active(oracle, s0, spec, train, plan, on_round)
+    return [leaf(*states[plan], *plan) if plan[1] else states[plan][:2] for plan in plans]
 
 
 def _score(prepared: PreparedRun, budget, balance_queries: int, substitute, trace) -> RunResult:
@@ -428,25 +434,24 @@ def _score(prepared: PreparedRun, budget, balance_queries: int, substitute, trac
 def attack_runs(prepared: PreparedRun, budgets) -> list[RunResult]:
     """:func:`attack_run` for each budget, one result per budget in order.
 
-    Balances the pool once, since S0 depends on neither method nor budget.
-    ``active`` and ``jacobian`` train one substitute trajectory and score
-    each budget from the round that reaches it, or from a ``jacobian``
-    leaf branched at its last whole round (see :func:`_train_substitutes`).
-    That gives what separate runs would: a round never depends on how many
-    rounds follow it.
+    A None budget becomes the one the configured rounds spend (see the
+    module docstring).  Balances the pool once, since S0 depends on
+    neither method nor budget.  ``active`` and ``jacobian`` train one
+    substitute trajectory and score each budget from the round that
+    reaches it, or from a ``jacobian`` leaf branched at its last whole
+    round (see :func:`_train_substitutes`).  That gives what separate
+    runs would: a round never depends on how many rounds follow it.
     """
     cfg = prepared.cfg
+    s0_size = _s0_size(cfg)
+    spent = {"active": s0_size + cfg.synthesis.n_iterations * cfg.synthesis.per_iteration,
+             "jacobian": s0_size * 2**cfg.jacobian.n_iterations, "noise": 0}[cfg.method]
+    budgets = [spent if budget is None else budget for budget in budgets]
     plans = check_budgets(cfg, budgets)
     # an oracle takes no 0 cap; an empty pool fails in balancing or pretraining instead
     balancer = TargetOracle(prepared.target, budget=len(prepared.pool_set) or None)
-    s0 = balance_by_predicted_label(
-        balancer, prepared.pool_set.epochs, cfg.balance.per_class, prepared.seeds["balance"],
-        cfg.balance.strict,
-    )
-    if cfg.method != "noise" and None not in budgets and len(s0) != _s0_size(cfg):
-        raise ClassBalanceError(
-            f"the pool filled an initial set of {len(s0)} epochs, the budgets assume {_s0_size(cfg)}"
-        )
+    s0 = balance_by_predicted_label(balancer, prepared.pool_set.epochs, cfg.balance.per_class,
+                                    prepared.seeds["balance"])
     states = [(None, None)] * len(budgets) if cfg.method == "noise" else _train_substitutes(prepared, s0, budgets, plans)
     return [_score(prepared, budget, balancer.query_count, *state) for budget, state in zip(budgets, states)]
 

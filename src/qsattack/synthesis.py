@@ -25,12 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from .data import LabeledSet, as_epoch_batch
-from .errors import (
-    BoundaryLostError,
-    BudgetExhaustedError,
-    DegenerateDirectionError,
-    NoOppositePairError,
-)
+from .errors import BoundaryLostError, BudgetExhaustedError, DegenerateDirectionError
 from .models import ModelSpec, SoftmaxClassifier, TrainConfig
 
 _NORM_FLOOR = 1e-8
@@ -212,24 +207,6 @@ def mid_perpendicular(pair: OppositePair, model, steps: int, offset_norm: float,
 def _pick(idx_a: np.ndarray, idx_b: np.ndarray, rng: np.random.Generator) -> tuple[int, int]:
     """One uniformly random index from each of ``idx_a`` and ``idx_b``, in that order."""
     return idx_a[int(rng.integers(len(idx_a)))], idx_b[int(rng.integers(len(idx_b)))]
-
-
-def select_opposite_pair(
-    data: LabeledSet, rng: np.random.Generator, class_pair: tuple[int, int]
-) -> OppositePair:
-    """Draw one uniformly random member of each class of ``class_pair``.
-
-    Raises :class:`NoOppositePairError` when a requested class has no examples.
-    """
-    a, b = class_pair
-    if a == b:
-        raise ValueError("class_pair entries must differ")
-    idx_a = data.class_indices(a)
-    idx_b = data.class_indices(b)
-    if len(idx_a) == 0 or len(idx_b) == 0:
-        raise NoOppositePairError(f"classes {a} and {b} are not both present")
-    i, j = _pick(idx_a, idx_b, rng)
-    return OppositePair(data.epochs[i], data.epochs[j], int(a), int(b))
 
 
 def _plan(class_pairs, labels, members, shape, rng):

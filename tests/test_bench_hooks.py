@@ -5,9 +5,11 @@ refactor that renames or reshapes one of them makes a traced command fail
 or silently read 0; this runs tiny ``attack`` and ``sweep`` commands under
 the tracer so that shows up in the tier-1 suite.  It also loads every
 workload config, so a config key the package drops while a workload still
-sets it fails here rather than in the benchmark run.
+sets it fails here rather than in the benchmark run, and runs every
+workload command at seed 0 against the benchmark's recorded digests.
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -18,7 +20,8 @@ from qsattack import cli
 from qsattack.pipeline import load_config
 from testutil import write_config
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+sys.path.insert(0, str(BENCH))
 import tracing  # noqa: E402
 from tracing import Tracer, layer_metrics  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
@@ -65,3 +68,19 @@ def test_traced_commands_keep_working(tmp_path, command):
     assert metrics["attack.crafted_epochs"] > 0
     assert metrics["synthesis.epochs"] > 0
     assert metrics["pipeline.target_fits_per_run_index"] == 1.0
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_commands_write_the_reference_bytes(tmp_path, name):
+    # the full seed-0 pass the benchmark checks: a refused key or any output drift fails here first
+    reference = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))
+    workload, digests = WORKLOADS[name], []
+    cfg = workload.config(reference["seed"], False)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    for i, command in enumerate(workload.commands):
+        out = tmp_path / f"{i}-{command.subcommand}-{command.method}"
+        assert cli.main(command.argv(cfg, cfg_path, out)) == 0
+        assert command.check(cfg, out) == []
+        digests.append(hashlib.sha256((out / "results.csv").read_bytes()).hexdigest())
+    assert digests == reference["digests"][name]

@@ -115,6 +115,16 @@ def test_noise_attack_refuses_a_negative_budget(tmp_path, capsys):
     assert not (out / "results.csv").exists()
 
 
+def test_refused_override_leaves_a_failed_manifest(tmp_path):
+    # --out applies first, so a refused --budget still records the failure where it was asked for
+    cfg, out = write_config(tmp_path), tmp_path / "o"
+    assert main(["attack", "--config", str(cfg), "--method", "noise", "--budget", "-5", "--out", str(out)]) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["status"], manifest["stage"]) == ("failed", "ConfigError")
+    assert (manifest["config"]["method"], manifest["config"]["budgets"]) == ("noise", [])  # the last that built
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
 def test_attack_refuses_several_budgets_before_training(tmp_path, monkeypatch, capsys):
     fits, fit = [], SoftmaxClassifier.fit
     monkeypatch.setattr(SoftmaxClassifier, "fit", lambda *a, **kw: fits.append(1) or fit(*a, **kw))

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsattack import pipeline
-from qsattack.cli import main
+from qsattack.cli import _results_row, main
 from qsattack.data import balance_by_predicted_label
-from qsattack.errors import ClassBalanceError, ConfigError
-from qsattack.models import TrainConfig
+from qsattack.errors import ConfigError
+from qsattack.models import SoftmaxClassifier, TrainConfig
 from qsattack.oracle import TargetOracle
 from qsattack.pipeline import (
     BalanceConfig,
@@ -164,11 +164,21 @@ def test_config_refuses_removed_keys(tmp_path, section, key):
 
 def test_config_scalar_fields_take_their_json_types(tmp_path):
     doc = {"jacobian": {"n_iterations": 0}, "runs": 2, "synthesis": {"offset_norm": 2},
-           "balance": {"strict": False}}
+           "balance": {"strict": True}}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     cfg = load_config(path)
-    assert (cfg.jacobian.n_iterations, cfg.runs, cfg.synthesis.offset_norm, cfg.balance.strict) == (0, 2, 2, False)
+    assert (cfg.jacobian.n_iterations, cfg.runs, cfg.synthesis.offset_norm, cfg.balance.strict) == (0, 2, 2, True)
+
+
+def test_config_refuses_lenient_balancing(tmp_path):
+    # every initial set holds per_class epochs of each class; a short class is refused, not kept short
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"balance": {"per_class": 10, "strict": False}}), encoding="utf-8")
+    with pytest.raises(ConfigError, match="balance"):
+        load_config(path)
+    with pytest.raises(ConfigError, match="balance"):
+        BalanceConfig(per_class=10, strict=False)
 
 
 def test_config_validation():
@@ -182,6 +192,13 @@ def test_config_validation():
     assert [type(b) for b in small_config(budgets=(np.int64(40),)).budgets] == [int]  # JSON-writable
     with pytest.raises(ConfigError):
         small_config(runs=0)
+    # shapes the generators refuse are refused when the config loads, not after it
+    with pytest.raises(ConfigError, match="data.samples"):
+        DataConfig(generator="erp", samples=7)
+    with pytest.raises(ConfigError, match="data.classes"):
+        DataConfig(generator="blobs", classes=5, channels=2, samples=2)
+    DataConfig(generator="erp", samples=8)
+    DataConfig(generator="blobs", classes=4, channels=2, samples=2)
 
 
 def test_stage_seeds_are_stable_and_distinct():
@@ -384,10 +401,51 @@ def test_each_trajectory_oracle_caps_its_own_budget(monkeypatch, method):
     assert [o.remaining for o in oracles] == [0] * len(oracles)
 
 
-@pytest.mark.parametrize("method", ["active", "jacobian"])
-def test_budgets_refused_when_lenient_balancing_leaves_initial_set_short(method):
-    # 30 pool epochs per class cannot fill 40 per class; lenient balancing keeps all 60
-    prepared = prepare_run(small_config(method=method, balance=BalanceConfig(per_class=40, strict=False)), 0)
-    with pytest.raises(ClassBalanceError, match="60 epochs.* 80"):
-        attack_runs(prepared, [80, 100, 120])
-    assert attack_run(prepared).trace.rows[0].train_set_size == 60  # no budget: trains on what it has
+def trace_rows(result):
+    """Every trace row of a run as plain values, its synthesized epochs as bytes."""
+    rows = result.trace.rows if result.trace is not None else []
+    return [(r.iteration, r.target_queries, r.substitute_queries, r.train_set_size,
+             None if r.synthesized is None else r.synthesized.tobytes()) for r in rows]
+
+
+@pytest.mark.parametrize("method, spent", [("active", 40), ("jacobian", 40), ("noise", 0)])
+def test_a_run_without_a_budget_is_the_run_at_its_configured_budget(monkeypatch, method, spent):
+    # |S0| = 20: active adds 1 x 20, jacobian doubles once, noise trains nothing
+    oracles = []
+
+    class RecordingOracle(pipeline.TargetOracle):
+        def __init__(self, model, budget=None):
+            super().__init__(model, budget)
+            oracles.append(self)
+
+    cfg = small_config(method=method)
+    prepared = prepare_run(cfg, 0)
+    monkeypatch.setattr(pipeline, "TargetOracle", RecordingOracle)
+    bare = attack_run(prepared)
+    assert bare.budget == spent
+    assert None not in [o.budget for o in oracles]  # every oracle, the trajectory's too, is capped
+    budgeted = attack_run(prepared, spent)
+    assert _results_row(cfg, bare) == _results_row(cfg, budgeted)
+    assert trace_rows(bare) == trace_rows(budgeted)
+
+
+def test_jacobian_leaves_take_the_trajectory_next_proposal(monkeypatch):
+    # the c08 grid: |S0| = 200, so 600 is round 1 plus 200 rows and 1000 is round 2 plus 200
+    cfg = small_config(
+        data=DataConfig(generator="blobs", classes=2, channels=4, samples=16, train_per_class=150,
+                        test_per_class=150, pool_per_class=300, separation=24.0, noise_sigma=3.0),
+        target=NetConfig(architecture="linear", hidden=(), train=TrainConfig(max_epochs=100, patience=10)),
+        substitute=NetConfig(architecture="linear", hidden=(), train=TrainConfig(max_epochs=100, patience=10)),
+        balance=BalanceConfig(per_class=100), method="jacobian", master_seed=808,
+    )
+    budgets = [200, 400, 600, 800, 1000]
+    prepared = prepare_run(cfg, 0)
+    s0 = balance_by_predicted_label(TargetOracle(prepared.target), prepared.pool_set.epochs,
+                                    cfg.balance.per_class, prepared.seeds["balance"])
+    rows, gradient = [], SoftmaxClassifier.input_gradient_batch
+    monkeypatch.setattr(SoftmaxClassifier, "input_gradient_batch",
+                        lambda self, xs, labels: rows.append(len(xs)) or gradient(self, xs, labels))
+    pipeline._train_substitutes(prepared, s0, budgets, check_budgets(cfg, budgets))
+    # trajectory rounds 1 and 2 augment 200 and 400 rows; the leaf of 600 reuses
+    # round 2's 400 and only the leaf past the last round, 1000, augments its own 800
+    assert rows == [200, 400, 800]

@@ -13,7 +13,6 @@ from qsattack.errors import (
     BoundaryLostError,
     BudgetExhaustedError,
     DegenerateDirectionError,
-    NoOppositePairError,
 )
 from qsattack.metrics import boundary_agreement
 from qsattack.models import ModelSpec, SoftmaxClassifier, TrainConfig
@@ -27,7 +26,6 @@ from qsattack.synthesis import (
     jacobian_augment,
     mid_perpendicular,
     one_vs_one_quotas,
-    select_opposite_pair,
     synthesize_one_vs_one,
     train_substitute_active,
     train_substitute_jacobian,
@@ -147,18 +145,12 @@ def test_mid_perpendicular_coincident_pair_rejected():
 
 
 def test_select_opposite_pair_forced_and_errors():
+    # the kernel's pair pick, from classes of one member each, has one outcome
     data = LabeledSet(RNG.standard_normal((2, 1, 3)), np.array([0, 1]))
-    pair = select_opposite_pair(data, np.random.default_rng(0), (0, 1))
-    assert np.array_equal(pair.x_plus, data.epochs[0])
-    assert np.array_equal(pair.x_minus, data.epochs[1])
-    single = LabeledSet(RNG.standard_normal((4, 1, 3)), np.zeros(4, dtype=np.int64))
-    with pytest.raises(NoOppositePairError):
-        select_opposite_pair(single, np.random.default_rng(0), (0, 1))
+    assert synthesis._pick(data.class_indices(0), data.class_indices(1), np.random.default_rng(0)) == (0, 1)
+    RNG.standard_normal((4, 1, 3))  # keeps the draws of the later tests in this module as they were
     multi = LabeledSet(RNG.standard_normal((3, 1, 3)), np.array([0, 1, 2]))
-    with pytest.raises(ValueError):
-        select_opposite_pair(multi, np.random.default_rng(0), (2, 2))
-    pair02 = select_opposite_pair(multi, np.random.default_rng(0), class_pair=(0, 2))
-    assert (pair02.label_plus, pair02.label_minus) == (0, 2)
+    assert synthesis._pick(multi.class_indices(0), multi.class_indices(2), np.random.default_rng(0)) == (0, 2)
 
 
 def test_select_opposite_pair_uniform():
@@ -167,9 +159,9 @@ def test_select_opposite_pair_uniform():
     counts = np.zeros(20)
     draws = 10_000
     for _ in range(draws):
-        pair = select_opposite_pair(data, rng, (0, 1))
-        counts[np.flatnonzero([np.array_equal(pair.x_plus, e) for e in data.epochs])[0]] += 1
-        counts[np.flatnonzero([np.array_equal(pair.x_minus, e) for e in data.epochs])[0]] += 1
+        i, j = synthesis._pick(data.class_indices(0), data.class_indices(1), rng)
+        counts[i] += 1
+        counts[j] += 1
     freq = counts / draws
     assert np.all(np.abs(freq - 0.1) <= 0.02)
 
@@ -342,7 +334,8 @@ def reference_round(data, model, n_classes, cfg, rng, counter):
     for class_pair in sorted(quotas):
         for _ in range(quotas[class_pair]):
             for _ in range(synthesis._RESELECT_LIMIT):
-                pair = select_opposite_pair(data, rng, class_pair)
+                i, j = synthesis._pick(data.class_indices(class_pair[0]), data.class_indices(class_pair[1]), rng)
+                pair = OppositePair(data.epochs[i], data.epochs[j], *class_pair)
                 try:
                     refined = binary_search_pair(pair, model, cfg.bisection_steps, counter)
                 except BoundaryLostError:
