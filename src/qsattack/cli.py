@@ -197,7 +197,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     if not cfg.budgets:
         raise ConfigError("sweep needs a non-empty budgets list")
     check_budgets(cfg, cfg.budgets)  # a bad grid costs no training
-    # one target and, for active, one substitute per run index; the inner
+    # one target and one substitute trajectory per run index; the inner
     # comprehension keeps only each budget's results row and attacked report,
     # so a run's models are freed before the next run trains
     scored = [

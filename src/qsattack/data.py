@@ -88,10 +88,6 @@ class LabeledSet:
         """(channels, samples) of every epoch in the set."""
         return tuple(self.epochs.shape[1:])
 
-    def present_classes(self) -> list[int]:
-        """Sorted labels (>= 0) that occur at least once."""
-        return sorted(int(c) for c in np.unique(self.labels) if c >= 0)
-
     def class_indices(self, label: int) -> np.ndarray:
         return np.flatnonzero(self.labels == label)
 
@@ -214,7 +210,7 @@ def balance_by_predicted_label(oracle, pool, per_class: int, seed: int = 0) -> n
 def write_epochs(path, data: LabeledSet) -> None:
     """Write a LabeledSet in EPO1 format (values cast to binary32)."""
     n = len(data)
-    c, t = data.shape if n else (data.epochs.shape[1], data.epochs.shape[2])
+    c, t = data.shape
     payload = np.ascontiguousarray(data.epochs, dtype="<f4").tobytes()
     labels = np.ascontiguousarray(data.labels, dtype="<i4").tobytes()
     with open(path, "wb") as fh:

@@ -36,6 +36,7 @@ Checkpoint format (plain text, documented keys)::
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,6 +49,8 @@ _ARCHITECTURES = ("linear", "mlp", "tcn")
 _ACTIVATIONS = ("relu", "tanh")
 _CHECKPOINT_FORMAT = "qsattack-model-1"
 _BETA1, _BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8  # Kingma & Ba (2015)
+_LEARNING_RATE = 1e-2
+_VALIDATION_FRACTION = 0.2  # of each fit's labeled set, held out for early stopping
 
 
 @dataclass(frozen=True)
@@ -102,24 +105,18 @@ _SPEC_KEYS = [f.name for f in dataclasses.fields(ModelSpec)]  # checkpoint key o
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Adam + cross-entropy + early-stopping hyperparameters."""
+    """Adam + cross-entropy + early-stopping hyperparameters beside the module's fixed rate and split."""
 
-    learning_rate: float = 1e-2
     max_epochs: int = 200
     patience: int = 10
-    validation_fraction: float = 0.2
     batch_size: int = 32
     shuffle_seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ValueError("validation_fraction must be in (0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
@@ -343,13 +340,13 @@ class SoftmaxClassifier:
         grads, _ = self._backward(X, cache, dlogits, want_params=True, want_inputs=False)
         return grads
 
-    def _adam_step(self, grads: np.ndarray, cfg: TrainConfig) -> None:
+    def _adam_step(self, grads: np.ndarray) -> None:
         self._adam_t += 1
         self._adam_m = _BETA1 * self._adam_m + (1.0 - _BETA1) * grads
         self._adam_v = _BETA2 * self._adam_v + (1.0 - _BETA2) * grads * grads
         m_hat = self._adam_m / (1.0 - _BETA1**self._adam_t)
         v_hat = self._adam_v / (1.0 - _BETA2**self._adam_t)
-        self._params -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPSILON)
+        self._params -= _LEARNING_RATE * m_hat / (np.sqrt(v_hat) + _ADAM_EPSILON)
 
     def fit(self, data: LabeledSet, cfg: TrainConfig) -> TrainHistory:
         """Minibatch Adam with early stopping on a held-out validation split.
@@ -370,7 +367,7 @@ class SoftmaxClassifier:
             )
         rng = np.random.default_rng(cfg.shuffle_seed)
         perm = rng.permutation(n)
-        n_val = min(max(int(round(cfg.validation_fraction * n)), 1), n - 1)
+        n_val = min(max(int(round(_VALIDATION_FRACTION * n)), 1), n - 1)
         val_idx, train_idx = perm[:n_val], perm[n_val:]
         X_train, y_train = data.epochs[train_idx], y[train_idx]
         X_val, y_val = data.epochs[val_idx], y[val_idx]
@@ -384,7 +381,7 @@ class SoftmaxClassifier:
             for start in range(0, len(order), cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
                 grads = self._loss_and_param_grad(X_train[batch], y_train[batch])
-                self._adam_step(grads, cfg)
+                self._adam_step(grads)
             val_losses.append(self.dataset_loss(X_val, y_val))
             if val_losses[-1] < best_loss:
                 best_loss = val_losses[-1]
@@ -465,11 +462,12 @@ def load_checkpoint(path) -> SoftmaxClassifier:
     except ValueError as exc:
         raise MalformedCheckpointError(f"checkpoint describes an invalid model: {exc}") from None
     n_params = field("n_params")
-    model = SoftmaxClassifier(spec)
-    if len(params) != n_params or n_params != model.n_parameters:
+    needed = sum(math.prod(shape) for _, shape, _ in _layer_table(spec))  # Python ints: no overflow
+    if len(params) != n_params or n_params != needed:
         raise MalformedCheckpointError(
             f"checkpoint key 'n_params' declares {n_params} parameters, the file holds "
-            f"{len(params)} and the model needs {model.n_parameters}"
+            f"{len(params)} and the model needs {needed}"
         )
+    model = SoftmaxClassifier(spec)
     model.set_parameters(np.array(params))
     return model

@@ -58,8 +58,6 @@ class TargetOracle:
                 f"({self._budget - self._count} remaining)",
                 remaining=self._budget - self._count,
             )
-        if len(xs) == 0:
-            return np.zeros(0, dtype=np.int64)
         labels = self._model.predict_batch(xs)
         self._count += len(xs)
         return labels

@@ -448,7 +448,7 @@ def attack_runs(prepared: PreparedRun, budgets) -> list[RunResult]:
              "jacobian": s0_size * 2**cfg.jacobian.n_iterations, "noise": 0}[cfg.method]
     budgets = [spent if budget is None else budget for budget in budgets]
     plans = check_budgets(cfg, budgets)
-    # an oracle takes no 0 cap; an empty pool fails in balancing or pretraining instead
+    # an oracle takes no 0 cap; an empty pool fails in balancing instead
     balancer = TargetOracle(prepared.target, budget=len(prepared.pool_set) or None)
     s0 = balance_by_predicted_label(balancer, prepared.pool_set.epochs, cfg.balance.per_class,
                                     prepared.seeds["balance"])

@@ -25,7 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from .data import LabeledSet, as_epoch_batch
-from .errors import BoundaryLostError, BudgetExhaustedError, DegenerateDirectionError
+from .errors import BoundaryLostError, BudgetExhaustedError, ClassBalanceError, DegenerateDirectionError
 from .models import ModelSpec, SoftmaxClassifier, TrainConfig
 
 _NORM_FLOOR = 1e-8
@@ -232,15 +232,11 @@ def _plan(class_pairs, labels, members, shape, rng):
     return ends, draws, states
 
 
-def one_vs_one_quotas(
-    n_classes: int, total: int, realizable: set[tuple[int, int]] | None = None
-) -> dict[tuple[int, int], int]:
+def one_vs_one_quotas(n_classes: int, total: int) -> dict[tuple[int, int], int]:
     """Split ``total`` epochs across the class pairs of a one-vs-one decomposition.
 
     Base quota is ``total // k2`` per pair with the remainder going to the
-    first pairs in canonical (a < b) lexicographic order.  Quota owned by
-    unrealizable pairs is redistributed round-robin over the realizable
-    ones, so the grand total stays ``total`` whenever any pair survives.
+    first pairs in canonical (a < b) lexicographic order.
     """
     if n_classes < 2:
         raise ValueError("one-vs-one decomposition needs n_classes >= 2")
@@ -248,39 +244,28 @@ def one_vs_one_quotas(
         raise ValueError("total must be >= 1")
     pairs = list(combinations(range(n_classes), 2))
     base, remainder = divmod(total, len(pairs))
-    quotas = {p: base + (1 if i < remainder else 0) for i, p in enumerate(pairs)}
-    if realizable is None:
-        realizable = set(pairs)
-    alive = [p for p in pairs if p in realizable]
-    if not alive:
-        return {}
-    spare = sum(quotas.pop(p) for p in pairs if p not in realizable)
-    for i in range(spare):
-        quotas[alive[i % len(alive)]] += 1
-    return {p: quotas[p] for p in alive}
+    return {p: base + (1 if i < remainder else 0) for i, p in enumerate(pairs)}
 
 
 def synthesize_one_vs_one(data: LabeledSet, model, n_classes: int, cfg: SynthesisConfig, rng: np.random.Generator,
                           counter: QueryCounter | None = None) -> np.ndarray:
-    """One round's ``per_iteration`` epochs across all realizable class pairs, as (m, C, T).
+    """One round's ``per_iteration`` epochs across all class pairs, as (m, C, T).
 
+    ``data`` must hold every class, as a balanced initial set does: a
+    missing class raises :class:`ClassBalanceError` before any forward.
     Two classes make the single pair (0, 1), which carries every epoch.
-    One batched forward labels every endpoint (all are members of
-    ``data``), :func:`_plan` makes the rng draws in per-epoch order, and
-    both halving runs advance all pairs in lockstep.  An offset below the
-    norm floor, the one data-dependent draw, is redrawn from the state
-    saved after it, and the epochs after it are planned again.
+    One batched forward labels every endpoint, :func:`_plan` makes the rng
+    draws in per-epoch order, and both halving runs advance all pairs in
+    lockstep.  An offset below the norm floor, the one data-dependent
+    draw, is redrawn from the state saved after it, and the epochs after
+    it are planned again.
     """
-    if n_classes < 2:
-        raise ValueError("one-vs-one synthesis needs n_classes >= 2")
-    present = [c for c in data.present_classes() if c < n_classes]
-    realizable = set(combinations(present, 2))  # a < b, since present is sorted
-    if not realizable:
-        return rng.standard_normal((cfg.per_iteration,) + data.shape)
-    quotas = one_vs_one_quotas(n_classes, cfg.per_iteration, realizable)
-    todo = [pair for pair in sorted(quotas) for _ in range(quotas[pair])]
+    quotas = one_vs_one_quotas(n_classes, cfg.per_iteration)
+    members = {c: data.class_indices(c) for c in range(n_classes)}
+    if missing := [c for c, idx in members.items() if not len(idx)]:
+        raise ClassBalanceError(f"labeled set lacks class(es) {missing}; synthesis needs every class")
+    todo = [pair for pair, m in quotas.items() for _ in range(m)]
     labels = model.predict_batch(data.epochs)
-    members = {c: data.class_indices(c) for c in present}
     steps, epochs = cfg.bisection_steps, []
     while len(epochs) < len(todo):
         ends, draws, states = _plan(todo[len(epochs):], labels, members, data.shape, rng)
@@ -375,9 +360,10 @@ def train_substitute_active(
     the substitute fine-tuned.  Target queries total
     ``len(initial) + n_iterations * per_iteration`` exactly.  Round ``i``
     runs exactly as the last round of an ``n_iterations=i`` run would
-    (``n_iterations=0`` stops after round 0), so
-    ``on_round(model, trace, data)`` (see :func:`_augment_rounds`) sees
-    every shorter run's final state on the way.
+    (``n_iterations=0`` stops after round 0), so ``on_round(model, trace,
+    data)`` (see :func:`_augment_rounds`) sees every shorter run's final
+    state on the way.  The initial set must hold every class the target
+    labels, as :func:`balance_by_predicted_label` returns it.
     """
     xs = as_epoch_batch(initial_epochs, model_spec.input_shape)
     _check_budget(oracle, len(xs) + syn_cfg.n_iterations * syn_cfg.per_iteration)

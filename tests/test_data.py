@@ -29,8 +29,6 @@ def test_labeled_set_validation():
         LabeledSet(np.full((1, 2, 4), np.nan), np.zeros(1, dtype=np.int64))
     with pytest.raises(ValueError):
         LabeledSet(np.zeros((1, 2, 4)), np.array([-2]))
-    s = LabeledSet(np.zeros((2, 2, 4)), np.array([0, -1]))
-    assert s.present_classes() == [0]
 
 
 def test_as_epoch_batch_shape_check():
@@ -133,6 +131,14 @@ def test_epo_roundtrip_bit_exact(tmp_path):
     path2 = tmp_path / "again.epo"
     write_epochs(path2, back)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_epo_empty_set_keeps_its_epoch_shape(tmp_path):
+    path = tmp_path / "empty.epo"
+    write_epochs(path, LabeledSet(np.zeros((0, 2, 3)), np.zeros(0, dtype=np.int64)))
+    assert path.read_bytes() == b"EPO1" + struct.pack("<III", 0, 2, 3)
+    back = read_epochs(path)
+    assert back.epochs.shape == (0, 2, 3) and len(back.labels) == 0
 
 
 def test_epo_byte_length_formula(tmp_path):

@@ -131,11 +131,11 @@ def test_config_wrong_types_raise_config_error(tmp_path, doc, key):
     ({"attack": {"epsilon": float("nan")}}, "attack.epsilon must be a finite number"),
     ({"synthesis": {"offset_norm": float("inf")}}, "synthesis.offset_norm must be a finite number"),
     ({"data": {"separation": float("-inf")}}, "data.separation must be a finite number"),
-    ({"substitute": {"train": {"learning_rate": float("inf")}}}, "substitute.train.learning_rate must be a finite"),
+    ({"jacobian": {"step_size": float("inf")}}, "jacobian.step_size must be a finite"),
 ], ids=["runs-float", "seed-float", "runs-bool", "iterations-float", "max-epochs-float",
         "classes-string", "per-class-bool", "budget-float", "hidden-float",
         "strict-string", "offset-norm-bool", "epsilon-string", "method-number",
-        "epsilon-nan", "offset-norm-inf", "separation-minus-inf", "learning-rate-inf"])
+        "epsilon-nan", "offset-norm-inf", "separation-minus-inf", "step-size-inf"])
 def test_config_scalar_fields_take_only_their_json_type(tmp_path, doc, key):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -147,10 +147,11 @@ def test_config_scalar_fields_take_only_their_json_type(tmp_path, doc, key):
 @pytest.mark.parametrize("section, key", [
     ("synthesis", "retrain"), ("synthesis", "resample_limit"), ("synthesis", "reselect_limit"),
     ("synthesis", "random_fallback"), ("jacobian", "retrain"),
-    *((f"{net}.train", key) for net in ("target", "substitute") for key in ("beta1", "beta2", "adam_epsilon")),
+    *((f"{net}.train", key) for net in ("target", "substitute")
+      for key in ("beta1", "beta2", "adam_epsilon", "learning_rate", "validation_fraction")),
 ])
 def test_config_refuses_removed_keys(tmp_path, section, key):
-    # fine-tuning, the Gaussian fallback and Adam's constants are fixed; an older manifest names them
+    # fine-tuning, the Gaussian fallback and the training constants are fixed; an older manifest names them
     doc = config_to_dict(small_config())
     node = doc
     for name in section.split("."):

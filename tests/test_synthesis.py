@@ -8,10 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsattack import synthesis
-from qsattack.data import LabeledSet, gen_blobs
+from qsattack.data import LabeledSet, balance_by_predicted_label, gen_blobs
 from qsattack.errors import (
     BoundaryLostError,
     BudgetExhaustedError,
+    ClassBalanceError,
     DegenerateDirectionError,
 )
 from qsattack.metrics import boundary_agreement
@@ -171,16 +172,21 @@ def test_one_vs_one_quotas():
     assert len(quotas) == 6
     assert list(quotas.values()) == [34, 34, 33, 33, 33, 33]
     assert sum(quotas.values()) == 200
-    # one class missing: its pairs are skipped, quota redistributed round-robin
-    realizable = {(0, 1)}
-    quotas = one_vs_one_quotas(3, 10, realizable)
-    assert quotas == {(0, 1): 10}
-    quotas = one_vs_one_quotas(4, 20, {(0, 1), (2, 3)})
-    assert sum(quotas.values()) == 20
-    assert set(quotas) == {(0, 1), (2, 3)}
     assert one_vs_one_quotas(2, 10) == {(0, 1): 10}
     with pytest.raises(ValueError):
         one_vs_one_quotas(1, 10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(2, 8), total=st.integers(1, 2000))
+def test_one_vs_one_quotas_split_the_total_evenly_in_pair_order(k, total):
+    quotas = one_vs_one_quotas(k, total)
+    pairs = list(combinations(range(k), 2))
+    base, remainder = divmod(total, len(pairs))
+    assert list(quotas) == pairs
+    assert sum(quotas.values()) == total
+    assert set(quotas.values()) <= {base, base + 1}
+    assert [p for p in pairs if quotas[p] == base + 1] == pairs[:remainder]
 
 
 def test_synthesize_one_vs_one_counts():
@@ -193,13 +199,16 @@ def test_synthesize_one_vs_one_counts():
 
 
 def test_synthesize_one_vs_one_missing_class():
+    # a labeled set without class 2 is refused before any forward or rng draw
     data = gen_blobs(10, 3, 2, 6, separation=6.0, seed=4)
     keep = data.labels != 2
     reduced = LabeledSet(data.epochs[keep], data.labels[keep])
-    model = make_model("mlp", classes=3, seed=6)
+    model, rng = ThresholdModel(), np.random.default_rng(10)
     cfg = SynthesisConfig(per_iteration=9, bisection_steps=4, offset_norm=2.0)
-    out = synthesize_one_vs_one(reduced, model, 3, cfg, np.random.default_rng(10))
-    assert len(out) == 9
+    with pytest.raises(ClassBalanceError, match=r"\[2\]"):
+        synthesize_one_vs_one(reduced, model, 3, cfg, rng)
+    assert model.calls == 0
+    assert rng.bit_generator.state == np.random.default_rng(10).bit_generator.state
 
 
 def test_jacobian_augment_zero_gradient_copies():
@@ -301,16 +310,21 @@ class ConstantSubstitute(SoftmaxClassifier):
         return np.zeros(len(epochs), dtype=np.int64)
 
 
-def test_binary_synthesis_falls_back_to_gaussian_epochs(monkeypatch):
+def test_active_training_refuses_an_initial_set_the_target_labels_one_class():
     spec = ModelSpec("mlp", 2, 6, 2, hidden=(5,), seed=3)
     cfg = SynthesisConfig(n_iterations=1, per_iteration=2, bisection_steps=3, offset_norm=2.0, seed=4)
-    # the target labels everything class 0, so no opposite pair exists
+    # the target labels everything class 0, so the labeled set lacks class 1
     constant_target = make_model("linear", channels=2, samples=6)
     constant_target.set_parameters(np.zeros(constant_target.n_parameters))
     constant_target.views["b0"][0] = 1.0
+    with pytest.raises(ClassBalanceError, match=r"\[1\]"):
+        train_substitute_active(TargetOracle(constant_target), make_oracle_and_s0()[2], spec, FAST_TRAIN, cfg)
+
+
+def test_binary_synthesis_falls_back_to_gaussian_epochs(monkeypatch):
+    spec = ModelSpec("mlp", 2, 6, 2, hidden=(5,), seed=3)
+    cfg = SynthesisConfig(n_iterations=1, per_iteration=2, bisection_steps=3, offset_norm=2.0, seed=4)
     s0 = make_oracle_and_s0()[2]
-    _, trace = train_substitute_active(TargetOracle(constant_target), s0, spec, FAST_TRAIN, cfg)
-    assert trace.rows[-1].train_set_size == len(s0) + 2
     # both classes are labeled but the substitute puts every pair on one side
     monkeypatch.setattr(synthesis, "SoftmaxClassifier", ConstantSubstitute)
     _, trace = train_substitute_active(make_oracle_and_s0()[1], s0, spec, FAST_TRAIN, cfg)
@@ -318,18 +332,9 @@ def test_binary_synthesis_falls_back_to_gaussian_epochs(monkeypatch):
     assert trace.rows[-1].substitute_queries == 0  # no pair was halved
 
 
-def test_one_vs_one_synthesis_without_a_pair_draws_gaussian_epochs():
-    data = gen_blobs(4, 3, 2, 6, separation=5.0, seed=21)
-    one_class = LabeledSet(data.epochs, np.zeros(len(data), dtype=np.int64))
-    model = make_model("linear", channels=2, samples=6, classes=3)
-    out = synthesize_one_vs_one(one_class, model, 3, SynthesisConfig(per_iteration=6), np.random.default_rng(1))
-    assert np.array_equal(out, np.random.default_rng(1).standard_normal((6, 2, 6)))
-
-
 def reference_round(data, model, n_classes, cfg, rng, counter):
     """One synthesis round composed per epoch from the public one-pair functions."""
-    present = [c for c in data.present_classes() if c < n_classes]
-    quotas = one_vs_one_quotas(n_classes, cfg.per_iteration, set(combinations(present, 2)))
+    quotas = one_vs_one_quotas(n_classes, cfg.per_iteration)
     out = []
     for class_pair in sorted(quotas):
         for _ in range(quotas[class_pair]):
@@ -522,8 +527,11 @@ def test_active_training_improves_boundary_agreement():
 
 def test_active_training_multiclass_uses_one_vs_one():
     target = make_model("mlp", channels=2, samples=6, classes=3, seed=41)
+    target.fit(gen_blobs(20, 3, 2, 6, separation=6.0, seed=18, structure_seed=19), TrainConfig(max_epochs=50))
+    # S0 holds every class the target labels, as the pipeline's balancing gives it
+    pool = gen_blobs(30, 3, 2, 6, separation=6.0, seed=19).epochs
+    s0 = balance_by_predicted_label(TargetOracle(target), pool, per_class=8, seed=20)
     oracle = TargetOracle(target)
-    s0 = gen_blobs(8, 3, 2, 6, separation=6.0, seed=19).epochs
     cfg = SynthesisConfig(n_iterations=2, per_iteration=10, bisection_steps=4,
                           offset_norm=2.0, seed=23)
     _, trace = train_substitute_active(
