@@ -37,15 +37,13 @@ from .models import save_checkpoint
 from .pipeline import (
     ExperimentConfig,
     RunResult,
-    attack_runs,
-    check_budgets,
     config_to_dict,
     dataset_name,
+    experiment_runs,
     generate_splits,
     load_config,
     model_name,
     prepare_run,
-    run_attack_experiment,
     stage_seeds,
 )
 
@@ -160,16 +158,18 @@ def cmd_train_target(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _seeds_by_run(cfg: ExperimentConfig) -> dict:
+    return {run: stage_seeds(cfg.master_seed, run) for run in range(cfg.runs)}
+
+
 def cmd_attack(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if len(cfg.budgets) > 1:
         raise ConfigError(f"attack runs one budget, not {list(cfg.budgets)}: pick one with --budget, or use sweep")
-    check_budgets(cfg, cfg.budgets)  # a bad budget costs no training
     budget = cfg.budgets[0] if cfg.budgets else None  # None: the configured rounds
-    rows, seeds_by_run = [], {}
-    for run in range(cfg.runs):
-        result = run_attack_experiment(cfg, run, budget=budget)
+    rows = []
+    for run, [result] in experiment_runs(cfg, [budget]):
         run_dir = out / f"run-{run:03d}"
         run_dir.mkdir(parents=True, exist_ok=True)
         _write_csv(run_dir / "trace.csv", _TRACE_COLUMNS, _trace_rows(result))
@@ -179,14 +179,13 @@ def cmd_attack(cfg: ExperimentConfig) -> int:
             save_checkpoint(result.substitute, run_dir / "substitute.ckpt")
         save_checkpoint(result.target, run_dir / "target.ckpt")
         rows.append(_results_row(cfg, result))
-        seeds_by_run[run] = result.seeds
         print(
             f"run {run}: method={result.method} queries={result.total_queries} "
             f"baseline_rca={result.baseline.rca:.4f} noisy_rca={result.noisy.rca:.4f} "
             f"attacked_rca={result.attacked.rca:.4f}"
         )
     _write_csv(out / "results.csv", RESULT_COLUMNS, rows)
-    _write_manifest(out, "attack", cfg, "ok", extra={"seeds": seeds_by_run, "budget": budget})
+    _write_manifest(out, "attack", cfg, "ok", extra={"seeds": _seeds_by_run(cfg), "budget": budget})
     print(f"results: {out / 'results.csv'}")
     return 0
 
@@ -196,22 +195,17 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if not cfg.budgets:
         raise ConfigError("sweep needs a non-empty budgets list")
-    check_budgets(cfg, cfg.budgets)  # a bad grid costs no training
-    # one target and one substitute trajectory per run index; the inner
-    # comprehension keeps only each budget's results row and attacked report,
-    # so a run's models are freed before the next run trains
-    scored = [
-        [(_results_row(cfg, r), r.attacked) for r in attack_runs(prepare_run(cfg, run), cfg.budgets)]
-        for run in range(cfg.runs)
-    ]
+    scored = []  # each budget's results row and attacked report, per run index
+    for _, results in experiment_runs(cfg, cfg.budgets):
+        scored.append([(_results_row(cfg, r), r.attacked) for r in results])
+        del results  # free the run's models before the next run trains
     curve = sweep_curve(cfg.budgets, [[attacked for _, attacked in run] for run in scored])
     rows = [run[i][0] for i in range(len(cfg.budgets)) for run in scored]  # budget-outer order
     _write_csv(out / "sweep.csv", _SWEEP_COLUMNS,
                [[p.budget, repr(p.rca_mean), repr(p.rca_std), repr(p.bca_mean), repr(p.bca_std), p.runs]
                 for p in curve.points])
     _write_csv(out / "results.csv", RESULT_COLUMNS, rows)
-    seeds_by_run = {run: stage_seeds(cfg.master_seed, run) for run in range(cfg.runs)}
-    _write_manifest(out, "sweep", cfg, "ok", extra={"seeds": seeds_by_run})
+    _write_manifest(out, "sweep", cfg, "ok", extra={"seeds": _seeds_by_run(cfg)})
     for point in curve.points:
         print(
             f"budget {point.budget}: attacked rca {point.rca_mean:.4f} (+-{point.rca_std:.4f}) "

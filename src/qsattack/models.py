@@ -174,12 +174,12 @@ class SoftmaxClassifier:
     def __init__(self, spec: ModelSpec):
         self.spec = spec
         self._table = _layer_table(spec)
-        total = sum(int(np.prod(shape)) for _, shape, _ in self._table)
+        total = sum(math.prod(shape) for _, shape, _ in self._table)  # Python ints: no overflow
         self._params = np.zeros(total)
         self.views, offset = {}, 0  # named reshaped views into the flat vector
         rng = np.random.default_rng(spec.seed)  # scaled-uniform init, bound 1/sqrt(fan_in)
         for name, shape, fan_in in self._table:
-            size = int(np.prod(shape))
+            size = math.prod(shape)
             self.views[name] = self._params[offset : offset + size].reshape(shape)
             bound = 1.0 / np.sqrt(fan_in)
             self.views[name][...] = rng.uniform(-bound, bound, size=shape)

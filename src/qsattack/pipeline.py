@@ -1,19 +1,15 @@
 """Config-driven experiment orchestration.
 
-One run reproduces the protocol shape end to end in two stages.
-:func:`prepare_run` generates the seeded train/test/pool splits, trains
-the target once, and scores it on clean and noise-perturbed test epochs.
-:func:`attack_run` then wraps that target in counted label-only oracles,
-balances the initial substitute set by predicted label, trains the
-substitute (active synthesis or the gradient-step baseline), crafts
-perturbations from the substitute, and scores the target on them.  One
-preparation serves every method and budget of its run index, since
-nothing in it depends on either; :func:`run_attack_experiment` chains the
-two stages for a single (method, budget).  :func:`attack_runs` scores
-several budgets of one preparation: it balances the pool once, and for
-either substitute method trains a single trajectory whose rounds reach
-each budget in turn.  A ``jacobian`` budget that ends inside a doubling
-round branches a leaf from the trajectory for that partial round.
+Both the ``attack`` and ``sweep`` commands iterate one loop over run
+indices, :func:`experiment_runs`.  Per run index, :func:`prepare_run`
+generates the seeded train/test/pool splits, trains the target once and
+scores it on clean and noise-perturbed test epochs, none of which depends
+on method or budget.  :func:`attack_runs` then wraps that target in
+counted label-only oracles, balances the initial substitute set by
+predicted label, trains the substitute (active synthesis or the
+gradient-step baseline), crafts perturbations from it and scores the
+target on them, at every budget of the grid.  :func:`attack_run` and
+:func:`run_attack_experiment` are its one-budget and one-run wrappers.
 
 Budget accounting: the *training budget* of a run is the number of target
 queries spent on substitute training (initial set plus augmentation).
@@ -49,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .attack import AdversarialExample, AttackConfig, craft_batch
-from .data import LabeledSet, balance_by_predicted_label, gen_blobs, gen_synthetic_epochs
+from .data import _MAX_VALUES, LabeledSet, balance_by_predicted_label, gen_blobs, gen_synthetic_epochs
 from .errors import ConfigError
 from .metrics import MetricReport, metric_report
 from .models import ModelSpec, SoftmaxClassifier, TrainConfig, TrainHistory
@@ -85,9 +81,12 @@ class DataConfig:
     def __post_init__(self):
         if self.generator not in _GENERATORS:
             raise ConfigError(f"unknown generator {self.generator!r}")
+        epoch_values = int(self.classes) * int(self.channels) * int(self.samples)  # Python ints: no overflow
         for name, least in (("train_per_class", 1), ("test_per_class", 1), ("pool_per_class", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}")
+            if int(getattr(self, name)) * epoch_values > _MAX_VALUES:
+                raise ConfigError(f"data.{name} * classes * channels * samples exceeds {_MAX_VALUES} values")
         if self.generator == "erp" and self.samples < 8:
             raise ConfigError(f"data.samples must be >= 8 for erp epochs, got {self.samples}")
         if self.generator == "blobs" and self.channels * self.samples < self.classes:
@@ -321,7 +320,7 @@ def check_budgets(cfg: ExperimentConfig, budgets) -> list:
     ``jacobian`` rounds double the labeled set: the plan is the most whole
     rounds a budget covers, then one more kept to ``leftover`` epochs.
     Raises :class:`ConfigError` for a budget ``cfg.method`` cannot spend;
-    needs no data or training, so a sweep can refuse a bad grid up front.
+    needs no data or training, so :func:`experiment_runs` checks before it trains.
     """
     if cfg.method == "noise":
         return [None] * len(budgets)
@@ -459,6 +458,16 @@ def attack_runs(prepared: PreparedRun, budgets) -> list[RunResult]:
 def attack_run(prepared: PreparedRun, budget: int | None = None) -> RunResult:
     """Balance the pool, train the substitute, craft and score; see the module docstring."""
     return attack_runs(prepared, [budget])[0]
+
+
+def experiment_runs(cfg: ExperimentConfig, budgets):
+    """``(run, attack_runs(prepare_run(cfg, run), budgets))`` per run index, one run at a time.
+
+    Checks every budget but None (the configured rounds) before the first target trains.
+    """
+    check_budgets(cfg, [budget for budget in budgets if budget is not None])
+    for run in range(cfg.runs):
+        yield run, attack_runs(prepare_run(cfg, run), budgets)
 
 
 def run_attack_experiment(cfg: ExperimentConfig, run_index: int = 0, budget: int | None = None) -> RunResult:

@@ -181,6 +181,8 @@ def test_sweep_rows_equal_attack_rows_per_budget(tmp_path, method):
     swept = (tmp_path / "sweep" / "results.csv").read_text(encoding="utf-8").splitlines()[1:]
     assert swept == expected
     assert len(swept) == 6
+    assert (json.loads((tmp_path / "sweep" / "manifest.json").read_text())["seeds"]
+            == json.loads((out / "manifest.json").read_text())["seeds"])
 
 
 def test_sweep_refuses_bad_budget_before_training(tmp_path):

@@ -44,6 +44,21 @@ def test_spec_validation():
         ModelSpec("linear", 2, 4, 2, activation="gelu")
 
 
+
+def test_parameter_count_is_exact_past_int64(monkeypatch):
+    # np.prod wraps a (2, 2**62) weight to -2**63 and a (4, 2**62) one to 0; the count must not
+    requested = []
+
+    def zeros(n):
+        requested.append(n)
+        raise MemoryError
+
+    monkeypatch.setattr(models.np, "zeros", zeros)
+    for classes in (2, 4):
+        with pytest.raises(MemoryError):
+            SoftmaxClassifier(ModelSpec("linear", 2**31, 2**31, classes))
+    assert requested == [2 * 2**62 + 2, 4 * 2**62 + 4]
+
 def test_zero_weights_give_uniform_probs():
     for classes in (2, 3, 5):
         model = make_model("linear", classes=classes)

@@ -202,6 +202,27 @@ def test_config_validation():
     DataConfig(generator="blobs", classes=4, channels=2, samples=2)
 
 
+
+def test_data_config_refuses_splits_no_array_can_hold(tmp_path):
+    # counted with Python ints before any generator allocates; numpy's count of this shape overflows
+    linear = {"architecture": "linear", "hidden": []}
+    path = write_config(tmp_path, data={"channels": 2**31, "samples": 2**31}, target=linear, substitute=linear)
+    with pytest.raises(ConfigError, match=r"data\.train_per_class \* classes \* channels \* samples"):
+        load_config(path)
+    # 2 classes of 4 x 16 epochs: 2**24 epochs per class fill the 2**31-value limit exactly
+    assert DataConfig(pool_per_class=2**24).pool_per_class == 2**24
+    with pytest.raises(ConfigError, match=r"data\.pool_per_class"):
+        DataConfig(pool_per_class=2**24 + 1)
+
+
+def test_experiment_runs_check_every_budget_before_training(monkeypatch):
+    cfg = small_config(runs=2)
+    runs = [(run, [r.budget for r in results]) for run, results in pipeline.experiment_runs(cfg, [None, 40])]
+    assert runs == [(0, [40, 40]), (1, [40, 40])]  # None: the configured rounds, |S0| + 1 * 20
+    monkeypatch.setattr(pipeline, "prepare_run", lambda *args: pytest.fail("a target trained"))
+    with pytest.raises(ConfigError, match="budget 30"):  # 30 - |S0| is no multiple of 20
+        next(pipeline.experiment_runs(cfg, [None, 30]))
+
 def test_stage_seeds_are_stable_and_distinct():
     seeds = stage_seeds(7, 0)
     assert seeds == stage_seeds(7, 0)
