@@ -13,9 +13,11 @@ softmax.
   one matmul against a banded filter matrix and the pooling one matmul
   against a fixed averaging matrix; their gradients are matmuls too.
 
-Parameters are a single flat float64 vector with named views, which keeps
-Adam and checkpointing trivial.  All math is float64 and fully
-deterministic given the seeds involved.
+Parameters, their gradient and Adam's moments (two rows of one array) are
+flat float64 vectors with named views.  One forward and backward serve
+prediction, input gradients and training, whose step updates all of them
+in place, in the textbook formulas' order of float operations.  Specs of
+over 2**31 parameters are refused.  All math is deterministic given the seeds.
 
 Checkpoint format (plain text, documented keys)::
 
@@ -42,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import LabeledSet, as_epoch_batch
+from .data import _MAX_VALUES, LabeledSet, as_epoch_batch
 from .errors import MalformedCheckpointError, ShapeMismatchError
 
 _ARCHITECTURES = ("linear", "mlp", "tcn")
@@ -94,6 +96,9 @@ class ModelSpec:
                 raise ValueError("tcn takes exactly one hidden size (the filter count)")
             if not 1 <= self.kernel_width <= self.samples:
                 raise ValueError("tcn kernel_width must be in [1, samples]")
+        n_params = sum(math.prod(shape) for _, shape, _ in _layer_table(self))  # Python ints: no overflow
+        if n_params > _MAX_VALUES:  # refused before anything is allocated
+            raise ValueError(f"hidden {list(self.hidden)} gives {n_params} parameters, more than {_MAX_VALUES}")
 
     @property
     def input_shape(self) -> tuple[int, int]:
@@ -148,14 +153,13 @@ def _layer_table(spec: ModelSpec):
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(z - np.maximum.reduce(z, axis=1, keepdims=True))
+    return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
 def _logsumexp(z: np.ndarray) -> np.ndarray:
-    m = z.max(axis=1)
-    return m + np.log(np.exp(z - m[:, None]).sum(axis=1))
+    m = np.maximum.reduce(z, axis=1)
+    return m + np.log(np.add.reduce(np.exp(z - m[:, None]), axis=1))
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
@@ -175,25 +179,27 @@ class SoftmaxClassifier:
         self.spec = spec
         self._table = _layer_table(spec)
         total = sum(math.prod(shape) for _, shape, _ in self._table)  # Python ints: no overflow
-        self._params = np.zeros(total)
-        self.views, offset = {}, 0  # named reshaped views into the flat vector
+        self._params, self._grad = np.zeros(total), np.zeros(total)  # _backward writes _grad in place
+        self.views, self._grads, offset = {}, {}, 0  # named reshaped views into each flat vector
         rng = np.random.default_rng(spec.seed)  # scaled-uniform init, bound 1/sqrt(fan_in)
         for name, shape, fan_in in self._table:
             size = math.prod(shape)
             self.views[name] = self._params[offset : offset + size].reshape(shape)
+            self._grads[name] = self._grad[offset : offset + size].reshape(shape)
             bound = 1.0 / np.sqrt(fan_in)
             self.views[name][...] = rng.uniform(-bound, bound, size=shape)
             offset += size
-        # the dense head's (W, b) per layer; updates are in place, so these views stay live
-        dense = [view for name, view in self.views.items() if not name.startswith("conv")]
-        self._dense = list(zip(dense[::2], dense[1::2]))
+        # the dense head's (W, b) per layer and their gradients; updates are in place, so these views stay live
+        dense = [name for name in self.views if not name.startswith("conv")]
+        self._dense = [(self.views[w], self.views[b]) for w, b in zip(dense[::2], dense[1::2])]
+        self._dense_grads = [(self._grads[w], self._grads[b]) for w, b in zip(dense[::2], dense[1::2])]
         if spec.architecture == "tcn":  # flat indices of band[w + j, w*F + f] = conv_w[f, j]
             windows, (n_filters,) = spec.samples - spec.kernel_width + 1, spec.hidden
             w, f, j = np.ix_(np.arange(windows), np.arange(n_filters), np.arange(spec.kernel_width))
             self._band_idx = (w + j) * (windows * n_filters) + w * n_filters + f  # (windows, F, k)
             self._pool = np.tile(np.eye(n_filters) / windows, (windows, 1))  # (windows*F, F) mean
-        self._adam_m = np.zeros(total)
-        self._adam_v = np.zeros(total)
+        self._adam = np.zeros((2, total))  # Adam's moments, updated in place
+        self._adam_m, self._adam_v = self._adam  # its rows: first and second moment
         self._adam_t = 0
 
     # -- parameters ------------------------------------------------------
@@ -218,8 +224,7 @@ class SoftmaxClassifier:
     def copy(self) -> "SoftmaxClassifier":
         """An independent copy with these parameters and Adam state: it predicts and trains on as this model would."""
         twin = type(self)(self.spec)
-        twin.set_parameters(self._params)
-        twin._adam_m, twin._adam_v, twin._adam_t = self._adam_m.copy(), self._adam_v.copy(), self._adam_t
+        twin._params[:], twin._adam[...], twin._adam_t = self._params, self._adam, self._adam_t
         return twin
 
     # -- forward ---------------------------------------------------------
@@ -249,15 +254,15 @@ class SoftmaxClassifier:
         return acts[-1] @ W.T + b, cache
 
     def _backward(self, X, cache, dlogits, want_params: bool, want_inputs: bool):
-        """Backprop ``dlogits`` to the flat parameter gradient and/or input gradients."""
+        """Backprop ``dlogits`` to the input gradients (returned) and/or the parameter gradient (into ``_grad``)."""
         spec = self.spec
         tcn = spec.architecture == "tcn"
-        acts = cache["acts"]
-        grads = []  # per-tensor parameter gradients, last table entry first
-        delta = dlogits
+        acts, delta = cache["acts"], dlogits
         for layer in range(len(self._dense) - 1, -1, -1):
             if want_params:
-                grads += [delta.sum(axis=0), delta.T @ acts[layer]]
+                gW, gb = self._dense_grads[layer]
+                np.add.reduce(delta, axis=0, out=gb)
+                np.matmul(delta.T, acts[layer], out=gW)
             if layer == 0 and not (want_inputs or tcn):
                 break
             delta = delta @ self._dense[layer][0]
@@ -272,12 +277,11 @@ class SoftmaxClassifier:
             dfeat *= _act_prime(act, spec.activation)
             if want_params:  # conv_w sums X2d.T @ dfeat along each tap's band diagonal
                 by_filter = dfeat.reshape(dfeat.size // n_filters, n_filters)
-                grads += [np.ones(len(by_filter)) @ by_filter,
-                          (X2d.T @ dfeat).ravel()[self._band_idx].sum(axis=0)]
+                np.matmul(np.ones(len(by_filter)), by_filter, out=self._grads["conv_b"])
+                np.add.reduce((X2d.T @ dfeat).ravel()[self._band_idx], axis=0, out=self._grads["conv_w"])
             if want_inputs:
                 dX = (dfeat @ band.T).reshape(X.shape)
-        flat = np.concatenate([g.ravel() for g in reversed(grads)]) if want_params else None
-        return flat, dX
+        return dX
 
     def probs_batch(self, epochs) -> np.ndarray:
         logits, _ = self._forward(as_epoch_batch(epochs, self.spec.input_shape))
@@ -314,6 +318,10 @@ class SoftmaxClassifier:
         y = self._check_labels(labels, len(X))
         if len(X) == 0:
             raise ValueError("cannot take the mean loss of an empty batch")
+        return self._mean_loss(X, y)
+
+    def _mean_loss(self, X, y) -> float:
+        """Mean cross-entropy of checked, non-empty epochs and labels."""
         logits, _ = self._forward(X)
         return float((_logsumexp(logits) - logits[np.arange(len(y)), y]).mean())
 
@@ -324,29 +332,32 @@ class SoftmaxClassifier:
         logits, cache = self._forward(X)
         dlogits = _softmax(logits)
         dlogits[np.arange(len(y)), y] -= 1.0
-        _, dX = self._backward(X, cache, dlogits, want_params=False, want_inputs=True)
-        return dX
+        return self._backward(X, cache, dlogits, want_params=False, want_inputs=True)
 
     def input_gradient(self, x, label: int) -> np.ndarray:
         """Exact analytic gradient of the scalar loss w.r.t. every input entry."""
         return self.input_gradient_batch(np.asarray(x, dtype=np.float64)[None], [label])[0]
 
-    def _loss_and_param_grad(self, X, y):
-        """Flat parameter gradient of the mean cross-entropy over the batch."""
+    def _loss_and_param_grad(self, X, targets):
+        """Flat gradient (``_grad``, until the next call) of the mean cross-entropy of one-hot ``targets``."""
         logits, cache = self._forward(X)
         dlogits = _softmax(logits)
-        dlogits[np.arange(len(y)), y] -= 1.0
-        dlogits *= 1.0 / len(y)  # times the reciprocal: a division rounds differently
-        grads, _ = self._backward(X, cache, dlogits, want_params=True, want_inputs=False)
-        return grads
+        dlogits -= targets  # exactly 1.0 off each label's probability, 0.0 off the rest
+        dlogits *= 1.0 / len(targets)  # times the reciprocal: a division rounds differently
+        self._backward(X, cache, dlogits, want_params=True, want_inputs=False)
+        return self._grad
 
-    def _adam_step(self, grads: np.ndarray) -> None:
-        self._adam_t += 1
-        self._adam_m = _BETA1 * self._adam_m + (1.0 - _BETA1) * grads
-        self._adam_v = _BETA2 * self._adam_v + (1.0 - _BETA2) * grads * grads
-        m_hat = self._adam_m / (1.0 - _BETA1**self._adam_t)
-        v_hat = self._adam_v / (1.0 - _BETA2**self._adam_t)
-        self._params -= _LEARNING_RATE * m_hat / (np.sqrt(v_hat) + _ADAM_EPSILON)
+    def _adam_step(self, grads: np.ndarray, m_hat: np.ndarray, v_hat: np.ndarray) -> None:
+        m, v, self._adam_t = self._adam_m, self._adam_v, self._adam_t + 1
+        m *= _BETA1
+        m += np.multiply(1.0 - _BETA1, grads, out=m_hat)  # m = b1*m + (1-b1)*g
+        v *= _BETA2
+        v += np.multiply(np.multiply(1.0 - _BETA2, grads, out=v_hat), grads, out=v_hat)  # v = b2*v + (1-b2)*g*g
+        np.divide(m, 1.0 - _BETA1**self._adam_t, out=m_hat)
+        np.sqrt(np.divide(v, 1.0 - _BETA2**self._adam_t, out=v_hat), out=v_hat)
+        v_hat += _ADAM_EPSILON
+        m_hat *= _LEARNING_RATE
+        self._params -= np.divide(m_hat, v_hat, out=m_hat)  # lr*m_hat / (sqrt(v_hat) + eps)
 
     def fit(self, data: LabeledSet, cfg: TrainConfig) -> TrainHistory:
         """Minibatch Adam with early stopping on a held-out validation split.
@@ -369,24 +380,21 @@ class SoftmaxClassifier:
         perm = rng.permutation(n)
         n_val = min(max(int(round(_VALIDATION_FRACTION * n)), 1), n - 1)
         val_idx, train_idx = perm[:n_val], perm[n_val:]
-        X_train, y_train = data.epochs[train_idx], y[train_idx]
-        X_val, y_val = data.epochs[val_idx], y[val_idx]
+        X_val, y_val, targets = data.epochs[val_idx], y[val_idx], np.eye(self.spec.classes)[y]
 
-        best_loss = np.inf
-        best_params = self._params.copy()
-        stall = 0
-        val_losses = []
+        best_loss, best_params, stall, val_losses = np.inf, self._params.copy(), 0, []
+        m_hat, v_hat = np.empty((2, self.n_parameters))  # Adam's scratch, written in place every step
+        X_epoch, T_epoch = data.epochs[train_idx], targets[train_idx]  # each epoch's shuffled rows, refilled
         for _ in range(cfg.max_epochs):
-            order = rng.permutation(len(train_idx))
+            order = train_idx[rng.permutation(len(train_idx))]
+            data.epochs.take(order, 0, X_epoch, "clip")  # rows all in range: "clip" only skips a buffered copy
+            targets.take(order, 0, T_epoch, "clip")
             for start in range(0, len(order), cfg.batch_size):
-                batch = order[start : start + cfg.batch_size]
-                grads = self._loss_and_param_grad(X_train[batch], y_train[batch])
-                self._adam_step(grads)
-            val_losses.append(self.dataset_loss(X_val, y_val))
+                batch = slice(start, start + cfg.batch_size)  # batches are views
+                self._adam_step(self._loss_and_param_grad(X_epoch[batch], T_epoch[batch]), m_hat, v_hat)
+            val_losses.append(self._mean_loss(X_val, y_val))
             if val_losses[-1] < best_loss:
-                best_loss = val_losses[-1]
-                best_params = self._params.copy()
-                stall = 0
+                best_loss, best_params, stall = val_losses[-1], self._params.copy(), 0
             else:
                 stall += 1
             if stall >= cfg.patience:
@@ -402,7 +410,7 @@ def save_checkpoint(model: SoftmaxClassifier, path) -> None:
         value = getattr(model.spec, key)
         lines.append(f"{key}: " + (",".join(str(h) for h in value) if key == "hidden" else f"{value}"))
     lines += [f"n_params: {model.n_parameters}", "params:"]
-    lines.extend(repr(float(v)) for v in model.parameters)
+    lines.extend(repr(v) for v in model.parameters.tolist())  # Python floats: repr gives the bare decimal
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -378,8 +378,8 @@ def _train_substitutes(prepared: PreparedRun, s0, budgets, plans) -> list:
     def on_round(model, trace, data):
         done = len(trace.rows) - 1
         for plan in plans:  # later rounds train this model in place: keep a copy
-            if plan[0] == done:
-                states[plan] = (model.copy(), AugmentationTrace(list(trace.rows)), data)
+            if plan[0] == done:  # only a leaf (leftover > 0) reads the labeled set
+                states[plan] = (model.copy(), AugmentationTrace(list(trace.rows)), data if plan[1] else None)
 
     def leaf(model, trace, data, done, leftover):
         new = trunk.rows[done + 1].synthesized if done < rounds else jacobian_augment(data, model, jac.step_size)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from pathlib import Path
 
@@ -46,18 +47,17 @@ def test_spec_validation():
 
 
 def test_parameter_count_is_exact_past_int64(monkeypatch):
-    # np.prod wraps a (2, 2**62) weight to -2**63 and a (4, 2**62) one to 0; the count must not
-    requested = []
-
-    def zeros(n):
-        requested.append(n)
-        raise MemoryError
-
-    monkeypatch.setattr(models.np, "zeros", zeros)
+    # np.prod wraps a (2, 2**62) weight to -2**63 and a (4, 2**62) one to 0; the spec's count must not,
+    # and a model past 2**31 parameters is refused before anything is allocated
+    monkeypatch.setattr(models.np, "zeros", lambda *args: pytest.fail("allocated"))
     for classes in (2, 4):
-        with pytest.raises(MemoryError):
-            SoftmaxClassifier(ModelSpec("linear", 2**31, 2**31, classes))
-    assert requested == [2 * 2**62 + 2, 4 * 2**62 + 4]
+        with pytest.raises(ValueError, match=f"hidden \\[\\] gives {classes * 2**62 + classes} parameters"):
+            ModelSpec("linear", 2**31, 2**31, classes)
+    with pytest.raises(ValueError, match=r"hidden \[1048576\] gives 4298113026 parameters, more than 2147483648"):
+        ModelSpec("mlp", 64, 64, 2, hidden=(1048576,))
+    assert ModelSpec("linear", 1, 2**30 - 1, 2).samples == 2**30 - 1  # 2**31 parameters exactly: accepted
+    with pytest.raises(ValueError, match=f"gives {2**31 + 2} parameters"):
+        ModelSpec("linear", 1, 2**30, 2)
 
 def test_zero_weights_give_uniform_probs():
     for classes in (2, 3, 5):
@@ -154,7 +154,7 @@ def test_param_gradient_matches_finite_differences(arch, hidden, width, activati
     model = make_model(arch, classes=3, seed=width, hidden=hidden, activation=activation, kernel_width=width)
     rng = np.random.default_rng(21)
     X, y = rng.standard_normal((5, 2, 6)), rng.integers(0, 3, 5)
-    analytic = model._loss_and_param_grad(X, y)
+    analytic = model._loss_and_param_grad(X, np.eye(3)[y])
     theta, numeric = model.parameters, np.zeros(model.n_parameters)
     for i in range(theta.size):
         for sign in (1.0, -1.0):
@@ -202,7 +202,7 @@ def test_filter_bank_matches_per_tap_loop_and_its_adjoint(n, channels, samples, 
     scale = np.sum(np.abs(conv * G)) + np.sum(np.abs(X * dX))
     assert abs(np.sum(conv * G) - np.sum(X * dX)) <= 1e-12 * scale
     # the mean loss's filter gradients: dconv_w[f, tap] = sum G * X shifted by tap, dconv_b[f] = sum G
-    grads = model._loss_and_param_grad(X, y)
+    grads = model._loss_and_param_grad(X, np.eye(3)[y])
     n_w = n_filters * width  # conv_w then conv_b lead the flat vector
     dconv_w, dconv_b = grads[:n_w].reshape(n_filters, width), grads[n_w : n_w + n_filters]
     windows = conv.shape[3]
@@ -297,6 +297,45 @@ def test_train_restores_best_validation_parameters():
     assert hist.best_epoch == int(np.argmin(hist.val_loss))
 
 
+# SHA-256 of the parameters, both Adam moments, the step count and the val_loss reprs after each of
+# two consecutive fits.  They pin the training step's float operations and their order where no
+# benchmark workload reaches: early stopping and tanh.  linear has no activation: its rows agree.
+_GOLDEN_FITS = {
+    ("linear", "relu", 3): "a986a7f1dbeade028b27daff0f7401ea39648728f535379eea4dacbc34138730",
+    ("linear", "relu", 40): "3f7768dca6f439dc6d05c84dcb1e25ddc9bf5320e5eb944d8bd2cec40d1e2d80",
+    ("linear", "tanh", 3): "a986a7f1dbeade028b27daff0f7401ea39648728f535379eea4dacbc34138730",
+    ("linear", "tanh", 40): "3f7768dca6f439dc6d05c84dcb1e25ddc9bf5320e5eb944d8bd2cec40d1e2d80",
+    ("mlp16", "relu", 3): "7937e94e1c54b85cdadb78a006abfe00ea8c493e131fa27ad260258fe6498d51",
+    ("mlp16", "relu", 40): "e230d357d27b13cd6cfb70ce29a2c8af95d493a4e4e6f0920bd7de88644036dc",
+    ("mlp16", "tanh", 3): "aecb6dbfe42685e2bae6677c237f32257fd09f4ba53327503c66d66b901fdbdd",
+    ("mlp16", "tanh", 40): "11a1ce8c8a4614ff82e6065c410d81aae890bbfdc3e939290fea43aeabfdbc5a",
+    ("mlp16x8", "relu", 3): "b7f49c2fa2190708fbb23f9af9d6e546e3708dee421349f7f9de9417f04a42cc",
+    ("mlp16x8", "relu", 40): "d16d67f3752123a30ea41be643c18d8a4fd0ca6914e913aeefc19424a0f9502d",
+    ("mlp16x8", "tanh", 3): "b68c35faca65bd56aca57f6ad9d0cd94fe8c5697d6cb93074f938220df99f17c",
+    ("mlp16x8", "tanh", 40): "1710c2a3365882cfd0d65607259d4cef470b0689a2ad05f80599b13f4e663674",
+    ("tcn", "relu", 3): "40003e8375fca1e8f8d3e8d8c4c3dbdb6c982c2c9729c32fb9411c9ff70c3397",
+    ("tcn", "relu", 40): "ad6d4bae86fc15648a969188b61dd1714ec3693da0af62611f2b7ed655cc8d01",
+    ("tcn", "tanh", 3): "88e245271377114d537f37c1f856d7f143f5fe31996f0e2fd658b3769658a354",
+    ("tcn", "tanh", 40): "876bf8817a5144c420e83d22f2ba4a56e8d5033501627817fe0543ff856a131d",
+}
+_GOLDEN_ARCHS = {"linear": ("linear", ()), "mlp16": ("mlp", (16,)), "mlp16x8": ("mlp", (16, 8)), "tcn": ("tcn", (4,))}
+
+
+@pytest.mark.parametrize("name, activation, patience", sorted(_GOLDEN_FITS))
+def test_two_fits_reproduce_the_golden_bytes(name, activation, patience):
+    arch, hidden = _GOLDEN_ARCHS[name]
+    data = gen_blobs(20, 3, 2, 6, separation=2.0, noise_sigma=1.0, seed=7)  # 48 train rows: batches of 32 and 16
+    model = SoftmaxClassifier(ModelSpec(arch, 2, 6, 3, hidden=hidden, activation=activation, kernel_width=3, seed=5))
+    digest = hashlib.sha256()
+    for shuffle_seed in (1, 2):  # the second fit starts from the first's parameters and moments
+        hist = model.fit(data, TrainConfig(max_epochs=40, patience=patience, shuffle_seed=shuffle_seed))
+        assert (hist.n_epochs < 40) == (patience < 40)  # patience 3 stops early, patience 40 never does
+        for values in (model.parameters, model._adam_m, model._adam_v):
+            digest.update(values.tobytes())
+        digest.update(repr((model._adam_t, hist.val_loss)).encode())
+    assert digest.hexdigest() == _GOLDEN_FITS[name, activation, patience]
+
+
 def test_single_class_training_fits():
     epochs = RNG.standard_normal((10, 2, 6))
     data = LabeledSet(epochs, np.zeros(10, dtype=np.int64))
@@ -348,12 +387,13 @@ def test_checkpoint_errors_are_typed_and_name_the_fault(tmp_path):
         "declares": good + "0.5\n",  # one parameter more than n_params
         "UTF-8": good.replace("mlp", "ml\udcff"),
         "seed must be >= 0": good.replace("seed: 4", "seed: -4"),
-        # a shape whose parameter count overflows int64 is refused before any allocation
-        "'n_params' declares 3": "\n".join(
-            ["format: qsattack-model-1", "architecture: linear", f"channels: {2**31}", f"samples: {2**31}",
-             "classes: 2", "hidden:", "activation: relu", "kernel_width: 1", "seed: 0", "n_params: 3",
-             "params:", "0.0", "0.0", "0.0"]) + "\n",
     }
+    # shapes of more than 2**31 parameters (the first overflows int64) are refused before any allocation
+    for arch, size, hidden, n_params in (("linear", 2**31, "", 2 * 2**62 + 2), ("mlp", 64, "1048576", 4298113026)):
+        cases[f"invalid model: hidden [{hidden}] gives {n_params} parameters"] = "\n".join(
+            ["format: qsattack-model-1", f"architecture: {arch}", f"channels: {size}", f"samples: {size}",
+             "classes: 2", f"hidden: {hidden}", "activation: relu", "kernel_width: 1", "seed: 0", "n_params: 3",
+             "params:", "0.0", "0.0", "0.0"]) + "\n"
     for bad in ("nan", "inf", "-Infinity"):
         text = "\n".join(lines[:first] + [bad] + lines[first + 1 :]) + "\n"
         cases[f"line {first + 1}: parameter {bad!r} is not finite"] = text

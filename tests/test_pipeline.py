@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsattack import pipeline
+from qsattack import models, pipeline
 from qsattack.cli import _results_row, main
 from qsattack.data import balance_by_predicted_label
 from qsattack.errors import ConfigError
@@ -213,6 +213,16 @@ def test_data_config_refuses_splits_no_array_can_hold(tmp_path):
     assert DataConfig(pool_per_class=2**24).pool_per_class == 2**24
     with pytest.raises(ConfigError, match=r"data\.pool_per_class"):
         DataConfig(pool_per_class=2**24 + 1)
+
+
+def test_config_refuses_models_no_array_can_hold(tmp_path, monkeypatch):
+    # 4096 inputs into 2**20 hidden units: 4,298,113,026 parameters, counted with Python ints before any allocation
+    monkeypatch.setattr(models.np, "zeros", lambda *args: pytest.fail("allocated"))
+    wide = {"architecture": "mlp", "hidden": [1048576]}
+    for name in ("target", "substitute"):
+        path = write_config(tmp_path, data={"channels": 64, "samples": 64}, **{name: wide})
+        with pytest.raises(ConfigError, match=rf"{name}: hidden \[1048576\] gives 4298113026 parameters, more than"):
+            load_config(path)
 
 
 def test_experiment_runs_check_every_budget_before_training(monkeypatch):
