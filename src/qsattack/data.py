@@ -208,10 +208,17 @@ def balance_by_predicted_label(oracle, pool, per_class: int, seed: int = 0) -> n
 
 
 def write_epochs(path, data: LabeledSet) -> None:
-    """Write a LabeledSet in EPO1 format (values cast to binary32)."""
+    """Write a LabeledSet in EPO1 format (values cast to binary32), refusing first what :func:`read_epochs` would."""
     n = len(data)
     c, t = data.shape
-    payload = np.ascontiguousarray(data.epochs, dtype="<f4").tobytes()
+    with np.errstate(over="ignore"):  # a value past binary32's range casts to inf, refused below
+        values = np.ascontiguousarray(data.epochs, dtype="<f4")
+    fits = np.isfinite(values).reshape(n, c * t).all(axis=1)
+    if len(bad := np.flatnonzero(~fits | (data.labels < -1) | (data.labels >= 2**31))):
+        e = int(bad[0])
+        fault = f"label {data.labels[e]}, outside [-1, 2**31 - 1]" if fits[e] else "a value binary32 cannot hold"
+        raise ValueError(f"epoch {e} holds {fault}; nothing was written")
+    payload = values.tobytes()
     labels = np.ascontiguousarray(data.labels, dtype="<i4").tobytes()
     with open(path, "wb") as fh:
         fh.write(_MAGIC)

@@ -25,15 +25,17 @@ class MetricReport:
 
 
 def confusion_matrix(preds, labels, n_classes: int | None = None) -> np.ndarray:
-    preds = np.asarray(preds, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
+    given = {"preds": np.asarray(preds), "labels": np.asarray(labels)}
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, which the check below refuses
+        preds, labels = (arr.astype(np.int64) for arr in given.values())
     if preds.shape != labels.shape or preds.ndim != 1:
         raise ValueError("preds and labels must be equal-length 1-D arrays")
     if len(preds) == 0:
         raise ValueError("cannot compute metrics on empty inputs")
-    if preds.min() < 0 or labels.min() < 0:
-        raise ValueError("class indices must be >= 0")
     k = int(max(preds.max(), labels.max())) + 1 if n_classes is None else n_classes
+    for (name, arr), idx in zip(given.items(), (preds, labels)):
+        if idx.min() < 0 or idx.max() >= k or not np.array_equal(idx, arr):
+            raise ValueError(f"{name} must hold integer class indices in [0, {k})")
     matrix = np.zeros((k, k), dtype=np.int64)
     np.add.at(matrix, (labels, preds), 1)
     return matrix

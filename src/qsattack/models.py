@@ -16,7 +16,8 @@ softmax.
 Parameters, their gradient and Adam's moments (two rows of one array) are
 flat float64 vectors with named views.  One forward and backward serve
 prediction, input gradients and training, whose step updates all of them
-in place, in the textbook formulas' order of float operations.  Specs of
+in place, in the textbook formulas' order of float operations; a row's max
+folds ``np.maximum`` over the class columns, exact in any order.  Specs of
 over 2**31 parameters are refused.  All math is deterministic given the seeds.
 
 Checkpoint format (plain text, documented keys)::
@@ -152,13 +153,20 @@ def _layer_table(spec: ModelSpec):
     return table
 
 
+def _row_max(z: np.ndarray) -> np.ndarray:
+    m = z[:, 0]
+    for c in range(1, z.shape[1]):
+        m = np.maximum(m, z[:, c])
+    return m
+
+
 def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - np.maximum.reduce(z, axis=1, keepdims=True))
-    return e / np.add.reduce(e, axis=1, keepdims=True)
+    e = np.exp(z - _row_max(z)[:, None])
+    return e / np.add.reduce(e, axis=1, keepdims=True)  # not a fold: numpy sums 8 or more classes pairwise
 
 
 def _logsumexp(z: np.ndarray) -> np.ndarray:
-    m = np.maximum.reduce(z, axis=1)
+    m = _row_max(z)
     return m + np.log(np.add.reduce(np.exp(z - m[:, None]), axis=1))
 
 

@@ -177,6 +177,15 @@ def _offset(diff: np.ndarray, draw: np.ndarray, offset_norm: float) -> np.ndarra
     return (offset_norm / norm) * candidate.reshape(draw.shape) if norm >= _NORM_FLOOR else None
 
 
+def _offsets(diffs: np.ndarray, draws: np.ndarray, offset_norm: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_offset` of each (m, C*T) row, bit-equal (same BLAS dots), and a mask of the rows it gives one for."""
+    denom = np.vecdot(diffs, diffs)
+    with np.errstate(divide="ignore", invalid="ignore"):  # from the rows that get no offset
+        candidates = draws - (np.vecdot(diffs, draws) / denom)[:, None] * diffs
+        norm = np.sqrt(np.vecdot(candidates, candidates))
+        return (offset_norm / norm)[:, None] * candidates, ~(denom < _NORM_FLOOR**2) & (norm >= _NORM_FLOOR)
+
+
 def _redraw(diff, rng, shape, offset_norm: float, draws: int) -> np.ndarray:
     """The first of up to ``draws`` fresh offsets that clears the norm floor."""
     for _ in range(draws):
@@ -215,10 +224,9 @@ def _plan(class_pairs, labels, members, shape, rng):
     Per epoch: index picks until the substitute ``labels`` of the two
     endpoints differ (at most ``_RESELECT_LIMIT`` tries), then one draw, the
     offset of a planned pair or the whole epoch of a Gaussian fallback.
-    Returns the endpoint indices (None for a fallback), the draws, and the
-    generator state after each draw.
+    Returns the endpoint indices (None for a fallback) and the stacked draws.
     """
-    ends, draws, states = [], [], []
+    ends, draws = [], []
     for a, b in class_pairs:
         end = None
         for _ in range(_RESELECT_LIMIT):
@@ -228,8 +236,7 @@ def _plan(class_pairs, labels, members, shape, rng):
                 break
         ends.append(end)
         draws.append(rng.standard_normal(shape))
-        states.append(rng.bit_generator.state)
-    return ends, draws, states
+    return ends, np.stack(draws)
 
 
 def one_vs_one_quotas(n_classes: int, total: int) -> dict[tuple[int, int], int]:
@@ -255,10 +262,10 @@ def synthesize_one_vs_one(data: LabeledSet, model, n_classes: int, cfg: Synthesi
     missing class raises :class:`ClassBalanceError` before any forward.
     Two classes make the single pair (0, 1), which carries every epoch.
     One batched forward labels every endpoint, :func:`_plan` makes the rng
-    draws in per-epoch order, and both halving runs advance all pairs in
-    lockstep.  An offset below the norm floor, the one data-dependent
-    draw, is redrawn from the state saved after it, and the epochs after
-    it are planned again.
+    draws in per-epoch order, both halving runs advance all pairs in
+    lockstep, and :func:`_offsets` computes every offset in one batched
+    step.  An offset below the norm floor, the one data-dependent draw, is
+    redrawn after replaying the plan up to it, and the rest is planned again.
     """
     quotas = one_vs_one_quotas(n_classes, cfg.per_iteration)
     members = {c: data.class_indices(c) for c in range(n_classes)}
@@ -266,30 +273,31 @@ def synthesize_one_vs_one(data: LabeledSet, model, n_classes: int, cfg: Synthesi
         raise ClassBalanceError(f"labeled set lacks class(es) {missing}; synthesis needs every class")
     todo = [pair for pair, m in quotas.items() for _ in range(m)]
     labels = model.predict_batch(data.epochs)
-    steps, epochs = cfg.bisection_steps, []
-    while len(epochs) < len(todo):
-        ends, draws, states = _plan(todo[len(epochs):], labels, members, data.shape, rng)
+    steps, epochs, done = cfg.bisection_steps, [], 0
+    while done < len(todo):
+        state = rng.bit_generator.state
+        ends, draws = _plan(todo[done:], labels, members, data.shape, rng)
         rows = [r for r, end in enumerate(ends) if end is not None]
         if rows:
             i, j = np.array([ends[r] for r in rows]).T
             x_plus, x_minus, y_minus = _halve(data.epochs[i], data.epochs[j], labels[i], labels[j], model, steps)
-            offsets = []
-            for k, r in enumerate(rows):
-                diff = (x_plus[k] - x_minus[k]).ravel()
-                offsets.append(_offset(diff, draws[r], cfg.offset_norm))
-                if offsets[-1] is None:  # redraw in place, then plan the rest again
-                    rng.bit_generator.state = states[r]
-                    offsets[-1] = _redraw(diff, rng, data.shape, cfg.offset_norm, _RESAMPLE_LIMIT - 1)
-                    rows, draws = rows[: k + 1], draws[: r + 1]
-                    break
+            diffs = (x_plus - x_minus).reshape(len(rows), -1)
+            offsets, kept = _offsets(diffs, draws[rows].reshape(len(rows), -1), cfg.offset_norm)
+            if not kept.all():  # the first row with none: redraw it in place, then plan the rest again
+                r = rows[k := int(np.argmin(kept))]
+                _offset(diffs[k], draws[r], cfg.offset_norm)  # raises when the pair's endpoints coincide
+                rng.bit_generator.state = state  # the replay leaves the generator right after draw r
+                _plan(todo[done : done + r + 1], labels, members, data.shape, rng)
+                offsets[k] = _redraw(diffs[k], rng, data.shape, cfg.offset_norm, _RESAMPLE_LIMIT - 1).ravel()
+                rows, draws = rows[: k + 1], draws[: r + 1]
             n = len(rows)
             x_plus, x_minus, _ = _halve(x_plus[:n], x_minus[:n], labels[i[:n]], y_minus[:n], model, steps)
-            for k, mid in enumerate(0.5 * (x_plus + x_minus)):
-                draws[rows[k]] = offsets[k] + mid
+            draws[rows] = offsets[:n].reshape(x_plus.shape) + 0.5 * (x_plus + x_minus)
             if counter is not None:
                 counter.add(2 * steps * n)
-        epochs += draws
-    return np.stack(epochs)
+        epochs.append(draws)
+        done += len(draws)
+    return np.concatenate(epochs)
 
 
 def jacobian_augment(

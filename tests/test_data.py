@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,29 @@ def test_epo_empty_set_keeps_its_epoch_shape(tmp_path):
     assert path.read_bytes() == b"EPO1" + struct.pack("<III", 0, 2, 3)
     back = read_epochs(path)
     assert back.epochs.shape == (0, 2, 3) and len(back.labels) == 0
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+@pytest.mark.parametrize("epochs, labels, message", [
+    (np.full((1, 1, 2), 1e39), [0], "epoch 0 holds a value binary32 cannot hold"),
+    ([[[0.0, 1.0]], [[2.0, -1e39]]], [2**31, 0], "epoch 0 holds label 2147483648, outside"),
+    ([[[0.0, 1.0]], [[2.0, -1e39]]], [0, 2**31], "epoch 1 holds a value binary32 cannot hold"),
+    (np.zeros((3, 1, 2)), [0, -1, 2**31], "epoch 2 holds label 2147483648, outside"),
+], ids=["value-past-binary32", "label-first", "value-first", "label-past-int32"])
+def test_epo_write_refuses_what_the_format_cannot_hold_and_leaves_no_file(tmp_path, epochs, labels, message):
+    path = tmp_path / "x.epo"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no cast warning either
+        with pytest.raises(ValueError, match=message):
+            write_epochs(path, LabeledSet(epochs, labels))
+    assert not path.exists()
+    # the edges of both ranges round-trip
+    edges = LabeledSet([[[F32_MAX, -F32_MAX]], [[0.0, 1.0]]], [2**31 - 1, -1])
+    write_epochs(path, edges)
+    back = read_epochs(path)
+    assert np.array_equal(back.epochs, edges.epochs) and np.array_equal(back.labels, edges.labels)
 
 
 def test_epo_byte_length_formula(tmp_path):

@@ -77,6 +77,18 @@ def test_bca_excludes_absent_classes():
     assert report.bca == 1.0
 
 
+@pytest.mark.parametrize("preds, labels, n_classes, message", [
+    ([0, 2], [0, 1], 2, r"preds must hold integer class indices in \[0, 2\)"),
+    ([0, 1], [3, 1], 2, r"labels must hold integer class indices in \[0, 2\)"),
+    ([0.7, 1], [0, 1], None, r"preds must hold integer class indices in \[0, 2\)"),
+    ([0, 1], [0, np.nan], 2, "labels must hold integer class indices"),
+    ([0, -1], [0, 1], None, "preds must hold integer class indices"),
+])
+def test_confusion_matrix_refuses_what_is_not_a_class_index(preds, labels, n_classes, message):
+    with pytest.raises(ValueError, match=message):
+        metric_report(preds, labels, n_classes)
+
+
 def test_boundary_agreement_definitions():
     model = make_model("mlp", seed=5)
     xs = RNG.standard_normal((60, 2, 6))

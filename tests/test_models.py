@@ -86,6 +86,22 @@ def test_probs_sum_to_one_every_architecture():
                 assert np.all(p >= 0.0)
 
 
+@pytest.mark.parametrize("k", range(2, 13))
+def test_softmax_and_logsumexp_equal_the_reduce_formulas_bit_for_bit(k):
+    rng = np.random.default_rng(k)
+    z = np.concatenate([
+        rng.uniform(-700.0, 700.0, (50, k)),
+        rng.standard_normal((50, k)) * 10.0 ** rng.uniform(-3.0, 2.0, (50, 1)),
+        rng.integers(-2, 3, (50, k)).astype(float),  # tied maxima
+        np.where(rng.random((20, k)) < 0.5, -0.0, 0.0),  # ties of signed zeros
+        np.full((1, k), -700.0), np.zeros((1, k)), np.full((1, k), 700.0),  # all-equal logits
+    ])
+    m = np.maximum.reduce(z, axis=1, keepdims=True)
+    e = np.exp(z - m)
+    assert models._softmax(z).tobytes() == (e / np.add.reduce(e, axis=1, keepdims=True)).tobytes()
+    assert models._logsumexp(z).tobytes() == (m[:, 0] + np.log(np.add.reduce(e, axis=1))).tobytes()
+
+
 def test_predict_tie_breaks_to_lowest_index():
     model = make_model("linear", classes=4)
     model.set_parameters(np.zeros(model.n_parameters))

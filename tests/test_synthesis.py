@@ -404,7 +404,7 @@ def test_round_kernel_redraws_a_degenerate_offset_mid_round():
     rng, ref_rng, counter = assert_round_matches_reference(data, model, 2, cfg, lambda: ZeroDrawRng(7, nth=7))
     assert counter.count == 2 * 4 * 12  # every epoch planned, so the 7th draw was an offset
     assert ref_rng.normal_calls == 12 + 1  # one redraw
-    assert rng.normal_calls == 12 + 1 + (12 - 7)  # the draws after it were planned twice
+    assert rng.normal_calls == 12 + 7 + 1 + (12 - 7)  # the plan replayed up to the 7th draw, the rest planned again
 
 
 def test_round_kernel_fallback_heavy():
@@ -461,11 +461,15 @@ def test_offset_is_orthogonal_at_norm_q_or_none_below_the_floor(arch, k, m, step
     # a draw of ``along`` units along the pair difference plus ``across`` times Gaussian noise
     _, _, (x_plus, x_minus, _) = halved_pairs(arch, k, m, steps, spread, seed)
     noise = np.random.default_rng(seed + 1).standard_normal(x_plus.shape)
-    for row in range(m):
-        diff = (x_plus[row] - x_minus[row]).ravel()
-        unit = diff / np.linalg.norm(diff)
-        draw = along * unit.reshape(x_plus[row].shape) + across * noise[row]
+    diffs = (x_plus - x_minus).reshape(m, -1)
+    draws = np.stack([along * (diff / np.linalg.norm(diff)).reshape(x_plus.shape[1:]) for diff in diffs])
+    draws += across * noise
+    batched, kept = synthesis._offsets(diffs, draws.reshape(m, -1), q)  # the round kernel's one batched step
+    for row, (diff, draw) in enumerate(zip(diffs, draws)):
         offset = synthesis._offset(diff, draw, q)
+        assert kept[row] == (offset is not None)
+        if offset is not None:
+            assert np.array_equal(batched[row], offset.ravel())
         if across < 1.0:  # the orthogonal part is at most 1e-12 times a noise vector, or rounding
             assert offset is None
             continue
