@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import LabeledSet, as_epoch_batch, write_epochs
+from .data import LabeledSet, as_epoch_batch, as_labels, write_epochs
 
 _METHODS = ("fgsm", "ufgsm", "noise")
 
@@ -85,20 +85,20 @@ def random_noise(x, epsilon: float, rng: np.random.Generator) -> AdversarialExam
 def craft_batch(model, epochs, cfg: AttackConfig, true_labels=None, rng=None) -> AdversarialExample:
     """Apply the configured method to every epoch at once.
 
-    ``fgsm`` needs ``true_labels``; ``ufgsm`` and ``noise`` ignore them.
-    ``model`` may be None for the noise method, which draws from ``rng``
-    when given and from ``cfg.noise_seed`` otherwise; one (n, C, T) draw
-    consumes the stream exactly as n per-epoch draws would.
+    ``fgsm`` needs ``true_labels`` (checked by ``as_labels``); ``ufgsm`` and ``noise``
+    ignore them.  ``model`` may be None only for noise (else ``ValueError``), which
+    draws from ``rng`` when given and from ``cfg.noise_seed`` otherwise; one (n, C, T)
+    draw consumes the stream exactly as n per-epoch draws would.
     """
+    if model is None and cfg.method != "noise":
+        raise ValueError(f"{cfg.method} needs a model to take input gradients from, got None")
     xs = as_epoch_batch(epochs, model.spec.input_shape if model is not None else None)
     if cfg.method == "noise":
         rng = rng if rng is not None else np.random.default_rng(cfg.noise_seed)
         delta = cfg.epsilon * np.sign(rng.standard_normal(xs.shape))
         return AdversarialExample(xs.copy(), delta, np.full(len(xs), -1, dtype=np.int64))
-    if cfg.method == "fgsm":
-        if true_labels is None:
-            raise ValueError("fgsm needs true labels")
-        labels = np.array(true_labels, dtype=np.int64)
+    if cfg.method == "fgsm":  # missing true_labels have the wrong shape: ShapeMismatchError
+        labels = as_labels(true_labels, len(xs), 0, model.spec.classes, "true_labels")
     else:
         labels = model.predict_batch(xs)
     grads = model.input_gradient_batch(xs, labels)

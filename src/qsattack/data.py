@@ -4,7 +4,9 @@ Balancing draws the same number of epochs from every class the target
 predicts, and refuses a pool in which any class falls short.
 
 An epoch is a plain ``(channels, samples)`` float ndarray; a dataset is a
-:class:`LabeledSet`.  Label ``-1`` marks an unlabeled epoch.
+:class:`LabeledSet`.  Label ``-1`` marks an unlabeled epoch.  Every label vector
+passes :func:`as_labels`: integer values only (ints, bools, integral floats), else
+``ValueError`` and never a truncation; a wrong count raises ShapeMismatchError.
 
 EPO1 format (little-endian throughout):
 
@@ -61,6 +63,22 @@ def as_epoch_batch(epochs, shape=None) -> np.ndarray:
     return arr
 
 
+def as_labels(labels, n: int, low: int, high: int = 1 << 63, name: str = "labels") -> np.ndarray:
+    """The one label check: an (n,) int64 vector of integers in [low, high), ``high`` at most int64's end."""
+    arr = np.asarray(labels)
+    if arr.shape != (n,):
+        raise ShapeMismatchError(f"{n} epochs need a {name} vector of shape ({n},), got {arr.shape}")
+    high = min(high, 1 << 63)
+    if arr.dtype.kind in "uif":  # a float16 compares with inf for 1 << 63: every finite one is below it
+        with np.errstate(over="ignore"):
+            ok = (arr >= low) & (arr < high) & (arr == np.floor(arr))  # comparisons are False for NaN
+    else:  # bools (a bool array cannot be compared with 1 << 63), strings, Python ints past uint64
+        ok = np.array([isinstance(v, (int, np.integer)) and low <= v < high for v in arr.tolist()], dtype=bool)
+    if len(bad := np.flatnonzero(~ok)):
+        raise ValueError(f"{name} must hold integer class indices in [{low}, {high}), not {arr[bad[0]]} at {bad[0]}")
+    return arr.astype(np.int64, copy=False)
+
+
 @dataclass
 class LabeledSet:
     """Epochs of one common shape paired with integer class labels."""
@@ -70,15 +88,7 @@ class LabeledSet:
 
     def __post_init__(self):
         self.epochs = as_epoch_batch(self.epochs)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.labels.ndim != 1:
-            raise ValueError("labels must be a 1-D integer array")
-        if len(self.labels) != len(self.epochs):
-            raise ValueError(
-                f"{len(self.epochs)} epochs but {len(self.labels)} labels"
-            )
-        if len(self.labels) and self.labels.min() < -1:
-            raise ValueError("labels must be >= -1 (-1 marks unlabeled)")
+        self.labels = as_labels(self.labels, len(self.epochs), -1)  # -1 marks unlabeled
 
     def __len__(self) -> int:
         return len(self.epochs)
@@ -94,7 +104,7 @@ class LabeledSet:
     def extended(self, epochs, labels) -> "LabeledSet":
         """A new set with the given epochs appended; the original is untouched."""
         add = as_epoch_batch(epochs, self.shape if len(self) else None)
-        lab = np.asarray(labels, dtype=np.int64)
+        lab = as_labels(labels, len(add), -1)
         return LabeledSet(np.concatenate([self.epochs, add]), np.concatenate([self.labels, lab]))
 
 
@@ -252,13 +262,9 @@ def read_epochs(path) -> LabeledSet:
         )
     values = np.frombuffer(raw, dtype="<f4", count=n_values, offset=16)
     labels = np.frombuffer(raw, dtype="<i4", count=n, offset=16 + 4 * n_values)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if len(bad):
+    if len(bad := np.flatnonzero(~np.isfinite(values))):
         raise MalformedEpochFileError(f"value {values[bad[0]]} is not finite", offset=16 + 4 * int(bad[0]))
-    bad = np.flatnonzero(labels < -1)
-    if len(bad):  # labels follow the values
+    if len(bad := np.flatnonzero(labels < -1)):  # labels follow the values
         raise MalformedEpochFileError(f"label {labels[bad[0]]} is below -1",
                                       offset=16 + 4 * (n_values + int(bad[0])))
-    return LabeledSet(
-        values.astype(np.float64).reshape(n, c, t), labels.astype(np.int64)
-    )
+    return LabeledSet(values.astype(np.float64).reshape(n, c, t), labels)

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import as_labels
+
 
 @dataclass
 class MetricReport:
@@ -26,19 +28,12 @@ class MetricReport:
 
 def confusion_matrix(preds, labels, n_classes: int | None = None) -> np.ndarray:
     given = {"preds": np.asarray(preds), "labels": np.asarray(labels)}
-    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, which the check below refuses
-        preds, labels = (arr.astype(np.int64) for arr in given.values())
-    if preds.shape != labels.shape or preds.ndim != 1:
-        raise ValueError("preds and labels must be equal-length 1-D arrays")
-    if len(preds) == 0:
+    if (n := given["labels"].size) == 0:
         raise ValueError("cannot compute metrics on empty inputs")
-    k = int(max(preds.max(), labels.max())) + 1 if n_classes is None else n_classes
-    for (name, arr), idx in zip(given.items(), (preds, labels)):
-        if idx.min() < 0 or idx.max() >= k or not np.array_equal(idx, arr):
-            raise ValueError(f"{name} must hold integer class indices in [0, {k})")
-    matrix = np.zeros((k, k), dtype=np.int64)
-    np.add.at(matrix, (labels, preds), 1)
-    return matrix
+    k = n_classes if n_classes is not None else 1 + max(  # one past the largest finite value, truncated
+        (int(np.max(v, where=np.isfinite(v), initial=0)) for v in given.values() if v.dtype.kind in "biuf"), default=0)
+    preds, labels = (as_labels(v, n, 0, k, name) for name, v in given.items())
+    return np.bincount(labels * k + preds, minlength=k * k).reshape(k, k)
 
 
 def metric_report(preds, labels, n_classes: int | None = None) -> MetricReport:

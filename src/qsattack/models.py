@@ -20,6 +20,10 @@ in place, in the textbook formulas' order of float operations; a row's max
 folds ``np.maximum`` over the class columns, exact in any order.  Specs of
 over 2**31 parameters are refused.  All math is deterministic given the seeds.
 
+The labels of ``fit``, ``dataset_loss`` and ``input_gradient_batch`` pass
+:func:`qsattack.data.as_labels` once per call: integers in ``[0, classes)``,
+else ``ValueError`` (none is truncated); a wrong count raises ShapeMismatchError.
+
 Checkpoint format (plain text, documented keys)::
 
     format: qsattack-model-1
@@ -45,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import _MAX_VALUES, LabeledSet, as_epoch_batch
+from .data import _MAX_VALUES, LabeledSet, as_epoch_batch, as_labels
 from .errors import MalformedCheckpointError, ShapeMismatchError
 
 _ARCHITECTURES = ("linear", "mlp", "tcn")
@@ -308,22 +312,10 @@ class SoftmaxClassifier:
 
     # -- loss and gradients ----------------------------------------------
 
-    def _check_labels(self, labels, n: int) -> np.ndarray:
-        """Labels as int64, one per epoch of an ``n``-epoch batch, each in range."""
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (n,):
-            raise ShapeMismatchError(f"{n} epochs need a label vector of shape ({n},), got {labels.shape}")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.spec.classes):
-            raise ValueError(
-                f"labels must be in [0, {self.spec.classes - 1}], got range "
-                f"[{labels.min()}, {labels.max()}]"
-            )
-        return labels
-
     def dataset_loss(self, epochs, labels) -> float:
         """Mean cross-entropy over a non-empty batch."""
         X = as_epoch_batch(epochs, self.spec.input_shape)
-        y = self._check_labels(labels, len(X))
+        y = as_labels(labels, len(X), 0, self.spec.classes)
         if len(X) == 0:
             raise ValueError("cannot take the mean loss of an empty batch")
         return self._mean_loss(X, y)
@@ -336,7 +328,7 @@ class SoftmaxClassifier:
     def input_gradient_batch(self, epochs, labels) -> np.ndarray:
         """Per-epoch gradient of the cross-entropy w.r.t. the input."""
         X = as_epoch_batch(epochs, self.spec.input_shape)
-        y = self._check_labels(labels, len(X))
+        y = as_labels(labels, len(X), 0, self.spec.classes)
         logits, cache = self._forward(X)
         dlogits = _softmax(logits)
         dlogits[np.arange(len(y)), y] -= 1.0
@@ -375,15 +367,11 @@ class SoftmaxClassifier:
         current parameters.
         """
         n = len(data)
-        if n == 0:
-            raise ValueError("training data is empty")
         if n < 2:
-            raise ValueError("need at least 2 examples to hold out validation data")
-        y = self._check_labels(data.labels, n)
+            raise ValueError(f"need at least 2 examples to hold out validation data, got {n}")
+        y = as_labels(data.labels, n, 0, self.spec.classes)
         if data.shape != self.spec.input_shape:
-            raise ShapeMismatchError(
-                f"data shape {data.shape} does not match model input {self.spec.input_shape}"
-            )
+            raise ShapeMismatchError(f"data shape {data.shape} does not match model input {self.spec.input_shape}")
         rng = np.random.default_rng(cfg.shuffle_seed)
         perm = rng.permutation(n)
         n_val = min(max(int(round(_VALIDATION_FRACTION * n)), 1), n - 1)

@@ -213,6 +213,7 @@ def mid_perpendicular(pair: OppositePair, model, steps: int, offset_norm: float,
     return offset + 0.5 * (refined.x_plus + refined.x_minus)
 
 
+# two scalar draws: one rng.integers([len_a, len_b]) gives the same picks and stream but is ~3x slower
 def _pick(idx_a: np.ndarray, idx_b: np.ndarray, rng: np.random.Generator) -> tuple[int, int]:
     """One uniformly random index from each of ``idx_a`` and ``idx_b``, in that order."""
     return idx_a[int(rng.integers(len(idx_a)))], idx_b[int(rng.integers(len(idx_b)))]

@@ -112,6 +112,12 @@ def test_invalid_inputs_rejected():
         craft_batch(model, x[None], AttackConfig(method="fgsm"))  # needs labels
 
 
+@pytest.mark.parametrize("method", ["fgsm", "ufgsm"])
+def test_gradient_methods_refuse_a_missing_model(method):
+    with pytest.raises(ValueError, match=f"^{method} needs a model"):
+        craft_batch(None, RNG.standard_normal((2, 2, 6)), AttackConfig(0.1, method), true_labels=[0, 1])
+
+
 def test_craft_batch_matches_single_calls():
     model = make_model("mlp", seed=9)
     xs = RNG.standard_normal((6, 2, 6))

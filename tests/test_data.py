@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsattack.attack import AttackConfig, craft_batch
 from qsattack.data import (
     LabeledSet,
     as_epoch_batch,
@@ -16,6 +17,7 @@ from qsattack.data import (
     write_epochs,
 )
 from qsattack.errors import ClassBalanceError, MalformedEpochFileError, ShapeMismatchError
+from qsattack.metrics import confusion_matrix
 from qsattack.models import TrainConfig
 from qsattack.oracle import TargetOracle
 from testutil import make_model, mutations
@@ -30,6 +32,55 @@ def test_labeled_set_validation():
         LabeledSet(np.full((1, 2, 4), np.nan), np.zeros(1, dtype=np.int64))
     with pytest.raises(ValueError):
         LabeledSet(np.zeros((1, 2, 4)), np.array([-2]))
+
+
+LABEL_XS = RNG.standard_normal((4, 2, 6))
+INT_LABELS = np.array([0, 1, 1, 0])
+
+
+def _fit_with_labels(labels):
+    data = LabeledSet(LABEL_XS, INT_LABELS)
+    data.labels = labels  # past the set's own check: fit must check them itself
+    model = make_model("mlp", seed=3)
+    model.fit(data, TrainConfig(max_epochs=2, patience=1, batch_size=2))
+    return model.parameters
+
+
+# every public entry point that takes a label vector for the 4 epochs of LABEL_XS, returning what it computes
+LABEL_ENTRY_POINTS = {
+    "LabeledSet": lambda y: LabeledSet(LABEL_XS, y).labels,
+    "extended": lambda y: LabeledSet(LABEL_XS[:1], [1]).extended(LABEL_XS, y).labels,
+    "fit": _fit_with_labels,
+    "dataset_loss": lambda y: make_model("mlp", seed=3).dataset_loss(LABEL_XS, y),
+    "input_gradient_batch": lambda y: make_model("tcn", seed=3).input_gradient_batch(LABEL_XS, y),
+    "craft_batch": lambda y: craft_batch(make_model("linear", seed=3), LABEL_XS, AttackConfig(0.1, "fgsm"),
+                                         true_labels=y).delta,
+    "confusion_matrix.preds": lambda y: confusion_matrix(y, INT_LABELS, 2),
+    "confusion_matrix.labels": lambda y: confusion_matrix(INT_LABELS, y, 2),
+}
+
+
+@pytest.mark.parametrize("entry", LABEL_ENTRY_POINTS)
+@pytest.mark.parametrize("labels, error", [
+    ([0.7, 1.9, 1.0, 0.0], ValueError),
+    ([0, np.nan, 1, 0], ValueError),
+    ([0, np.inf, 1, 0], ValueError),
+    ([0, 2**70, 1, 0], ValueError),
+    ([0, 2.0**70, 1, 0], ValueError),
+    ([0, -2, 1, 0], ValueError),
+    ([0, 1, 1], ShapeMismatchError),
+], ids=["fractional", "nan", "inf", "int-2**70", "float-2**70", "out-of-range", "wrong-count"])
+def test_every_label_entry_point_refuses_what_is_not_an_integer_label(entry, labels, error):
+    message = "must hold integer class indices" if error is ValueError else r"epochs need a \w+ vector of shape"
+    with pytest.raises(error, match=message) as caught:
+        LABEL_ENTRY_POINTS[entry](labels)
+    assert error is ShapeMismatchError or not isinstance(caught.value, ShapeMismatchError)
+
+
+@pytest.mark.parametrize("entry", LABEL_ENTRY_POINTS)
+@pytest.mark.parametrize("labels", [INT_LABELS.astype(np.float64), INT_LABELS.astype(bool)], ids=["floats", "bools"])
+def test_every_label_entry_point_takes_integer_valued_labels_as_ints(entry, labels):
+    assert np.array_equal(LABEL_ENTRY_POINTS[entry](labels), LABEL_ENTRY_POINTS[entry](INT_LABELS))
 
 
 def test_as_epoch_batch_shape_check():
