@@ -79,16 +79,16 @@ def as_labels(labels, n: int, low: int, high: int = 1 << 63, name: str = "labels
     return arr.astype(np.int64, copy=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabeledSet:
-    """Epochs of one common shape paired with integer class labels."""
+    """Epochs of one common shape paired with integer class labels, checked once and frozen."""
 
     epochs: np.ndarray  # (n, C, T) float64
     labels: np.ndarray  # (n,) int64, -1 for unlabeled
 
     def __post_init__(self):
-        self.epochs = as_epoch_batch(self.epochs)
-        self.labels = as_labels(self.labels, len(self.epochs), -1)  # -1 marks unlabeled
+        object.__setattr__(self, "epochs", as_epoch_batch(self.epochs))
+        object.__setattr__(self, "labels", as_labels(self.labels, len(self.epochs), -1))  # -1 marks unlabeled
 
     def __len__(self) -> int:
         return len(self.epochs)

@@ -7,8 +7,10 @@ scores it on clean and noise-perturbed test epochs, none of which depends
 on method or budget.  :func:`attack_runs` then wraps that target in
 counted label-only oracles, balances the initial substitute set by
 predicted label, trains the substitute (active synthesis or the
-gradient-step baseline), crafts perturbations from it and scores the
-target on them, at every budget of the grid.  :func:`attack_run` and
+gradient-step baseline, whose step is the ``ufgsm`` craft), crafts
+perturbations from it and scores the target on them, at every budget of
+the grid.  The splits are immutable (frozen) :class:`LabeledSet` values
+that every budget shares.  :func:`attack_run` and
 :func:`run_attack_experiment` are its one-budget and one-run wrappers.
 
 Budget accounting: the *training budget* of a run is the number of target
@@ -35,6 +37,7 @@ reproducible in isolation and stays paired across methods and budgets.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -87,6 +90,11 @@ class DataConfig:
                 raise ConfigError(f"{name} must be >= {least}")
             if int(getattr(self, name)) * epoch_values > _MAX_VALUES:
                 raise ConfigError(f"data.{name} * classes * channels * samples exceeds {_MAX_VALUES} values")
+        if self.separation <= 0:
+            raise ConfigError(f"data.separation must be > 0, got {self.separation}")
+        for name in ("noise_sigma", "noise_amplitude"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"data.{name} must be >= 0, got {getattr(self, name)}")
         if self.generator == "erp" and self.samples < 8:
             raise ConfigError(f"data.samples must be >= 8 for erp epochs, got {self.samples}")
         if self.generator == "blobs" and self.channels * self.samples < self.classes:
@@ -98,7 +106,6 @@ class DataConfig:
 class NetConfig:
     architecture: str = "mlp"
     hidden: tuple = (16,)
-    activation: str = "relu"
     kernel_width: int = 9
     train: TrainConfig = field(default_factory=TrainConfig)
 
@@ -201,20 +208,12 @@ def load_config(path) -> ExperimentConfig:
     return _config_from_dict(ExperimentConfig, raw, "")
 
 
-def config_to_dict(cfg, path: str = "") -> dict:
-    """Flatten a config into the plain JSON that :func:`load_config` reads back, less the derived seeds."""
-    out = {}
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        where = f"{path}.{f.name}" if path else f.name
-        if where in _DERIVED_SEEDS:
-            continue
-        if dataclasses.is_dataclass(value):
-            out[f.name] = config_to_dict(value, where)
-        elif isinstance(value, tuple):
-            out[f.name] = list(value)
-        else:
-            out[f.name] = value
+def config_to_dict(cfg: ExperimentConfig) -> dict:
+    """``dataclasses.asdict(cfg)`` less the derived seeds: the JSON that :func:`load_config` reads back."""
+    out = dataclasses.asdict(cfg)
+    for where in _DERIVED_SEEDS:
+        *sections, key = where.split(".")
+        del functools.reduce(dict.__getitem__, sections, out)[key]
     return out
 
 
@@ -268,7 +267,6 @@ def _build_spec(net: NetConfig, data_cfg: DataConfig, seed: int) -> ModelSpec:
         samples=data_cfg.samples,
         classes=data_cfg.classes,
         hidden=net.hidden,
-        activation=net.activation,
         kernel_width=net.kernel_width,
         seed=seed,
     )

@@ -15,6 +15,9 @@ Accounting conventions:
   mid-perpendicular step).  Endpoint labels are free: a round reads them
   from one batched forward over the labeled set, and runs its halvings
   in lockstep as ``2 * bisection_steps`` more batched forwards.
+
+The baseline's step, :func:`jacobian_augment`, is the ``ufgsm`` craft at
+``epsilon = step_size``.  A round's labeled set is a new, immutable :class:`LabeledSet`.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .attack import AttackConfig, craft_batch
 from .data import LabeledSet, as_epoch_batch
 from .errors import BoundaryLostError, BudgetExhaustedError, ClassBalanceError, DegenerateDirectionError
 from .models import ModelSpec, SoftmaxClassifier, TrainConfig
@@ -304,19 +308,17 @@ def synthesize_one_vs_one(data: LabeledSet, model, n_classes: int, cfg: Synthesi
 def jacobian_augment(
     data: LabeledSet, model, step_size: float, counter: QueryCounter | None = None
 ) -> np.ndarray:
-    """Baseline augmentation: one signed gradient step from every epoch, as (n, C, T).
+    """Baseline augmentation: the ``ufgsm`` craft of every epoch at ``epsilon = step_size``, as (n, C, T).
 
-    Uses the substitute's own predicted label for each epoch (the
-    loss-gradient variant), so no target queries are needed to build the
-    candidates.  ``sign(0) == 0``, hence a flat loss copies the input.
+    One signed loss-gradient step at the substitute's own label (one counted
+    substitute query per epoch), so no target queries are needed to build
+    the candidates.  ``sign(0) == 0``, hence a flat loss copies the input.
     """
     if step_size <= 0:
         raise ValueError("step_size must be > 0")
-    labels = model.predict_batch(data.epochs)
     if counter is not None:
-        counter.add(len(labels))
-    grads = model.input_gradient_batch(data.epochs, labels)
-    return data.epochs + step_size * np.sign(grads)
+        counter.add(len(data))
+    return craft_batch(model, data.epochs, AttackConfig(step_size, "ufgsm")).perturbed
 
 
 def _check_budget(oracle, needed: int) -> None:

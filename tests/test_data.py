@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import warnings
 
@@ -34,13 +35,24 @@ def test_labeled_set_validation():
         LabeledSet(np.zeros((1, 2, 4)), np.array([-2]))
 
 
+def test_labeled_set_is_frozen_so_written_labels_stay_checked(tmp_path):
+    # labels swapped in after the check would reach write_epochs' <i4 cast and read back truncated
+    data = LabeledSet(np.zeros((2, 1, 2)), [0, 1])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.labels = np.array([0.7, 1.9])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.epochs = np.full((2, 1, 2), np.nan)
+    write_epochs(tmp_path / "set.epo", data)
+    assert np.array_equal(read_epochs(tmp_path / "set.epo").labels, [0, 1])
+
+
 LABEL_XS = RNG.standard_normal((4, 2, 6))
 INT_LABELS = np.array([0, 1, 1, 0])
 
 
 def _fit_with_labels(labels):
     data = LabeledSet(LABEL_XS, INT_LABELS)
-    data.labels = labels  # past the set's own check: fit must check them itself
+    object.__setattr__(data, "labels", labels)  # past the frozen set's own check: fit must check them itself
     model = make_model("mlp", seed=3)
     model.fit(data, TrainConfig(max_epochs=2, patience=1, batch_size=2))
     return model.parameters

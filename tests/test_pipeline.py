@@ -65,6 +65,74 @@ def test_config_json_roundtrip(tmp_path):
     assert load_config(path) == cfg
 
 
+# manifests store this text: a flattener that reorders, retypes or drops a key changes every manifest
+_SMALL_CONFIG_JSON = """{
+  "data": {
+    "generator": "blobs",
+    "classes": 2,
+    "channels": 2,
+    "samples": 8,
+    "train_per_class": 30,
+    "test_per_class": 20,
+    "pool_per_class": 30,
+    "separation": 6.0,
+    "noise_sigma": 1.0,
+    "noise_amplitude": 0.5
+  },
+  "target": {
+    "architecture": "mlp",
+    "hidden": [
+      6
+    ],
+    "kernel_width": 9,
+    "train": {
+      "max_epochs": 40,
+      "patience": 5,
+      "batch_size": 16
+    }
+  },
+  "substitute": {
+    "architecture": "mlp",
+    "hidden": [
+      6
+    ],
+    "kernel_width": 9,
+    "train": {
+      "max_epochs": 5,
+      "patience": 2,
+      "batch_size": 16
+    }
+  },
+  "balance": {
+    "per_class": 10,
+    "strict": true
+  },
+  "synthesis": {
+    "n_iterations": 1,
+    "per_iteration": 20,
+    "bisection_steps": 4,
+    "offset_norm": 3.0
+  },
+  "jacobian": {
+    "step_size": 0.5,
+    "n_iterations": 1
+  },
+  "attack": {
+    "epsilon": 0.4,
+    "method": "ufgsm"
+  },
+  "method": "active",
+  "runs": 1,
+  "budgets": [],
+  "master_seed": 5,
+  "out_dir": "runs/out"
+}"""
+
+
+def test_config_to_dict_keeps_the_manifest_text():
+    assert json.dumps(config_to_dict(small_config()), indent=2) == _SMALL_CONFIG_JSON
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"mehtod": "active"}), encoding="utf-8")
@@ -91,8 +159,12 @@ def test_config_rejects_unknown_keys(tmp_path):
     ({"target": {"architecture": "mlp", "hidden": [6, 6, 6]}}, "target"),
     ({"data": {"samples": 8}, "substitute": {"architecture": "tcn", "hidden": [4], "kernel_width": 99}},
      "substitute"),
-    ({"target": {"activation": "gelu"}}, "target"),
+    ({"target": {"activation": "relu"}}, "unknown key(s) ['activation'] in target"),
     ({"data": {"classes": 1}}, "target"),
+    ({"data": {"separation": 0}}, "data.separation must be > 0"),
+    ({"data": {"separation": -1}}, "data.separation must be > 0"),
+    ({"data": {"noise_sigma": -2}}, "data.noise_sigma must be >= 0"),
+    ({"data": {"noise_amplitude": -1}}, "data.noise_amplitude must be >= 0"),
     ({"synthesis": {"seed": 123}}, "synthesis.seed"),
     ({"jacobian": {"seed": 77}}, "unknown key(s) ['seed'] in jacobian"),
     ({"target": {"train": {"shuffle_seed": 999}}}, "target.train.shuffle_seed"),
@@ -103,7 +175,8 @@ def test_config_rejects_unknown_keys(tmp_path):
 ], ids=["data-not-object", "train-not-object", "budgets-number", "budgets-string",
         "hidden-string", "train-below-1", "test-below-1", "pool-below-0", "budget-negative", "balance-below-1",
         "unknown-architecture", "mlp-three-hidden", "tcn-kernel-too-wide", "unknown-activation",
-        "one-class", "synthesis-seed", "jacobian-seed", "target-shuffle-seed",
+        "one-class", "separation-zero", "separation-negative", "noise-sigma-negative",
+        "noise-amplitude-negative", "synthesis-seed", "jacobian-seed", "target-shuffle-seed",
         "substitute-shuffle-seed", "target-class-weights", "attack-noise-seed", "attack-method-noise"])
 def test_config_wrong_types_raise_config_error(tmp_path, doc, key):
     path = tmp_path / "cfg.json"
@@ -198,6 +271,7 @@ def test_config_validation():
         DataConfig(generator="erp", samples=7)
     with pytest.raises(ConfigError, match="data.classes"):
         DataConfig(generator="blobs", classes=5, channels=2, samples=2)
+    assert DataConfig(noise_sigma=0.0, noise_amplitude=0.0).noise_sigma == 0.0  # noiseless data is valid
     DataConfig(generator="erp", samples=8)
     DataConfig(generator="blobs", classes=4, channels=2, samples=2)
 

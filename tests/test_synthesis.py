@@ -232,6 +232,16 @@ def test_jacobian_augment_analytic_signs():
         assert np.array_equal(new, x + 0.5 * np.sign(grad))
 
 
+
+@pytest.mark.parametrize("arch, hidden", [("linear", ()), ("mlp", (16,)), ("tcn", (16,))])
+def test_jacobian_augment_is_one_signed_step_at_the_predicted_label(arch, hidden):
+    data = gen_blobs(20, 3, 2, 6, separation=4.0, seed=11)
+    model, counter, x = make_model(arch, classes=3, seed=12, hidden=hidden), QueryCounter(), data.epochs
+    expected = x + 0.3 * np.sign(model.input_gradient_batch(x, model.predict_batch(x)))
+    out = jacobian_augment(data, model, 0.3, counter)
+    assert (out.dtype, out.shape, out.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
+    assert counter.count == len(data)
+
 def test_jacobian_augment_output_size():
     data = gen_blobs(200, 2, 2, 4, separation=5.0, seed=8)
     model = make_model("mlp", channels=2, samples=4, seed=9)
