@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import LabeledSet, as_epoch_batch, as_labels, write_epochs
+from .data import LabeledSet, as_epoch_batch, as_labels, freeze, write_epochs
 
 _METHODS = ("fgsm", "ufgsm", "noise")
 
@@ -54,6 +54,9 @@ class AdversarialExample:
     original: np.ndarray
     delta: np.ndarray
     label_used: np.ndarray | int | None
+
+    def __post_init__(self):  # every array read-only; craft_batch hands over arrays no caller holds
+        freeze(self, **{name: v for name, v in vars(self).items() if isinstance(v, np.ndarray)})
 
     @property
     def perturbed(self) -> np.ndarray:
@@ -102,7 +105,7 @@ def craft_batch(model, epochs, cfg: AttackConfig, true_labels=None, rng=None) ->
     else:
         labels = model.predict_batch(xs)
     grads = model.input_gradient_batch(xs, labels)
-    return AdversarialExample(xs.copy(), cfg.epsilon * np.sign(grads), labels)
+    return AdversarialExample(xs.copy(), cfg.epsilon * np.sign(grads), labels.copy())
 
 
 def save_adversarial_batch(out_dir, examples, cfg: AttackConfig, gradient_source: str) -> None:

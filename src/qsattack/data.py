@@ -79,16 +79,24 @@ def as_labels(labels, n: int, low: int, high: int = 1 << 63, name: str = "labels
     return arr.astype(np.int64, copy=False)
 
 
+def freeze(record, **arrays) -> None:
+    """Set arrays on a frozen record, read-only: one that owns its memory is kept, a view is copied first."""
+    for name, arr in arrays.items():
+        arr = arr if arr.flags.owndata else arr.copy()  # a view's base could still be written
+        arr.flags.writeable = False
+        object.__setattr__(record, name, arr)
+
+
 @dataclass(frozen=True)
 class LabeledSet:
-    """Epochs of one common shape paired with integer class labels, checked once and frozen."""
+    """Epochs of one common shape paired with integer class labels, checked once and frozen, arrays included."""
 
-    epochs: np.ndarray  # (n, C, T) float64
-    labels: np.ndarray  # (n,) int64, -1 for unlabeled
+    epochs: np.ndarray  # (n, C, T) float64, read-only
+    labels: np.ndarray  # (n,) int64, -1 for unlabeled, read-only
 
     def __post_init__(self):
-        object.__setattr__(self, "epochs", as_epoch_batch(self.epochs))
-        object.__setattr__(self, "labels", as_labels(self.labels, len(self.epochs), -1))  # -1 marks unlabeled
+        epochs = as_epoch_batch(self.epochs)
+        freeze(self, epochs=epochs, labels=as_labels(self.labels, len(epochs), -1))  # -1 marks unlabeled
 
     def __len__(self) -> int:
         return len(self.epochs)
@@ -105,7 +113,7 @@ class LabeledSet:
         """A new set with the given epochs appended; the original is untouched."""
         add = as_epoch_batch(epochs, self.shape if len(self) else None)
         lab = as_labels(labels, len(add), -1)
-        return LabeledSet(np.concatenate([self.epochs, add]), np.concatenate([self.labels, lab]))
+        return LabeledSet(np.concatenate([self.epochs, add]), np.concatenate([self.labels, lab]))  # kept uncopied
 
 
 def gen_blobs(
@@ -140,13 +148,13 @@ def gen_blobs(
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(structure_rng.standard_normal((dim, n_classes)))
     means = (separation / np.sqrt(2.0)) * basis.T  # (k, dim), pairwise distance == separation
-    epochs = np.empty((n_per_class * n_classes, dim))
+    epochs = np.empty((n_per_class * n_classes, channels, samples))  # the set keeps it: no reshaped view to copy
     labels = np.empty(n_per_class * n_classes, dtype=np.int64)
     for c in range(n_classes):
         block = slice(c * n_per_class, (c + 1) * n_per_class)
-        epochs[block] = means[c] + noise_sigma * rng.standard_normal((n_per_class, dim))
+        epochs.reshape(-1, dim)[block] = means[c] + noise_sigma * rng.standard_normal((n_per_class, dim))
         labels[block] = c
-    return LabeledSet(epochs.reshape(-1, channels, samples), labels)
+    return LabeledSet(epochs, labels)
 
 
 def gen_synthetic_epochs(
@@ -267,4 +275,4 @@ def read_epochs(path) -> LabeledSet:
     if len(bad := np.flatnonzero(labels < -1)):  # labels follow the values
         raise MalformedEpochFileError(f"label {labels[bad[0]]} is below -1",
                                       offset=16 + 4 * (n_values + int(bad[0])))
-    return LabeledSet(values.astype(np.float64).reshape(n, c, t), labels)
+    return LabeledSet(values.reshape(n, c, t).astype(np.float64), labels)  # float64 and int64 casts: kept uncopied

@@ -17,8 +17,10 @@ Parameters, their gradient and Adam's moments (two rows of one array) are
 flat float64 vectors with named views.  One forward and backward serve
 prediction, input gradients and training, whose step updates all of them
 in place, in the textbook formulas' order of float operations; a row's max
-folds ``np.maximum`` over the class columns, exact in any order.  Specs of
-over 2**31 parameters are refused.  All math is deterministic given the seeds.
+folds ``np.maximum`` over the class columns, exact in any order; softmax,
+log-sum-exp and bias adds work in place on their own temporaries, and a fit
+builds its batch views once.  Specs of over 2**31 parameters are refused.
+All math is deterministic given the seeds.
 
 The labels of ``fit``, ``dataset_loss`` and ``input_gradient_batch`` pass
 :func:`qsattack.data.as_labels` once per call: integers in ``[0, classes)``,
@@ -165,13 +167,16 @@ def _row_max(z: np.ndarray) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - _row_max(z)[:, None])
-    return e / np.add.reduce(e, axis=1, keepdims=True)  # not a fold: numpy sums 8 or more classes pairwise
+    e = z - _row_max(z)[:, None]  # exponentiated and divided in place: z stays as it was
+    np.exp(e, out=e)
+    return np.divide(e, np.add.reduce(e, axis=1, keepdims=True), out=e)  # not a fold: numpy sums 8+ classes pairwise
 
 
 def _logsumexp(z: np.ndarray) -> np.ndarray:
     m = _row_max(z)
-    return m + np.log(np.add.reduce(np.exp(z - m[:, None]), axis=1))
+    e = z - m[:, None]  # exponentiated in place, its row sums logged and added to in place: z stays as it was
+    s = np.add.reduce(np.exp(e, out=e), axis=1)
+    return np.add(np.log(s, out=s), m, out=s)  # m + log(sum): float addition commutes
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
@@ -259,11 +264,13 @@ class SoftmaxClassifier:
             acts = [pooled.transpose(0, 2, 1).reshape(n, n_filters * C)]
         else:
             acts = [X.reshape(n, C * T)]
-        for W, b in self._dense[:-1]:
-            acts.append(_act(acts[-1] @ W.T + b, spec.activation))
+        for W, b in self._dense[:-1]:  # each layer adds its bias in place to its matmul result
+            z = acts[-1] @ W.T
+            acts.append(_act(np.add(z, b, z), spec.activation))
         W, b = self._dense[-1]
         cache["acts"] = acts
-        return acts[-1] @ W.T + b, cache
+        logits = acts[-1] @ W.T
+        return np.add(logits, b, logits), cache
 
     def _backward(self, X, cache, dlogits, want_params: bool, want_inputs: bool):
         """Backprop ``dlogits`` to the input gradients (returned) and/or the parameter gradient (into ``_grad``)."""
@@ -323,7 +330,8 @@ class SoftmaxClassifier:
     def _mean_loss(self, X, y) -> float:
         """Mean cross-entropy of checked, non-empty epochs and labels."""
         logits, _ = self._forward(X)
-        return float((_logsumexp(logits) - logits[np.arange(len(y)), y]).mean())
+        v = _logsumexp(logits)  # less each label's logit in place, then ndarray.mean's sum and division
+        return float(np.add.reduce(np.subtract(v, logits[np.arange(len(y)), y], out=v)) / len(y))
 
     def input_gradient_batch(self, epochs, labels) -> np.ndarray:
         """Per-epoch gradient of the cross-entropy w.r.t. the input."""
@@ -381,13 +389,15 @@ class SoftmaxClassifier:
         best_loss, best_params, stall, val_losses = np.inf, self._params.copy(), 0, []
         m_hat, v_hat = np.empty((2, self.n_parameters))  # Adam's scratch, written in place every step
         X_epoch, T_epoch = data.epochs[train_idx], targets[train_idx]  # each epoch's shuffled rows, refilled
+        batches = [(X_epoch[i : i + cfg.batch_size], T_epoch[i : i + cfg.batch_size])  # views, built once
+                   for i in range(0, len(train_idx), cfg.batch_size)]
+        step, loss_grad = self._adam_step, self._loss_and_param_grad
         for _ in range(cfg.max_epochs):
             order = train_idx[rng.permutation(len(train_idx))]
             data.epochs.take(order, 0, X_epoch, "clip")  # rows all in range: "clip" only skips a buffered copy
             targets.take(order, 0, T_epoch, "clip")
-            for start in range(0, len(order), cfg.batch_size):
-                batch = slice(start, start + cfg.batch_size)  # batches are views
-                self._adam_step(self._loss_and_param_grad(X_epoch[batch], T_epoch[batch]), m_hat, v_hat)
+            for X_batch, T_batch in batches:
+                step(loss_grad(X_batch, T_batch), m_hat, v_hat)
             val_losses.append(self._mean_loss(X_val, y_val))
             if val_losses[-1] < best_loss:
                 best_loss, best_params, stall = val_losses[-1], self._params.copy(), 0

@@ -201,8 +201,11 @@ def _config_from_dict(cls, raw: dict, path: str):
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse a JSON experiment config; unknown keys are hard errors."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Parse a JSON experiment config; unknown keys and text that is not UTF-8 JSON are hard errors."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # a JSON error names its line and column
+        raise ConfigError(f"config {path} is not UTF-8 JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     return _config_from_dict(ExperimentConfig, raw, "")

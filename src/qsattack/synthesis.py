@@ -28,7 +28,7 @@ from itertools import combinations
 import numpy as np
 
 from .attack import AttackConfig, craft_batch
-from .data import LabeledSet, as_epoch_batch
+from .data import LabeledSet, as_epoch_batch, freeze
 from .errors import BoundaryLostError, BudgetExhaustedError, ClassBalanceError, DegenerateDirectionError
 from .models import ModelSpec, SoftmaxClassifier, TrainConfig
 
@@ -39,7 +39,7 @@ _RESAMPLE_LIMIT = 16  # offset draws before an orthogonalization counts as degen
 
 @dataclass(frozen=True)
 class OppositePair:
-    """Two same-shape epochs carrying different class labels."""
+    """Two same-shape epochs carrying different class labels, as read-only arrays."""
 
     x_plus: np.ndarray
     x_minus: np.ndarray
@@ -47,8 +47,7 @@ class OppositePair:
     label_minus: int
 
     def __post_init__(self):
-        object.__setattr__(self, "x_plus", np.asarray(self.x_plus, dtype=np.float64))
-        object.__setattr__(self, "x_minus", np.asarray(self.x_minus, dtype=np.float64))
+        freeze(self, **{name: np.asarray(getattr(self, name), dtype=np.float64) for name in ("x_plus", "x_minus")})
         if self.x_plus.shape != self.x_minus.shape:
             raise ValueError("pair endpoints must share one shape")
         if self.label_plus == self.label_minus:

@@ -21,6 +21,17 @@ from testutil import logistic_model, make_model
 RNG = np.random.default_rng(55)
 
 
+@pytest.mark.parametrize("method", ["fgsm", "ufgsm", "noise"])
+def test_crafted_arrays_are_read_only_and_the_inputs_stay_the_callers(method):
+    model, xs, labels = make_model("mlp", classes=3), RNG.standard_normal((3, 2, 6)), np.array([0, 2, 1])
+    examples = craft_batch(model, xs, AttackConfig(0.1, method), true_labels=labels)
+    for arr in (examples.original, examples.delta, examples.label_used, examples[0].original, examples[0].delta):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+    xs[...], labels[...] = 0.0, 1  # crafting copied them: the caller's arrays stay writable
+    assert np.isfinite(examples.original).all() and examples.original.any()
+
+
 @settings(max_examples=150, deadline=None)
 @given(arch=st.sampled_from(["linear", "mlp", "tcn"]), method=st.sampled_from(["fgsm", "ufgsm", "noise"]),
        n=st.integers(0, 8), epsilon=st.floats(0.0, 10.0), seed=st.integers(0, 2**32 - 1))

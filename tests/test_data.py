@@ -46,6 +46,27 @@ def test_labeled_set_is_frozen_so_written_labels_stay_checked(tmp_path):
     assert np.array_equal(read_epochs(tmp_path / "set.epo").labels, [0, 1])
 
 
+def test_labeled_set_labels_are_read_only():
+    # numpy's int64 setitem would truncate the labels past as_labels' check
+    data = LabeledSet(np.zeros((2, 1, 2)), [0, 1])
+    with pytest.raises(ValueError, match="read-only"):
+        data.labels[:] = [0.7, 1.9]
+    assert np.array_equal(data.labels, [0, 1])
+
+
+def test_labeled_set_takes_over_an_owned_array_and_copies_a_view():
+    # a NaN written into the caller's array after the finiteness check would land in the set
+    x = np.zeros((2, 1, 2))
+    data = LabeledSet(x, [0, 1])
+    assert data.epochs is x
+    with pytest.raises(ValueError, match="read-only"):
+        x[0, 0, 0] = np.nan
+    base = np.zeros((4, 1, 2))
+    head = LabeledSet(base[:2], [0, 1])  # a view: its base stays the caller's, writable
+    base[0, 0, 0] = np.nan
+    assert np.isfinite(head.epochs).all() and not head.epochs.flags.writeable
+
+
 LABEL_XS = RNG.standard_normal((4, 2, 6))
 INT_LABELS = np.array([0, 1, 1, 0])
 
@@ -306,6 +327,7 @@ def test_extended_returns_new_set():
     base = gen_blobs(3, 2, 2, 4, seed=1)
     grown = base.extended(RNG.standard_normal((2, 2, 4)), [1, 0])
     assert len(base) == 6 and len(grown) == 8
+    assert not (grown.epochs.flags.writeable or grown.labels.flags.writeable)
     with pytest.raises(ShapeMismatchError):
         base.extended(RNG.standard_normal((2, 3, 4)), [0, 1])
 

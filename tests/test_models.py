@@ -98,8 +98,17 @@ def test_softmax_and_logsumexp_equal_the_reduce_formulas_bit_for_bit(k):
     ])
     m = np.maximum.reduce(z, axis=1, keepdims=True)
     e = np.exp(z - m)
+    z_bytes = z.tobytes()
     assert models._softmax(z).tobytes() == (e / np.add.reduce(e, axis=1, keepdims=True)).tobytes()
     assert models._logsumexp(z).tobytes() == (m[:, 0] + np.log(np.add.reduce(e, axis=1))).tobytes()
+    assert z.tobytes() == z_bytes  # both kernels work in place on their own z - max temporary
+    # the validation mean is ndarray.mean's sum and division, at every batch size a fit can hold out
+    model = make_model("mlp", classes=k, seed=k)
+    X, y = 3.0 * rng.standard_normal((300, 2, 6)), rng.integers(0, k, 300)
+    for n in range(1, 301):
+        logits, _ = model._forward(X[:n])
+        mean = float((models._logsumexp(logits) - logits[np.arange(n), y[:n]]).mean())
+        assert model._mean_loss(X[:n], y[:n]).hex() == mean.hex()
 
 
 def test_predict_tie_breaks_to_lowest_index():

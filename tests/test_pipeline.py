@@ -144,6 +144,18 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert "data" in str(info.value)
 
 
+@pytest.mark.parametrize("text, where", [
+    (b'{"runs": 2,,}', "line 1 column 12"),
+    (b'\xff\xfe{\x00}\x00', "can't decode byte 0xff in position 0"),
+], ids=["json-syntax", "not-utf8"])
+def test_config_that_is_not_utf8_json_raises_config_error(tmp_path, text, where):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text)
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(path) in str(info.value) and where in str(info.value)
+
+
 @pytest.mark.parametrize("doc, key", [
     ({"data": 5}, "data"),
     ({"target": {"train": []}}, "target.train"),
