@@ -16,10 +16,13 @@ softmax.
 Parameters, their gradient and Adam's moments (two rows of one array) are
 flat float64 vectors with named views.  One forward and backward serve
 prediction, input gradients and training, whose step updates all of them
-in place, in the textbook formulas' order of float operations; a row's max
-folds ``np.maximum`` over the class columns, exact in any order; softmax,
-log-sum-exp and bias adds work in place on their own temporaries, and a fit
-builds its batch views once.  Specs of over 2**31 parameters are refused.
+in place, in the textbook formulas' order of float operations.  Both read
+layer tables built once per model (the hidden and head ``(W, b)`` views,
+the backward's reversed ``(layer, gW, gb, W)`` rows, the architecture
+flag); a row's max folds ``np.maximum`` over the class columns, exact in
+any order; softmax, log-sum-exp and bias adds work in place on their own
+temporaries, and a fit builds its batch views once.  Specs of over 2**31
+parameters are refused.
 All math is deterministic given the seeds.
 
 The labels of ``fit``, ``dataset_loss`` and ``input_gradient_batch`` pass
@@ -206,11 +209,14 @@ class SoftmaxClassifier:
             bound = 1.0 / np.sqrt(fan_in)
             self.views[name][...] = rng.uniform(-bound, bound, size=shape)
             offset += size
-        # the dense head's (W, b) per layer and their gradients; updates are in place, so these views stay live
+        # layer tables, built once: updates are in place, so these views stay live
         dense = [name for name in self.views if not name.startswith("conv")]
-        self._dense = [(self.views[w], self.views[b]) for w, b in zip(dense[::2], dense[1::2])]
-        self._dense_grads = [(self._grads[w], self._grads[b]) for w, b in zip(dense[::2], dense[1::2])]
-        if spec.architecture == "tcn":  # flat indices of band[w + j, w*F + f] = conv_w[f, j]
+        pairs = list(zip(dense[::2], dense[1::2]))  # the dense head's (W, b) names per layer
+        *self._hidden, self._head = [(self.views[w], self.views[b]) for w, b in pairs]
+        self._backprop = [(layer, self._grads[w], self._grads[b], self.views[w])  # (layer, gW, gb, W), head first
+                          for layer, (w, b) in enumerate(pairs)][::-1]
+        self._tcn, self._activation = spec.architecture == "tcn", spec.activation
+        if self._tcn:  # flat indices of band[w + j, w*F + f] = conv_w[f, j]
             windows, (n_filters,) = spec.samples - spec.kernel_width + 1, spec.hidden
             w, f, j = np.ix_(np.arange(windows), np.arange(n_filters), np.arange(spec.kernel_width))
             self._band_idx = (w + j) * (windows * n_filters) + w * n_filters + f  # (windows, F, k)
@@ -236,6 +242,9 @@ class SoftmaxClassifier:
             raise ValueError(
                 f"expected {self._params.size} parameters, got {values.size}"
             )
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:  # a NaN or inf weight would label every epoch class 0
+            raise ValueError(f"parameter {bad[0]} is not finite: {float(values[bad[0]])}")
         self._params[:] = values
 
     def copy(self) -> "SoftmaxClassifier":
@@ -247,53 +256,49 @@ class SoftmaxClassifier:
     # -- forward ---------------------------------------------------------
 
     def _forward(self, X: np.ndarray):
-        """Batched logits plus the cache needed for backprop."""
-        spec = self.spec
-        n, (C, T) = X.shape[0], spec.input_shape
-        cache = {}
-        if spec.architecture == "tcn":  # banded filter matrix: one row per (epoch, channel), one matmul
-            n_filters, X2d, band = spec.hidden[0], X.reshape(n * C, T), np.zeros((T, self._pool.shape[0]))
+        """Batched logits plus the cache needed for backprop; every caller has checked the shape of ``X``."""
+        (n, C, T), activation, cache = X.shape, self._activation, {}
+        if self._tcn:  # banded filter matrix: one row per (epoch, channel), one matmul
+            n_filters, X2d, band = self.spec.hidden[0], X.reshape(n * C, T), np.zeros((T, self._pool.shape[0]))
             band.reshape(band.size)[self._band_idx] = self.views["conv_w"]  # written anew every forward
             act = X2d @ band  # (n*C, windows*F)
             by_filter = act.reshape(act.size // n_filters, n_filters)  # a view: add the bias in place
             by_filter += self.views["conv_b"]
-            _act(act, spec.activation)
+            _act(act, activation)
             cache = {"X2d": X2d, "band": band, "act": act}
             # mean over the windows by one matmul; the dense head reads (filter, channel) order
             pooled = (act @ self._pool).reshape(n, C, n_filters)
             acts = [pooled.transpose(0, 2, 1).reshape(n, n_filters * C)]
         else:
             acts = [X.reshape(n, C * T)]
-        for W, b in self._dense[:-1]:  # each layer adds its bias in place to its matmul result
+        for W, b in self._hidden:  # each layer adds its bias in place to its matmul result
             z = acts[-1] @ W.T
-            acts.append(_act(np.add(z, b, z), spec.activation))
-        W, b = self._dense[-1]
+            acts.append(_act(np.add(z, b, z), activation))
+        W, b = self._head
         cache["acts"] = acts
         logits = acts[-1] @ W.T
         return np.add(logits, b, logits), cache
 
     def _backward(self, X, cache, dlogits, want_params: bool, want_inputs: bool):
         """Backprop ``dlogits`` to the input gradients (returned) and/or the parameter gradient (into ``_grad``)."""
-        spec = self.spec
-        tcn = spec.architecture == "tcn"
+        tcn, activation = self._tcn, self._activation
         acts, delta = cache["acts"], dlogits
-        for layer in range(len(self._dense) - 1, -1, -1):
+        for layer, gW, gb, W in self._backprop:
             if want_params:
-                gW, gb = self._dense_grads[layer]
                 np.add.reduce(delta, axis=0, out=gb)
                 np.matmul(delta.T, acts[layer], out=gW)
             if layer == 0 and not (want_inputs or tcn):
                 break
-            delta = delta @ self._dense[layer][0]
+            delta = delta @ W
             if layer:
-                delta *= _act_prime(acts[layer], spec.activation)
+                delta *= _act_prime(acts[layer], activation)
         dX = delta.reshape(X.shape) if want_inputs and not tcn else None
         if tcn:  # filter bank: the averaging matmul's transpose spreads dpooled over the windows
             X2d, band, act = cache["X2d"], cache["band"], cache["act"]
-            n, n_filters, C = X.shape[0], spec.hidden[0], spec.channels
+            n, n_filters, C = X.shape[0], self.spec.hidden[0], self.spec.channels
             dpooled = delta.reshape(n, n_filters, C).transpose(0, 2, 1).reshape(n * C, n_filters)
             dfeat = dpooled @ self._pool.T  # (n*C, windows*F)
-            dfeat *= _act_prime(act, spec.activation)
+            dfeat *= _act_prime(act, activation)
             if want_params:  # conv_w sums X2d.T @ dfeat along each tap's band diagonal
                 by_filter = dfeat.reshape(dfeat.size // n_filters, n_filters)
                 np.matmul(np.ones(len(by_filter)), by_filter, out=self._grads["conv_b"])
@@ -311,7 +316,7 @@ class SoftmaxClassifier:
         return self.probs_batch(np.asarray(x, dtype=np.float64)[None])[0]
 
     def predict_batch(self, epochs) -> np.ndarray:
-        return np.argmax(self.probs_batch(epochs), axis=1).astype(np.int64)
+        return np.argmax(self.probs_batch(epochs), axis=1).astype(np.int64, copy=False)  # argmax's labels, not a copy
 
     def predict(self, x) -> int:
         """Argmax of :meth:`probs`; ties break toward the lowest class index."""
@@ -352,7 +357,7 @@ class SoftmaxClassifier:
         dlogits = _softmax(logits)
         dlogits -= targets  # exactly 1.0 off each label's probability, 0.0 off the rest
         dlogits *= 1.0 / len(targets)  # times the reciprocal: a division rounds differently
-        self._backward(X, cache, dlogits, want_params=True, want_inputs=False)
+        self._backward(X, cache, dlogits, True, False)  # positional: no keyword matching per step
         return self._grad
 
     def _adam_step(self, grads: np.ndarray, m_hat: np.ndarray, v_hat: np.ndarray) -> None:

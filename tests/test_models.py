@@ -361,6 +361,63 @@ def test_two_fits_reproduce_the_golden_bytes(name, activation, patience):
     assert digest.hexdigest() == _GOLDEN_FITS[name, activation, patience]
 
 
+_GOLDEN_PROBES = {
+    ("linear", "relu"): "e79be04ca137bfa366520fabc727277cf2e07428dc69ba253c8dac6ef45f601e",
+    ("linear", "tanh"): "e79be04ca137bfa366520fabc727277cf2e07428dc69ba253c8dac6ef45f601e",
+    ("mlp16", "relu"): "8c847895721d01415a0916e64b2ca6e37297eb5e533d2efc44540ad8ac00de09",
+    ("mlp16", "tanh"): "91d0f7583fa3f41088f1d144375adc421ab030f56a929e97841e3e9d09494425",
+    ("mlp16x8", "relu"): "c37385dbc466fc07c30107969171da1293ecceff9ab484fcb76ba9a66b4f4f2e",
+    ("mlp16x8", "tanh"): "8bcafb1c91c16c825919e166ca3bf45d74628ea65b49c42d323acaa5718e76e3",
+    ("tcn", "relu"): "d47c8fadfa2c1e8907c63847e0f6cf0810a5d17dce0ad81b1985868201cfa57d",
+    ("tcn", "tanh"): "978242ef61e7a05847553b491ed2802b9102ad9cca7db67d54c0eca2ee8523b1",
+}
+
+
+@pytest.mark.parametrize("name, activation", sorted(_GOLDEN_PROBES))
+def test_probing_reproduces_the_golden_bytes(name, activation):
+    # prediction, input gradients and the loss share the fit's forward and backward, but fit never asks for dX
+    arch, hidden = _GOLDEN_ARCHS[name]
+    data = gen_blobs(20, 3, 2, 6, separation=2.0, noise_sigma=1.0, seed=7)
+    model = SoftmaxClassifier(ModelSpec(arch, 2, 6, 3, hidden=hidden, activation=activation, kernel_width=3, seed=5))
+    digest = hashlib.sha256()
+    for _ in range(2):  # at initialization, then after one short fit
+        for values in (model.probs_batch(data.epochs), model.predict_batch(data.epochs),
+                       model.input_gradient_batch(data.epochs, data.labels)):
+            digest.update(values.tobytes())
+        digest.update(repr(model.dataset_loss(data.epochs, data.labels)).encode())
+        model.fit(data, TrainConfig(max_epochs=5, patience=5, shuffle_seed=1))
+    assert digest.hexdigest() == _GOLDEN_PROBES[name, activation]
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_ARCHS))
+def test_copy_trains_on_alone_as_the_original_would(name):
+    # a copy builds its own layer tables: training it must not touch the original's bytes
+    arch, hidden = _GOLDEN_ARCHS[name]
+    data = gen_blobs(20, 3, 2, 6, separation=2.0, noise_sigma=1.0, seed=7)
+    model = SoftmaxClassifier(ModelSpec(arch, 2, 6, 3, hidden=hidden, kernel_width=3, seed=5))
+    model.fit(data, TrainConfig(max_epochs=5, patience=5, shuffle_seed=1))
+    twin = model.copy()
+
+    def state(m):
+        return m.parameters.tobytes(), m._adam.tobytes(), m._adam_t, m.probs_batch(data.epochs).tobytes()
+
+    before, second = state(model), TrainConfig(max_epochs=5, patience=5, shuffle_seed=2)
+    twin.fit(data, second)
+    assert state(model) == before
+    model.fit(data, second)
+    assert state(model) == state(twin) != before
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_set_parameters_refuses_non_finite_values(bad):
+    model = make_model("mlp", seed=3)
+    before, values = model.parameters, model.parameters
+    values[[4, 7]] = bad
+    with pytest.raises(ValueError, match=f"parameter 4 is not finite: {bad}"):
+        model.set_parameters(values)
+    assert model.parameters.tobytes() == before.tobytes()
+
+
 def test_single_class_training_fits():
     epochs = RNG.standard_normal((10, 2, 6))
     data = LabeledSet(epochs, np.zeros(10, dtype=np.int64))
