@@ -55,7 +55,7 @@ class AdversarialExample:
     delta: np.ndarray
     label_used: np.ndarray | int | None
 
-    def __post_init__(self):  # every array read-only; craft_batch hands over arrays no caller holds
+    def __post_init__(self):
         freeze(self, **{name: v for name, v in vars(self).items() if isinstance(v, np.ndarray)})
 
     @property
@@ -99,13 +99,13 @@ def craft_batch(model, epochs, cfg: AttackConfig, true_labels=None, rng=None) ->
     if cfg.method == "noise":
         rng = rng if rng is not None else np.random.default_rng(cfg.noise_seed)
         delta = cfg.epsilon * np.sign(rng.standard_normal(xs.shape))
-        return AdversarialExample(xs.copy(), delta, np.full(len(xs), -1, dtype=np.int64))
+        return AdversarialExample(xs, delta, np.full(len(xs), -1, dtype=np.int64))
     if cfg.method == "fgsm":  # missing true_labels have the wrong shape: ShapeMismatchError
         labels = as_labels(true_labels, len(xs), 0, model.spec.classes, "true_labels")
     else:
         labels = model.predict_batch(xs)
     grads = model.input_gradient_batch(xs, labels)
-    return AdversarialExample(xs.copy(), cfg.epsilon * np.sign(grads), labels.copy())
+    return AdversarialExample(xs, cfg.epsilon * np.sign(grads), labels)
 
 
 def save_adversarial_batch(out_dir, examples, cfg: AttackConfig, gradient_source: str) -> None:

@@ -8,12 +8,13 @@ Subcommands::
     qsattack sweep        --config cfg.json --out DIR [--seed N] [--method M]
     qsattack report       --results results.csv [results.csv ...] [--out DIR]
 
-Every run writes into a run-scoped subdirectory of the output directory
-and leaves a ``manifest.json`` holding the flattened config (less
-``out_dir``, so no output depends on where it is written, and less the
-derived seeds, so it loads back as a config), the derived per-stage
-seeds and library versions; failed runs leave a manifest with
-``status: failed`` and a nonzero exit code.
+Every run writes into a run-scoped subdirectory of the output directory.
+:func:`main` creates the output directory, hands it to the command's handler
+and writes every ``manifest.json``: ``status: ok`` with the keys the handler
+returns, or ``status: failed`` and a nonzero exit code.  A manifest holds the
+flattened config (less ``out_dir``, so no output depends on where it is
+written, and less the derived seeds, so it loads back as a config), the
+derived per-stage seeds and library versions.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .errors import ConfigError
 from .metrics import sweep_curve
 from .models import save_checkpoint
 from .pipeline import (
+    _METHODS,
     ExperimentConfig,
     RunResult,
     config_to_dict,
@@ -122,9 +124,7 @@ def _write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig, status: 
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
 
 
-def cmd_gen_data(cfg: ExperimentConfig) -> int:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_gen_data(cfg: ExperimentConfig, out: Path) -> dict:
     seeds = stage_seeds(cfg.master_seed, 0)
     written = {}
     for name, dataset in generate_splits(cfg.data, seeds).items():
@@ -135,13 +135,10 @@ def cmd_gen_data(cfg: ExperimentConfig) -> int:
         written[name] = {"path": path.name, "n": len(dataset), "seed": seeds[f"data-{name}"]}
         c, t = dataset.shape
         print(f"wrote {path}: n={len(dataset)} C={c} T={t} classes={cfg.data.classes}")
-    _write_manifest(out, "gen-data", cfg, "ok", extra={"files": written})
-    return 0
+    return {"files": written}
 
 
-def cmd_train_target(cfg: ExperimentConfig) -> int:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_train_target(cfg: ExperimentConfig, out: Path) -> dict:
     prepared = prepare_run(cfg, 0)
     report = prepared.baseline
     ckpt = out / "target.ckpt"
@@ -151,20 +148,14 @@ def cmd_train_target(cfg: ExperimentConfig) -> int:
         f"epochs={prepared.history.n_epochs} test rca={report.rca:.4f} bca={report.bca:.4f}"
     )
     print(f"checkpoint: {ckpt}")
-    _write_manifest(
-        out, "train-target", cfg, "ok",
-        extra={"seeds": prepared.seeds, "test_rca": report.rca, "test_bca": report.bca},
-    )
-    return 0
+    return {"seeds": prepared.seeds, "test_rca": report.rca, "test_bca": report.bca}
 
 
 def _seeds_by_run(cfg: ExperimentConfig) -> dict:
     return {run: stage_seeds(cfg.master_seed, run) for run in range(cfg.runs)}
 
 
-def cmd_attack(cfg: ExperimentConfig) -> int:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_attack(cfg: ExperimentConfig, out: Path) -> dict:
     if len(cfg.budgets) > 1:
         raise ConfigError(f"attack runs one budget, not {list(cfg.budgets)}: pick one with --budget, or use sweep")
     budget = cfg.budgets[0] if cfg.budgets else None  # None: the configured rounds
@@ -185,14 +176,11 @@ def cmd_attack(cfg: ExperimentConfig) -> int:
             f"attacked_rca={result.attacked.rca:.4f}"
         )
     _write_csv(out / "results.csv", RESULT_COLUMNS, rows)
-    _write_manifest(out, "attack", cfg, "ok", extra={"seeds": _seeds_by_run(cfg), "budget": budget})
     print(f"results: {out / 'results.csv'}")
-    return 0
+    return {"seeds": _seeds_by_run(cfg), "budget": budget}
 
 
-def cmd_sweep(cfg: ExperimentConfig) -> int:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_sweep(cfg: ExperimentConfig, out: Path) -> dict:
     if not cfg.budgets:
         raise ConfigError("sweep needs a non-empty budgets list")
     scored = []  # each budget's results row and attacked report, per run index
@@ -205,14 +193,13 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
                [[p.budget, repr(p.rca_mean), repr(p.rca_std), repr(p.bca_mean), repr(p.bca_std), p.runs]
                 for p in curve.points])
     _write_csv(out / "results.csv", RESULT_COLUMNS, rows)
-    _write_manifest(out, "sweep", cfg, "ok", extra={"seeds": _seeds_by_run(cfg)})
     for point in curve.points:
         print(
             f"budget {point.budget}: attacked rca {point.rca_mean:.4f} (+-{point.rca_std:.4f}) "
             f"bca {point.bca_mean:.4f} over {point.runs} runs"
         )
     print(f"sweep curve: {out / 'sweep.csv'}")
-    return 0
+    return {"seeds": _seeds_by_run(cfg)}
 
 
 _REPORT_KEY = RESULT_COLUMNS[:5]  # dataset, models, method, budget
@@ -283,11 +270,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p = sub.add_parser("attack", help="full attack pipeline: balance, train substitute, craft, score")
     common(p)
-    p.add_argument("--method", choices=("active", "jacobian", "noise"), default=None)
+    p.add_argument("--method", choices=_METHODS, default=None)
     p.add_argument("--budget", type=int, default=None, help="training-query budget override")
     p = sub.add_parser("sweep", help="attack across a budget grid")
     common(p)
-    p.add_argument("--method", choices=("active", "jacobian", "noise"), default=None)
+    p.add_argument("--method", choices=_METHODS, default=None)
     p = sub.add_parser("report", help="aggregate results.csv files")
     p.add_argument("--results", nargs="+", required=True)
     p.add_argument("--out", default=None)
@@ -312,7 +299,10 @@ def main(argv=None) -> int:
             "attack": cmd_attack,
             "sweep": cmd_sweep,
         }[args.command]
-        return handler(cfg)
+        out = Path(cfg.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        _write_manifest(out, args.command, cfg, "ok", extra=handler(cfg, out))
+        return 0
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)

@@ -80,9 +80,9 @@ def as_labels(labels, n: int, low: int, high: int = 1 << 63, name: str = "labels
 
 
 def freeze(record, **arrays) -> None:
-    """Set arrays on a frozen record, read-only: one that owns its memory is kept, a view is copied first."""
+    """Set read-only copies of arrays on a frozen record: no array or view a caller holds can write into it."""
     for name, arr in arrays.items():
-        arr = arr if arr.flags.owndata else arr.copy()  # a view's base could still be written
+        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(record, name, arr)
 
@@ -113,7 +113,7 @@ class LabeledSet:
         """A new set with the given epochs appended; the original is untouched."""
         add = as_epoch_batch(epochs, self.shape if len(self) else None)
         lab = as_labels(labels, len(add), -1)
-        return LabeledSet(np.concatenate([self.epochs, add]), np.concatenate([self.labels, lab]))  # kept uncopied
+        return LabeledSet(np.concatenate([self.epochs, add]), np.concatenate([self.labels, lab]))
 
 
 def gen_blobs(
@@ -148,7 +148,7 @@ def gen_blobs(
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(structure_rng.standard_normal((dim, n_classes)))
     means = (separation / np.sqrt(2.0)) * basis.T  # (k, dim), pairwise distance == separation
-    epochs = np.empty((n_per_class * n_classes, channels, samples))  # the set keeps it: no reshaped view to copy
+    epochs = np.empty((n_per_class * n_classes, channels, samples))
     labels = np.empty(n_per_class * n_classes, dtype=np.int64)
     for c in range(n_classes):
         block = slice(c * n_per_class, (c + 1) * n_per_class)
@@ -275,4 +275,4 @@ def read_epochs(path) -> LabeledSet:
     if len(bad := np.flatnonzero(labels < -1)):  # labels follow the values
         raise MalformedEpochFileError(f"label {labels[bad[0]]} is below -1",
                                       offset=16 + 4 * (n_values + int(bad[0])))
-    return LabeledSet(values.reshape(n, c, t).astype(np.float64), labels)  # float64 and int64 casts: kept uncopied
+    return LabeledSet(values.reshape(n, c, t), labels)

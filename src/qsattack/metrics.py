@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import as_labels
+from .data import _MAX_VALUES, as_labels
 
 
 @dataclass
@@ -32,6 +32,8 @@ def confusion_matrix(preds, labels, n_classes: int | None = None) -> np.ndarray:
         raise ValueError("cannot compute metrics on empty inputs")
     k = n_classes if n_classes is not None else 1 + max(  # one past the largest finite value, truncated
         (int(np.max(v, where=np.isfinite(v), initial=0)) for v in given.values() if v.dtype.kind in "biuf"), default=0)
+    if k * k > _MAX_VALUES:  # before bincount asks for k * k counts
+        raise ValueError(f"{k} classes need a {k}x{k} confusion matrix, past {_MAX_VALUES} counts")
     preds, labels = (as_labels(v, n, 0, k, name) for name, v in given.items())
     return np.bincount(labels * k + preds, minlength=k * k).reshape(k, k)
 

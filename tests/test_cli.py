@@ -1,5 +1,8 @@
+import hashlib
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,3 +282,55 @@ def test_gen_data_without_pool_writes_two_files(tmp_path):
     assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
     files = sorted(p.name for p in out.glob("*.epo"))
     assert files == ["test.epo", "train.epo"]
+
+
+EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.json"
+# one command per handler and per way out of main, with the SHA-256 of its exit code, stdout and files
+GOLDEN_COMMANDS = {
+    "gen-data": (["gen-data"],
+                "867233a0f0e01d3cfa6b571ef5f5cb89131470c3b04dc0cfaad733fa6c2855f2"),
+    "train-target": (["train-target"],
+                    "15ed5cec259e62b2c9906592630a227d61786bcf1846101b6a29e4cebe05766e"),
+    "attack-active": (["attack", "--method", "active"],
+                     "fdf458aabb8227ab44810dcbdeaf913a8bca29f3cdc5a6d36057bed63736e8ce"),
+    "attack-jacobian": (["attack", "--method", "jacobian"],
+                       "ef72694c26a62ede8ed703f6157512a0daca893be3273be83d24020344f20827"),
+    "attack-noise": (["attack", "--method", "noise"],
+                    "ba3d60826b8c3ffc7ffe528e2925cfd98dc93ea1f9ff4779965f66d8fd1a95c2"),
+    "sweep-no-budgets": (["sweep"],
+                        "e7d9eb49a32d961330afe7e39a98a97a494053694ae6ca2eadb9213f565c0bb4"),
+    "attack-budget-7": (["attack", "--budget", "7"],
+                       "90e41619a21e3986131dc737a9b0dd26371751319270c4e96623da71db0f7378"),
+}
+
+
+def _command_digest(out: Path, code: int, stdout: str, tmp: Path) -> str:
+    """SHA-256 over the exit code, stdout and every file under ``out``, less library versions and ``tmp``."""
+    digest = hashlib.sha256(f"exit {code}\n{stdout.replace(str(tmp), '<tmp>')}".encode())
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        raw = path.read_bytes()
+        if path == out / "manifest.json":  # the one key that names the installed libraries
+            raw, count = re.subn(rb',\n  "versions": \{[^}]*\}', b"", raw)
+            assert count == 1
+        digest.update(f"{path.relative_to(out).as_posix()}\0{len(raw)}\0".encode() + raw)
+    return digest.hexdigest()
+
+
+def test_every_subcommand_writes_the_golden_bytes(tmp_path, capsys):
+    # the example config, shrunk: every file a command writes, its stdout and its exit code stay the same
+    cfg = json.loads(EXAMPLE.read_text(encoding="utf-8"))
+    cfg["runs"] = 1
+    cfg["data"].update(channels=2, samples=8, train_per_class=30, test_per_class=20, pool_per_class=30)
+    for model in ("target", "substitute"):
+        cfg[model].update(hidden=[6], kernel_width=3)
+        cfg[model]["train"].update(max_epochs=8, patience=3, batch_size=16)
+    cfg["balance"]["per_class"] = 10
+    cfg["synthesis"].update(per_iteration=20, bisection_steps=4, offset_norm=3.0)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    digests = {}
+    for name, (argv, _) in GOLDEN_COMMANDS.items():
+        out = tmp_path / name
+        code = main([*argv, "--config", str(path), "--out", str(out)])
+        digests[name] = _command_digest(out, code, capsys.readouterr().out, tmp_path)
+    assert digests == {name: digest for name, (_, digest) in GOLDEN_COMMANDS.items()}

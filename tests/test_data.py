@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsattack.attack import AttackConfig, craft_batch
+from qsattack.attack import AdversarialExample, AttackConfig, craft_batch
 from qsattack.data import (
     LabeledSet,
     as_epoch_batch,
@@ -21,6 +21,7 @@ from qsattack.errors import ClassBalanceError, MalformedEpochFileError, ShapeMis
 from qsattack.metrics import confusion_matrix
 from qsattack.models import TrainConfig
 from qsattack.oracle import TargetOracle
+from qsattack.synthesis import OppositePair
 from testutil import make_model, mutations
 
 RNG = np.random.default_rng(99)
@@ -54,17 +55,26 @@ def test_labeled_set_labels_are_read_only():
     assert np.array_equal(data.labels, [0, 1])
 
 
-def test_labeled_set_takes_over_an_owned_array_and_copies_a_view():
-    # a NaN written into the caller's array after the finiteness check would land in the set
+FROZEN_RECORDS = {  # each built from the caller's (2, 1, 2) array x
+    "LabeledSet": lambda x: LabeledSet(x, [0, 1]),
+    "AdversarialExample": lambda x: AdversarialExample(x, x, np.array([0, 1])),
+    "OppositePair": lambda x: OppositePair(x, x, 0, 1),
+}
+
+
+@pytest.mark.parametrize("build", FROZEN_RECORDS.values(), ids=FROZEN_RECORDS)
+def test_a_frozen_record_keeps_read_only_copies_of_the_callers_arrays(build):
+    # a NaN written afterwards, through the array or a view made before, would land past the finiteness check
     x = np.zeros((2, 1, 2))
-    data = LabeledSet(x, [0, 1])
-    assert data.epochs is x
-    with pytest.raises(ValueError, match="read-only"):
-        x[0, 0, 0] = np.nan
-    base = np.zeros((4, 1, 2))
-    head = LabeledSet(base[:2], [0, 1])  # a view: its base stays the caller's, writable
-    base[0, 0, 0] = np.nan
-    assert np.isfinite(head.epochs).all() and not head.epochs.flags.writeable
+    view = x[:]
+    record = build(x)
+    view[0, 0, 0] = np.nan  # the caller's array and its views stay writable
+    x[1, 0, 0] = np.nan
+    arrays = [v for v in vars(record).values() if isinstance(v, np.ndarray)]
+    assert arrays and all(np.isfinite(arr).all() for arr in arrays)
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
 
 
 LABEL_XS = RNG.standard_normal((4, 2, 6))

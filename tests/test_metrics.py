@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qsattack import metrics
 from qsattack.metrics import (
     MetricReport,
     bca,
@@ -83,8 +84,11 @@ def test_bca_excludes_absent_classes():
     ([0.7, 1], [0, 1], None, r"preds must hold integer class indices in \[0, 2\)"),
     ([0, 1], [0, np.nan], 2, "labels must hold integer class indices"),
     ([0, -1], [0, 1], None, "preds must hold integer class indices"),
+    ([10**6], [0], None, "1000001 classes need a 1000001x1000001 confusion matrix"),  # 10**12 counts
+    ([0], [0], 46341, "46341 classes need a"),  # the first square past 2**31
 ])
-def test_confusion_matrix_refuses_what_is_not_a_class_index(preds, labels, n_classes, message):
+def test_confusion_matrix_refuses_what_is_not_a_class_index(monkeypatch, preds, labels, n_classes, message):
+    monkeypatch.setattr(metrics.np, "bincount", lambda *a, **kw: pytest.fail("refused after bincount was called"))
     with pytest.raises(ValueError, match=message):
         metric_report(preds, labels, n_classes)
 

@@ -55,7 +55,7 @@ def test_opposite_pair_validation():
         OppositePair(x, np.zeros((2, 2)), 0, 1)
     with pytest.raises(ValueError):
         OppositePair(x, x, 1, 1)
-    pair = OppositePair(x, [[1.0, 0.0]], 0, 1)  # an owned array is taken over, a list converted
+    pair = OppositePair(x, [[1.0, 0.0]], 0, 1)  # an array is copied, a list converted
     for endpoint in (pair.x_plus, pair.x_minus):
         with pytest.raises(ValueError, match="read-only"):
             endpoint[0, 0] = np.nan
