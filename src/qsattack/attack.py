@@ -108,12 +108,10 @@ def craft_batch(model, epochs, cfg: AttackConfig, true_labels=None, rng=None) ->
     return AdversarialExample(xs, cfg.epsilon * np.sign(grads), labels)
 
 
-def save_adversarial_batch(out_dir, examples, cfg: AttackConfig, gradient_source: str) -> None:
+def save_adversarial_batch(out_dir, examples, cfg: AttackConfig) -> None:
     """Write originals and perturbed epochs as EPO1 files plus a JSON manifest.
 
-    ``gradient_source`` names the model whose gradients produced the
-    perturbations (the substitute in a black-box run); it is recorded so
-    the provenance of every batch stays explicit.
+    Its provenance, ``gradient_source``, is ``noise-generator`` for the noise control, else ``substitute``.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -124,7 +122,7 @@ def save_adversarial_batch(out_dir, examples, cfg: AttackConfig, gradient_source
         "epsilon": cfg.epsilon,
         "noise_seed": cfg.noise_seed,
         "count": len(examples),
-        "gradient_source": gradient_source,
+        "gradient_source": "noise-generator" if cfg.method == "noise" else "substitute",
         "files": ["originals.epo", "perturbed.epo"],
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")

@@ -164,8 +164,7 @@ def cmd_attack(cfg: ExperimentConfig, out: Path) -> dict:
         run_dir = out / f"run-{run:03d}"
         run_dir.mkdir(parents=True, exist_ok=True)
         _write_csv(run_dir / "trace.csv", _TRACE_COLUMNS, _trace_rows(result))
-        source = "substitute" if result.method != "noise" else "noise-generator"
-        save_adversarial_batch(run_dir / "adversarial", result.examples, result.attack_config, source)
+        save_adversarial_batch(run_dir / "adversarial", result.examples, result.attack_config)
         if result.substitute is not None:
             save_checkpoint(result.substitute, run_dir / "substitute.ckpt")
         save_checkpoint(result.target, run_dir / "target.ckpt")
@@ -223,8 +222,7 @@ def cmd_report(result_paths, out_dir: str | None) -> int:
                         raise ValueError(f"{path} holds {col} {row[col]!r}, not {kind}") from None
                 rows.append(row)
     if not rows:
-        print("no result rows found", file=sys.stderr)
-        return 1
+        raise ValueError("no result rows found")
     groups = {}
     for row in rows:
         key = tuple(row[col] for col in _REPORT_KEY)

@@ -71,7 +71,7 @@ class ModelSpec:
 
     ``hidden`` is the hidden layer widths for ``mlp`` (one or two entries)
     and the filter count for ``tcn`` (exactly one entry); ``linear`` takes
-    none.  ``kernel_width`` only matters for ``tcn``.
+    none.  ``kernel_width`` only matters for ``tcn``.  ``n_params`` counts the parameters.
     """
 
     architecture: str
@@ -109,6 +109,7 @@ class ModelSpec:
         n_params = sum(math.prod(shape) for _, shape, _ in _layer_table(self))  # Python ints: no overflow
         if n_params > _MAX_VALUES:  # refused before anything is allocated
             raise ValueError(f"hidden {list(self.hidden)} gives {n_params} parameters, more than {_MAX_VALUES}")
+        object.__setattr__(self, "n_params", n_params)  # not a field: keys, ==, repr and checkpoints skip it
 
     @property
     def input_shape(self) -> tuple[int, int]:
@@ -197,12 +198,10 @@ class SoftmaxClassifier:
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
-        self._table = _layer_table(spec)
-        total = sum(math.prod(shape) for _, shape, _ in self._table)  # Python ints: no overflow
-        self._params, self._grad = np.zeros(total), np.zeros(total)  # _backward writes _grad in place
+        self._params, self._grad = np.zeros(spec.n_params), np.zeros(spec.n_params)  # _backward writes _grad in place
         self.views, self._grads, offset = {}, {}, 0  # named reshaped views into each flat vector
         rng = np.random.default_rng(spec.seed)  # scaled-uniform init, bound 1/sqrt(fan_in)
-        for name, shape, fan_in in self._table:
+        for name, shape, fan_in in _layer_table(spec):
             size = math.prod(shape)
             self.views[name] = self._params[offset : offset + size].reshape(shape)
             self._grads[name] = self._grad[offset : offset + size].reshape(shape)
@@ -221,7 +220,7 @@ class SoftmaxClassifier:
             w, f, j = np.ix_(np.arange(windows), np.arange(n_filters), np.arange(spec.kernel_width))
             self._band_idx = (w + j) * (windows * n_filters) + w * n_filters + f  # (windows, F, k)
             self._pool = np.tile(np.eye(n_filters) / windows, (windows, 1))  # (windows*F, F) mean
-        self._adam = np.zeros((2, total))  # Adam's moments, updated in place
+        self._adam = np.zeros((2, spec.n_params))  # Adam's moments, updated in place
         self._adam_m, self._adam_v = self._adam  # its rows: first and second moment
         self._adam_t = 0
 
@@ -481,11 +480,10 @@ def load_checkpoint(path) -> SoftmaxClassifier:
     except ValueError as exc:
         raise MalformedCheckpointError(f"checkpoint describes an invalid model: {exc}") from None
     n_params = field("n_params")
-    needed = sum(math.prod(shape) for _, shape, _ in _layer_table(spec))  # Python ints: no overflow
-    if len(params) != n_params or n_params != needed:
+    if len(params) != n_params or n_params != spec.n_params:
         raise MalformedCheckpointError(
             f"checkpoint key 'n_params' declares {n_params} parameters, the file holds "
-            f"{len(params)} and the model needs {needed}"
+            f"{len(params)} and the model needs {spec.n_params}"
         )
     model = SoftmaxClassifier(spec)
     model.set_parameters(np.array(params))

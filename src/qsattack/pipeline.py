@@ -83,11 +83,11 @@ class DataConfig:
 
     def __post_init__(self):
         if self.generator not in _GENERATORS:
-            raise ConfigError(f"unknown generator {self.generator!r}")
+            raise ConfigError(f"data.generator must be one of {', '.join(_GENERATORS)}, got {self.generator!r}")
         epoch_values = int(self.classes) * int(self.channels) * int(self.samples)  # Python ints: no overflow
         for name, least in (("train_per_class", 1), ("test_per_class", 1), ("pool_per_class", 0)):
             if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be >= {least}")
+                raise ConfigError(f"data.{name} must be >= {least}")
             if int(getattr(self, name)) * epoch_values > _MAX_VALUES:
                 raise ConfigError(f"data.{name} * classes * channels * samples exceeds {_MAX_VALUES} values")
         if self.separation <= 0:
@@ -117,7 +117,7 @@ class BalanceConfig:
 
     def __post_init__(self):
         if self.per_class < 1:  # budgets are planned in multiples of the initial set size
-            raise ConfigError("per_class must be >= 1")
+            raise ConfigError("balance.per_class must be >= 1")
         if self.strict is not True:
             raise ConfigError("balance.strict must be true: a class short of per_class is refused")
 
@@ -139,7 +139,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.method not in _METHODS:
-            raise ConfigError(f"unknown method {self.method!r}")
+            raise ConfigError(f"method must be one of {', '.join(_METHODS)}, got {self.method!r}")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
         if self.attack.method == "noise":  # a substitute run would craft noise and be labeled with it
@@ -196,6 +196,8 @@ def _config_from_dict(cls, raw: dict, path: str):
             kwargs[key] = value
     try:
         return cls(**kwargs)
+    except ConfigError:  # a pipeline config's own refusal already names its key
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid value in {path or 'config'}: {exc}") from exc
 

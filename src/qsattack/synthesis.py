@@ -320,26 +320,23 @@ def jacobian_augment(
     return craft_batch(model, data.epochs, AttackConfig(step_size, "ufgsm")).perturbed
 
 
-def _check_budget(oracle, needed: int) -> None:
-    """All-or-nothing: refuse a plan before its first query if it cannot finish."""
-    if oracle.remaining is not None and oracle.remaining < needed:
-        raise BudgetExhaustedError(
-            f"plan needs {needed} target queries but only {oracle.remaining} remain",
-            remaining=oracle.remaining,
-        )
-
-
-def _augment_rounds(oracle, xs, model_spec: ModelSpec, train_cfg: TrainConfig, rounds: int, propose, on_round=None):
+def _augment_rounds(oracle, initial_epochs, model_spec: ModelSpec, train_cfg: TrainConfig, rounds: int, needed, propose,
+                    on_round=None):
     """The loop both trainers share: label the new epochs, append them, fine-tune, trace.
 
-    Round 0 labels the initial set ``xs`` and trains a fresh substitute on
-    it (trace row 0, ``synthesized`` None); rounds 1 to ``rounds`` label
-    ``propose(data, model, counter)``, the round's new (m, C, T) epochs,
-    and keep training that same substitute.  Trace query counts are
-    relative to the oracle counter at entry.  ``on_round(model, trace,
-    data)``, when given, sees the substitute, the trace so far and the
-    labeled set after every round.
+    Before the first query, a malformed initial set raises, then a plan whose
+    ``needed(len(initial))`` exceeds ``oracle.remaining``: all or nothing.
+    Round 0 labels the initial set and trains a fresh substitute on it (trace
+    row 0, ``synthesized`` None); rounds 1 to ``rounds`` label ``propose(data,
+    model, counter)``, the round's new (m, C, T) epochs, and keep training
+    that same substitute.  Trace query counts are relative to the oracle
+    counter at entry.  ``on_round(model, trace, data)``, when given, sees the
+    substitute, the trace so far and the labeled set after every round.
     """
+    xs = as_epoch_batch(initial_epochs, model_spec.input_shape)
+    need, left = needed(len(xs)), oracle.remaining
+    if left is not None and left < need:
+        raise BudgetExhaustedError(f"plan needs {need} target queries but only {left} remain", remaining=left)
     start = oracle.query_count
     data, model = LabeledSet(xs[:0], []), SoftmaxClassifier(model_spec)
     trace, counter = AugmentationTrace(), QueryCounter()
@@ -368,21 +365,21 @@ def train_substitute_active(
     the current substitute over the one-vs-one class pairs (a single pair
     for two classes), labeled by the target in one batch, appended, and
     the substitute fine-tuned.  Target queries total
-    ``len(initial) + n_iterations * per_iteration`` exactly.  Round ``i``
-    runs exactly as the last round of an ``n_iterations=i`` run would
-    (``n_iterations=0`` stops after round 0), so ``on_round(model, trace,
-    data)`` (see :func:`_augment_rounds`) sees every shorter run's final
-    state on the way.  The initial set must hold every class the target
-    labels, as :func:`balance_by_predicted_label` returns it.
+    ``len(initial) + n_iterations * per_iteration`` exactly, all or nothing:
+    :func:`_augment_rounds` refuses a plan the oracle cannot pay for before
+    its first query.  Round ``i`` runs exactly as the last round of an
+    ``n_iterations=i`` run would (``n_iterations=0`` stops after round 0), so
+    ``on_round(model, trace, data)`` sees every shorter run's final state on
+    the way.  The initial set must hold every class the target labels, as
+    :func:`balance_by_predicted_label` returns it.
     """
-    xs = as_epoch_batch(initial_epochs, model_spec.input_shape)
-    _check_budget(oracle, len(xs) + syn_cfg.n_iterations * syn_cfg.per_iteration)
     rng = np.random.default_rng(syn_cfg.seed)
 
     def propose(data, model, counter):
         return synthesize_one_vs_one(data, model, model_spec.classes, syn_cfg, rng, counter)
 
-    return _augment_rounds(oracle, xs, model_spec, train_cfg, syn_cfg.n_iterations, propose, on_round)
+    return _augment_rounds(oracle, initial_epochs, model_spec, train_cfg, syn_cfg.n_iterations,
+                           lambda n: n + syn_cfg.n_iterations * syn_cfg.per_iteration, propose, on_round)
 
 
 def train_substitute_jacobian(
@@ -396,13 +393,11 @@ def train_substitute_jacobian(
     """Baseline substitute training by repeated signed-gradient augmentation.
 
     Each round doubles the labeled set, so after N rounds the new target
-    queries total ``len(initial) * (2**N - 1)``.  As for the active method,
-    ``on_round`` sees every shorter run's final state on the way.
+    queries total ``len(initial) * (2**N - 1)``, all or nothing.  As for the
+    active method, ``on_round`` sees every shorter run's final state on the way.
     """
-    xs = as_epoch_batch(initial_epochs, model_spec.input_shape)
-    _check_budget(oracle, len(xs) * 2**jac_cfg.n_iterations)
-
     def propose(data, model, counter):
         return jacobian_augment(data, model, jac_cfg.step_size, counter)
 
-    return _augment_rounds(oracle, xs, model_spec, train_cfg, jac_cfg.n_iterations, propose, on_round)
+    return _augment_rounds(oracle, initial_epochs, model_spec, train_cfg, jac_cfg.n_iterations,
+                           lambda n: n * 2**jac_cfg.n_iterations, propose, on_round)

@@ -166,8 +166,7 @@ def test_save_adversarial_batch(tmp_path):
     model = make_model("mlp", seed=2)
     xs = RNG.standard_normal((5, 2, 6))
     examples = craft_batch(model, xs, AttackConfig(epsilon=0.1, method="ufgsm"))
-    save_adversarial_batch(tmp_path / "adv", examples, AttackConfig(epsilon=0.1, method="ufgsm"),
-                           gradient_source="substitute")
+    save_adversarial_batch(tmp_path / "adv", examples, AttackConfig(epsilon=0.1, method="ufgsm"))
     originals = read_epochs(tmp_path / "adv" / "originals.epo")
     perturbed = read_epochs(tmp_path / "adv" / "perturbed.epo")
     assert len(originals) == len(perturbed) == 5
@@ -175,6 +174,9 @@ def test_save_adversarial_batch(tmp_path):
     assert manifest["gradient_source"] == "substitute"
     assert manifest["method"] == "ufgsm"
     assert manifest["count"] == 5
+    noise = AttackConfig(epsilon=0.1, method="noise")
+    save_adversarial_batch(tmp_path / "noise", craft_batch(None, xs, noise), noise)
+    assert json.loads((tmp_path / "noise" / "manifest.json").read_text())["gradient_source"] == "noise-generator"
 
 
 def test_ufgsm_beats_noise_on_simple_task():

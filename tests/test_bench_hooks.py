@@ -74,6 +74,7 @@ def test_traced_commands_keep_working(tmp_path, command):
     assert metrics["pipeline.target_fits_per_run_index"] == 1.0
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_commands_write_the_reference_bytes(tmp_path, name):
     # the full seed-0 pass the benchmark checks: a refused key or any output drift fails here first

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsattack.cli import main
+from qsattack.cli import RESULT_COLUMNS, main
 from qsattack.data import read_epochs
 from qsattack.models import SoftmaxClassifier, load_checkpoint
 from qsattack.pipeline import ExperimentConfig, load_config
@@ -259,12 +259,17 @@ def test_report_names_the_file_and_column_of_an_unreadable_value(tmp_path, capsy
 def test_report_errors_use_the_common_error_path(tmp_path, capsys):
     no_columns = tmp_path / "other.csv"
     no_columns.write_text("a,b\n1,2\n", encoding="utf-8")
-    for path in (tmp_path / "missing.csv", no_columns):
+    no_rows = tmp_path / "empty.csv"
+    no_rows.write_text(",".join(RESULT_COLUMNS) + "\n", encoding="utf-8")
+    errors = {}
+    for path in (tmp_path / "missing.csv", no_rows, no_columns):
         assert main(["report", "--results", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-    assert str(no_columns) in err
-    assert "baseline_rca, bca, budget, dataset, method, noisy_rca, rca, substitute_model, target_model" in err
+        errors[path] = capsys.readouterr().err
+        assert errors[path].startswith("error: ")
+    assert errors[no_rows].startswith("error: no result rows found\n")
+    assert str(no_columns) in errors[no_columns]
+    assert ("baseline_rca, bca, budget, dataset, method, noisy_rca, rca, substitute_model, target_model"
+            in errors[no_columns])
 
 
 def test_version_flag():
@@ -316,6 +321,7 @@ def _command_digest(out: Path, code: int, stdout: str, tmp: Path) -> str:
     return digest.hexdigest()
 
 
+@pytest.mark.golden
 def test_every_subcommand_writes_the_golden_bytes(tmp_path, capsys):
     # the example config, shrunk: every file a command writes, its stdout and its exit code stay the same
     cfg = json.loads(EXAMPLE.read_text(encoding="utf-8"))

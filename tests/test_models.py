@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from pathlib import Path
@@ -22,6 +23,16 @@ from testutil import fd_input_gradient, logistic_model, make_model, mutations, r
 DATA = Path(__file__).parent / "data"
 
 RNG = np.random.default_rng(1234)
+
+
+@pytest.mark.parametrize("architecture, hidden", [("linear", ()), ("mlp", (16,)), ("mlp", (16, 8)), ("tcn", (4,))],
+                         ids=["linear", "mlp16", "mlp16x8", "tcn"])
+def test_a_spec_counts_its_parameters_once(architecture, hidden):
+    spec = ModelSpec(architecture, 3, 12, 3, hidden=hidden, kernel_width=5, seed=1)
+    assert spec.n_params == SoftmaxClassifier(spec).n_parameters
+    # an attribute, not a field: checkpoint keys, equality and repr stay as they were
+    assert "n_params" not in {f.name for f in dataclasses.fields(ModelSpec)} and "n_params" not in repr(spec)
+    assert spec == dataclasses.replace(spec) and spec.n_params == dataclasses.replace(spec).n_params
 
 
 def test_spec_validation():
@@ -346,6 +357,7 @@ _GOLDEN_FITS = {
 _GOLDEN_ARCHS = {"linear": ("linear", ()), "mlp16": ("mlp", (16,)), "mlp16x8": ("mlp", (16, 8)), "tcn": ("tcn", (4,))}
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("name, activation, patience", sorted(_GOLDEN_FITS))
 def test_two_fits_reproduce_the_golden_bytes(name, activation, patience):
     arch, hidden = _GOLDEN_ARCHS[name]
@@ -373,6 +385,7 @@ _GOLDEN_PROBES = {
 }
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("name, activation", sorted(_GOLDEN_PROBES))
 def test_probing_reproduces_the_golden_bytes(name, activation):
     # prediction, input gradients and the loss share the fit's forward and backward, but fit never asks for dX

@@ -162,11 +162,11 @@ def test_config_that_is_not_utf8_json_raises_config_error(tmp_path, text, where)
     ({"budgets": 300}, "budgets"),
     ({"budgets": "49"}, "budgets"),
     ({"target": {"hidden": "16"}}, "target.hidden"),
-    ({"data": {"train_per_class": 0}}, "train_per_class"),
-    ({"data": {"test_per_class": 0}}, "test_per_class"),
-    ({"data": {"pool_per_class": -1}}, "pool_per_class"),
+    ({"data": {"train_per_class": 0}}, "data.train_per_class must be >= 1"),
+    ({"data": {"test_per_class": 0}}, "data.test_per_class must be >= 1"),
+    ({"data": {"pool_per_class": -1}}, "data.pool_per_class must be >= 0"),
     ({"budgets": [-5]}, "budgets must be non-negative integers"),
-    ({"balance": {"per_class": 0}}, "per_class must be >= 1"),
+    ({"balance": {"per_class": 0}}, "balance.per_class must be >= 1"),
     ({"substitute": {"architecture": "cnn"}}, "substitute"),
     ({"target": {"architecture": "mlp", "hidden": [6, 6, 6]}}, "target"),
     ({"data": {"samples": 8}, "substitute": {"architecture": "tcn", "hidden": [4], "kernel_width": 99}},
@@ -184,18 +184,24 @@ def test_config_that_is_not_utf8_json_raises_config_error(tmp_path, text, where)
     ({"target": {"train": {"class_weights": "uniform"}}}, "unknown key(s) ['class_weights'] in target.train"),
     ({"attack": {"noise_seed": 7}}, "attack.noise_seed cannot be set"),
     ({"attack": {"method": "noise"}}, "attack.method must be fgsm or ufgsm"),
+    ({"data": {"generator": "eeg"}}, "data.generator must be one of blobs, erp, got 'eeg'"),
+    ({"balance": {"strict": False}}, "balance.strict must be true"),
+    ({"method": "random"}, "method must be one of active, jacobian, noise, got 'random'"),
+    ({"runs": 0}, "runs must be >= 1"),
+    ({"budgets": [300, 200]}, "budgets must be strictly increasing"),
 ], ids=["data-not-object", "train-not-object", "budgets-number", "budgets-string",
         "hidden-string", "train-below-1", "test-below-1", "pool-below-0", "budget-negative", "balance-below-1",
         "unknown-architecture", "mlp-three-hidden", "tcn-kernel-too-wide", "unknown-activation",
         "one-class", "separation-zero", "separation-negative", "noise-sigma-negative",
         "noise-amplitude-negative", "synthesis-seed", "jacobian-seed", "target-shuffle-seed",
-        "substitute-shuffle-seed", "target-class-weights", "attack-noise-seed", "attack-method-noise"])
+        "substitute-shuffle-seed", "target-class-weights", "attack-noise-seed", "attack-method-noise",
+        "unknown-generator", "strict-false", "unknown-method", "runs-below-1", "budgets-decreasing"])
 def test_config_wrong_types_raise_config_error(tmp_path, doc, key):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ConfigError) as info:
         load_config(path)
-    assert key in str(info.value)
+    assert str(info.value).startswith(key)  # the dotted key first, named once
 
 
 @pytest.mark.parametrize("doc, key", [

@@ -14,6 +14,7 @@ from qsattack.errors import (
     BudgetExhaustedError,
     ClassBalanceError,
     DegenerateDirectionError,
+    ShapeMismatchError,
 )
 from qsattack.metrics import boundary_agreement
 from qsattack.models import ModelSpec, SoftmaxClassifier, TrainConfig
@@ -314,6 +315,17 @@ def test_jacobian_training_budget_precheck_leaves_counter():
     assert oracle.query_count == 0
 
 
+@pytest.mark.parametrize("trainer, cfg", [(train_substitute_active, SynthesisConfig(n_iterations=2, per_iteration=10)),
+                                          (train_substitute_jacobian, JacobianConfig(n_iterations=2))],
+                         ids=["active", "jacobian"])
+def test_a_malformed_initial_set_raises_before_the_budget_check(trainer, cfg):
+    # 12 (2, 6) epochs for a (2, 5) model, and a budget of 3 that no plan fits: the shape is refused first
+    _, oracle, s0 = make_oracle_and_s0(n_s0=12, budget=3)
+    with pytest.raises(ShapeMismatchError):
+        trainer(oracle, s0, ModelSpec("mlp", 2, 5, 2, hidden=(5,), seed=5), FAST_TRAIN, cfg)
+    assert oracle.query_count == 0
+
+
 class ConstantSubstitute(SoftmaxClassifier):
     """Trains like any substitute but labels every epoch as class 0."""
 
@@ -402,6 +414,7 @@ def assert_round_matches_reference(data, model, k, cfg, make_rng):
     return rng, ref_rng, counter
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("arch", ["linear", "mlp", "tcn"])
 def test_round_kernel_matches_per_epoch_reference(monkeypatch, arch, k):
