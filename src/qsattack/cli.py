@@ -151,16 +151,13 @@ def cmd_train_target(cfg: ExperimentConfig, out: Path) -> dict:
     return {"seeds": prepared.seeds, "test_rca": report.rca, "test_bca": report.bca}
 
 
-def _seeds_by_run(cfg: ExperimentConfig) -> dict:
-    return {run: stage_seeds(cfg.master_seed, run) for run in range(cfg.runs)}
-
-
 def cmd_attack(cfg: ExperimentConfig, out: Path) -> dict:
     if len(cfg.budgets) > 1:
         raise ConfigError(f"attack runs one budget, not {list(cfg.budgets)}: pick one with --budget, or use sweep")
     budget = cfg.budgets[0] if cfg.budgets else None  # None: the configured rounds
-    rows = []
+    rows, seeds = [], {}
     for run, [result] in experiment_runs(cfg, [budget]):
+        seeds[run] = result.seeds
         run_dir = out / f"run-{run:03d}"
         run_dir.mkdir(parents=True, exist_ok=True)
         _write_csv(run_dir / "trace.csv", _TRACE_COLUMNS, _trace_rows(result))
@@ -176,14 +173,15 @@ def cmd_attack(cfg: ExperimentConfig, out: Path) -> dict:
         )
     _write_csv(out / "results.csv", RESULT_COLUMNS, rows)
     print(f"results: {out / 'results.csv'}")
-    return {"seeds": _seeds_by_run(cfg), "budget": budget}
+    return {"seeds": seeds, "budget": budget}
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: Path) -> dict:
     if not cfg.budgets:
         raise ConfigError("sweep needs a non-empty budgets list")
-    scored = []  # each budget's results row and attacked report, per run index
-    for _, results in experiment_runs(cfg, cfg.budgets):
+    scored, seeds = [], {}  # each budget's results row and attacked report, and the seeds, per run index
+    for run, results in experiment_runs(cfg, cfg.budgets):
+        seeds[run] = results[0].seeds
         scored.append([(_results_row(cfg, r), r.attacked) for r in results])
         del results  # free the run's models before the next run trains
     curve = sweep_curve(cfg.budgets, [[attacked for _, attacked in run] for run in scored])
@@ -198,7 +196,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> dict:
             f"bca {point.bca_mean:.4f} over {point.runs} runs"
         )
     print(f"sweep curve: {out / 'sweep.csv'}")
-    return {"seeds": _seeds_by_run(cfg)}
+    return {"seeds": seeds}
 
 
 _REPORT_KEY = RESULT_COLUMNS[:5]  # dataset, models, method, budget
@@ -210,16 +208,18 @@ def cmd_report(result_paths, out_dir: str | None) -> int:
     for path in result_paths:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            missing = sorted(set(_REPORT_KEY + _REPORT_MEANS) - set(reader.fieldnames or ()))
-            if missing:
+            if missing := sorted(set(_REPORT_KEY + _REPORT_MEANS) - set(reader.fieldnames or ())):
                 raise ValueError(f"{path} lacks the result column(s) {', '.join(missing)}")
             parsers = [("budget", int, "an integer")] + [(col, float, "a number") for col in _REPORT_MEANS]
             for row in reader:  # budgets group and sort as numbers
                 for col, parse, kind in parsers:
                     try:
-                        row[col] = parse(row[col])
+                        value = parse(row[col])
+                        if not -np.inf < value < np.inf:  # nan and inf would average to nan and inf
+                            raise ValueError
                     except (TypeError, ValueError):
                         raise ValueError(f"{path} holds {col} {row[col]!r}, not {kind}") from None
+                    row[col] = value
                 rows.append(row)
     if not rows:
         raise ValueError("no result rows found")

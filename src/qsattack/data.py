@@ -116,6 +116,15 @@ class LabeledSet:
         return LabeledSet(np.concatenate([self.epochs, add]), np.concatenate([self.labels, lab]))
 
 
+def _streams(n_per_class: int, n_classes: int, seed: int, structure_seed: int | None):
+    """Both generators' common refusals, then their structure stream (seeded ``seed`` by default) and sample stream."""
+    if n_per_class < 1:
+        raise ValueError("n_per_class must be >= 1")
+    if n_classes < 2:
+        raise ValueError("n_classes must be >= 2")
+    return np.random.default_rng(seed if structure_seed is None else structure_seed), np.random.default_rng(seed)
+
+
 def gen_blobs(
     n_per_class: int,
     n_classes: int,
@@ -135,17 +144,12 @@ def gen_blobs(
     with different ``seed`` values share one class geometry; it defaults
     to ``seed``.
     """
-    if n_per_class < 1:
-        raise ValueError("n_per_class must be >= 1")
-    if n_classes < 2:
-        raise ValueError("n_classes must be >= 2")
+    structure_rng, rng = _streams(n_per_class, n_classes, seed, structure_seed)
     if separation <= 0:
         raise ValueError("separation must be > 0")
     dim = channels * samples
     if dim < n_classes:
         raise ValueError("channels * samples must be >= n_classes for distinct means")
-    structure_rng = np.random.default_rng(seed if structure_seed is None else structure_seed)
-    rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(structure_rng.standard_normal((dim, n_classes)))
     means = (separation / np.sqrt(2.0)) * basis.T  # (k, dim), pairwise distance == separation
     epochs = np.empty((n_per_class * n_classes, channels, samples))
@@ -174,14 +178,9 @@ def gen_synthetic_epochs(
     different ``seed`` values share one set of class templates.  The
     whole dataset is rescaled to unit RMS at the end.
     """
-    if n_per_class < 1:
-        raise ValueError("n_per_class must be >= 1")
-    if n_classes < 2:
-        raise ValueError("n_classes must be >= 2")
+    structure_rng, rng = _streams(n_per_class, n_classes, seed, structure_seed)
     if channels < 1 or samples < 8:
         raise ValueError("need channels >= 1 and samples >= 8")
-    structure_rng = np.random.default_rng(seed if structure_seed is None else structure_seed)
-    rng = np.random.default_rng(seed)
     gains = 0.5 + structure_rng.random(channels)
     phases = structure_rng.uniform(0.0, 2.0 * np.pi, channels)
     t = np.arange(samples) / samples

@@ -19,24 +19,24 @@ prediction, input gradients and training, whose step updates all of them
 in place, in the textbook formulas' order of float operations.  Both read
 layer tables built once per model (the hidden and head ``(W, b)`` views,
 the backward's reversed ``(layer, gW, gb, W)`` rows, the architecture
-flag); a row's max folds ``np.maximum`` over the class columns, exact in
-any order; softmax, log-sum-exp and bias adds work in place on their own
-temporaries, and a fit builds its batch views once.  Specs of over 2**31
-parameters are refused.
+flag, the activation and its derivative); a row's max folds
+``np.maximum`` over the class columns, exact in any order; softmax,
+log-sum-exp and bias adds work in place on their own temporaries, and a
+fit builds its batch views once.  Specs of over 2**31 parameters are refused.
 All math is deterministic given the seeds.
 
 The labels of ``fit``, ``dataset_loss`` and ``input_gradient_batch`` pass
 :func:`qsattack.data.as_labels` once per call: integers in ``[0, classes)``,
 else ``ValueError`` (none is truncated); a wrong count raises ShapeMismatchError.
 
-Checkpoint format (plain text, documented keys)::
+Checkpoint format (plain text, each documented key once)::
 
     format: qsattack-model-1
     architecture: mlp
     channels: 4
     samples: 16
     classes: 2
-    hidden: 16,8          # comma-separated, empty for none
+    hidden: 16,8          # comma-separated integers, empty for none
     activation: relu
     kernel_width: 9
     seed: 3
@@ -58,7 +58,10 @@ from .data import _MAX_VALUES, LabeledSet, as_epoch_batch, as_labels
 from .errors import MalformedCheckpointError, ShapeMismatchError
 
 _ARCHITECTURES = ("linear", "mlp", "tcn")
-_ACTIVATIONS = ("relu", "tanh")
+_ACTIVATIONS = {  # in place on z; the derivative from the activation alone: relu(z) > 0 exactly where z > 0
+    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda a: a > 0),
+    "tanh": (lambda z: np.tanh(z, out=z), lambda a: 1.0 - a * a),
+}
 _CHECKPOINT_FORMAT = "qsattack-model-1"
 _BETA1, _BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8  # Kingma & Ba (2015)
 _LEARNING_RATE = 1e-2
@@ -183,16 +186,6 @@ def _logsumexp(z: np.ndarray) -> np.ndarray:
     return np.add(np.log(s, out=s), m, out=s)  # m + log(sum): float addition commutes
 
 
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
-    """Apply the activation to ``z`` in place and return it."""
-    return np.maximum(z, 0.0, out=z) if kind == "relu" else np.tanh(z, out=z)
-
-
-def _act_prime(a: np.ndarray, kind: str) -> np.ndarray:
-    """Derivative from the activation alone: relu(z) > 0 exactly where z > 0."""
-    return a > 0 if kind == "relu" else 1.0 - a * a
-
-
 class SoftmaxClassifier:
     """k-class classifier over (C, T) epochs, usable as target or substitute."""
 
@@ -214,7 +207,7 @@ class SoftmaxClassifier:
         *self._hidden, self._head = [(self.views[w], self.views[b]) for w, b in pairs]
         self._backprop = [(layer, self._grads[w], self._grads[b], self.views[w])  # (layer, gW, gb, W), head first
                           for layer, (w, b) in enumerate(pairs)][::-1]
-        self._tcn, self._activation = spec.architecture == "tcn", spec.activation
+        self._tcn, (self._activate, self._derivative) = spec.architecture == "tcn", _ACTIVATIONS[spec.activation]
         if self._tcn:  # flat indices of band[w + j, w*F + f] = conv_w[f, j]
             windows, (n_filters,) = spec.samples - spec.kernel_width + 1, spec.hidden
             w, f, j = np.ix_(np.arange(windows), np.arange(n_filters), np.arange(spec.kernel_width))
@@ -256,14 +249,14 @@ class SoftmaxClassifier:
 
     def _forward(self, X: np.ndarray):
         """Batched logits plus the cache needed for backprop; every caller has checked the shape of ``X``."""
-        (n, C, T), activation, cache = X.shape, self._activation, {}
+        (n, C, T), activate, cache = X.shape, self._activate, {}
         if self._tcn:  # banded filter matrix: one row per (epoch, channel), one matmul
             n_filters, X2d, band = self.spec.hidden[0], X.reshape(n * C, T), np.zeros((T, self._pool.shape[0]))
             band.reshape(band.size)[self._band_idx] = self.views["conv_w"]  # written anew every forward
             act = X2d @ band  # (n*C, windows*F)
             by_filter = act.reshape(act.size // n_filters, n_filters)  # a view: add the bias in place
             by_filter += self.views["conv_b"]
-            _act(act, activation)
+            activate(act)
             cache = {"X2d": X2d, "band": band, "act": act}
             # mean over the windows by one matmul; the dense head reads (filter, channel) order
             pooled = (act @ self._pool).reshape(n, C, n_filters)
@@ -272,7 +265,7 @@ class SoftmaxClassifier:
             acts = [X.reshape(n, C * T)]
         for W, b in self._hidden:  # each layer adds its bias in place to its matmul result
             z = acts[-1] @ W.T
-            acts.append(_act(np.add(z, b, z), activation))
+            acts.append(activate(np.add(z, b, z)))
         W, b = self._head
         cache["acts"] = acts
         logits = acts[-1] @ W.T
@@ -280,7 +273,7 @@ class SoftmaxClassifier:
 
     def _backward(self, X, cache, dlogits, want_params: bool, want_inputs: bool):
         """Backprop ``dlogits`` to the input gradients (returned) and/or the parameter gradient (into ``_grad``)."""
-        tcn, activation = self._tcn, self._activation
+        tcn, derivative = self._tcn, self._derivative
         acts, delta = cache["acts"], dlogits
         for layer, gW, gb, W in self._backprop:
             if want_params:
@@ -290,14 +283,14 @@ class SoftmaxClassifier:
                 break
             delta = delta @ W
             if layer:
-                delta *= _act_prime(acts[layer], activation)
+                delta *= derivative(acts[layer])
         dX = delta.reshape(X.shape) if want_inputs and not tcn else None
         if tcn:  # filter bank: the averaging matmul's transpose spreads dpooled over the windows
             X2d, band, act = cache["X2d"], cache["band"], cache["act"]
             n, n_filters, C = X.shape[0], self.spec.hidden[0], self.spec.channels
             dpooled = delta.reshape(n, n_filters, C).transpose(0, 2, 1).reshape(n * C, n_filters)
             dfeat = dpooled @ self._pool.T  # (n*C, windows*F)
-            dfeat *= _act_prime(act, activation)
+            dfeat *= derivative(act)
             if want_params:  # conv_w sums X2d.T @ dfeat along each tap's band diagonal
                 by_filter = dfeat.reshape(dfeat.size // n_filters, n_filters)
                 np.matmul(np.ones(len(by_filter)), by_filter, out=self._grads["conv_b"])
@@ -454,12 +447,13 @@ def load_checkpoint(path) -> SoftmaxClassifier:
         if line == "params:":
             in_params = True
             continue
-        key, _, value = line.partition(":")
-        fields[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition(":"))
+        if key in fields:  # a second line would silently win
+            raise MalformedCheckpointError(f"line {lineno}: key {key!r} repeats")
+        fields[key] = value
     if fields.get("format") != _CHECKPOINT_FORMAT:
         raise MalformedCheckpointError(f"unsupported checkpoint format {fields.get('format')!r}")
-    unknown = set(fields) - {"format", "n_params", *_SPEC_KEYS}
-    if unknown:
+    if unknown := set(fields) - {"format", "n_params", *_SPEC_KEYS}:
         raise MalformedCheckpointError(f"unknown checkpoint keys: {sorted(unknown)}")
 
     def field(key, parse=int):
@@ -473,7 +467,7 @@ def load_checkpoint(path) -> SoftmaxClassifier:
             ) from None
 
     parsers = {"architecture": str, "activation": str,
-               "hidden": lambda v: tuple(int(h) for h in v.split(",") if h)}
+               "hidden": lambda v: tuple(int(h) for h in v.split(",")) if v else ()}  # int("") refuses an empty item
     values = {key: field(key, parsers.get(key, int)) for key in _SPEC_KEYS}
     try:
         spec = ModelSpec(**values)

@@ -203,9 +203,15 @@ def _config_from_dict(cls, raw: dict, path: str):
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse a JSON experiment config; unknown keys and text that is not UTF-8 JSON are hard errors."""
+    """Parse a JSON experiment config; unknown or repeated keys and text that is not UTF-8 JSON are hard errors."""
+    def unique(pairs):  # json would keep a repeated key's last value
+        keys = [key for key, _ in pairs]
+        if repeated := sorted({key for key in keys if keys.count(key) > 1}):
+            raise ConfigError(f"config {path} repeats the key(s) {repeated}")
+        return dict(pairs)
+
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # a JSON error names its line and column
         raise ConfigError(f"config {path} is not UTF-8 JSON: {exc}") from None
     if not isinstance(raw, dict):

@@ -249,7 +249,8 @@ def test_report_names_the_file_and_column_of_an_unreadable_value(tmp_path, capsy
     path = tmp_path / "results.csv"
     header = "dataset,target_model,substitute_model,method,budget,seed,rca,bca,baseline_rca,baseline_bca,noisy_rca,noisy_bca"
     good = "blobs-k2-4x16,mlp-16,mlp-16,active,200,7,0.5,0.5,0.9,0.9,0.8,0.8"
-    for col, value in (("rca", "x"), ("noisy_rca", ""), ("baseline_rca", "0.9.1")):
+    for col, value in (("rca", "x"), ("noisy_rca", ""), ("baseline_rca", "0.9.1"),
+                       ("rca", "nan"), ("noisy_rca", "inf")):  # nan and inf would average to nan and inf
         cells = dict(zip(header.split(","), good.split(",")), **{col: value})
         path.write_text("\n".join([header, ",".join(cells.values())]) + "\n", encoding="utf-8")
         assert main(["report", "--results", str(path)]) == 1

@@ -175,6 +175,18 @@ def test_blobs_validation():
         gen_blobs(4, 9, 2, 4)  # k > C*T
 
 
+@pytest.mark.parametrize("generate, args, message", [
+    *[(generate, (0, 2, 2, 8), "n_per_class must be >= 1") for generate in (gen_blobs, gen_synthetic_epochs)],
+    *[(generate, (4, 1, 2, 8), "n_classes must be >= 2") for generate in (gen_blobs, gen_synthetic_epochs)],
+    (gen_synthetic_epochs, (4, 2, 2, 7), "need channels >= 1 and samples >= 8"),
+    (gen_synthetic_epochs, (4, 2, 0, 8), "need channels >= 1 and samples >= 8"),
+], ids=["blobs-n_per_class", "erp-n_per_class", "blobs-n_classes", "erp-n_classes", "erp-samples", "erp-channels"])
+def test_generator_refusals(generate, args, message):
+    with pytest.raises(ValueError) as info:
+        generate(*args)
+    assert str(info.value) == message
+
+
 def test_erp_epochs_noise_free_are_identical_within_class():
     data = gen_synthetic_epochs(6, 2, 3, 16, seed=3, noise_amplitude=0.0)
     for c in range(2):

@@ -1,5 +1,6 @@
-"""The README's library example runs and the bundled example config loads."""
+"""The README's library example runs, the bundled example config loads, and the package holds no dead names."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -19,3 +20,31 @@ def test_readme_library_surface_runs():
 def test_example_config_loads():
     cfg = load_config(ROOT / "configs" / "example.json")
     assert (cfg.method, cfg.runs, cfg.master_seed) == ("active", 3, 42)
+
+
+def test_package_has_no_dead_imports_or_private_names():
+    """The leftovers of a deletion: an import its module never loads, a module-level ``_name`` nothing uses."""
+    modules = {path.name: list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))  # [0] is the module node
+               for path in sorted((ROOT / "src" / "qsattack").glob("*.py"))}
+    loads = {name: {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+             for name, nodes in modules.items()}
+    used = set().union(*loads.values())  # loaded, read as an attribute, or imported anywhere in the package
+    for nodes in modules.values():
+        used |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        used |= {alias.name for n in nodes if isinstance(n, ast.ImportFrom) for alias in n.names}
+    dead = []
+    for name, nodes in modules.items():
+        for n in nodes if name != "__init__.py" else ():  # the package's __init__ imports to re-export
+            if isinstance(n, (ast.Import, ast.ImportFrom)) and getattr(n, "module", None) != "__future__":
+                dead += [f"{name}: import {alias.name}" for alias in n.names
+                         if (alias.asname or alias.name.split(".")[0]) not in loads[name]]
+        for stmt in nodes[0].body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                defined = [n.id for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+            else:
+                continue
+            dead += [f"{name}: {private}" for private in defined
+                     if private.startswith("_") and not private.startswith("__") and private not in used]
+    assert dead == []

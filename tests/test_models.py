@@ -482,6 +482,9 @@ def test_checkpoint_errors_are_typed_and_name_the_fault(tmp_path):
         "declares": good + "0.5\n",  # one parameter more than n_params
         "UTF-8": good.replace("mlp", "ml\udcff"),
         "seed must be >= 0": good.replace("seed: 4", "seed: -4"),
+        f"line {lines.index('seed: 4') + 2}: key 'seed' repeats": good.replace("seed: 4\n", "seed: 4\nseed: 7\n"),
+        "key 'hidden' has invalid value ','": good.replace("hidden: 5\n", "hidden: ,\n"),
+        "key 'hidden' has invalid value '5,'": good.replace("hidden: 5\n", "hidden: 5,\n"),
     }
     # shapes of more than 2**31 parameters (the first overflows int64) are refused before any allocation
     for arch, size, hidden, n_params in (("linear", 2**31, "", 2 * 2**62 + 2), ("mlp", 64, "1048576", 4298113026)):

@@ -147,7 +147,9 @@ def test_config_rejects_unknown_keys(tmp_path):
 @pytest.mark.parametrize("text, where", [
     (b'{"runs": 2,,}', "line 1 column 12"),
     (b'\xff\xfe{\x00}\x00', "can't decode byte 0xff in position 0"),
-], ids=["json-syntax", "not-utf8"])
+    (b'{"runs": 1, "runs": 5}', "repeats the key(s) ['runs']"),
+    (b'{"data": {"classes": 2, "classes": 3}}', "repeats the key(s) ['classes']"),
+], ids=["json-syntax", "not-utf8", "repeated-key", "repeated-section-key"])
 def test_config_that_is_not_utf8_json_raises_config_error(tmp_path, text, where):
     path = tmp_path / "cfg.json"
     path.write_bytes(text)
