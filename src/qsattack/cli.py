@@ -4,11 +4,12 @@ Subcommands::
 
     qsattack gen-data     --config cfg.json --out DIR [--seed N]
     qsattack train-target --config cfg.json --out DIR [--seed N]
-    qsattack attack       --config cfg.json --out DIR [--seed N] [--method M] [--budget N]
-    qsattack sweep        --config cfg.json --out DIR [--seed N] [--method M]
+    qsattack attack       --config cfg.json --out DIR [--seed N] [--method M[,M...]] [--budget N]
+    qsattack sweep        --config cfg.json --out DIR [--seed N] [--method M[,M...]]
     qsattack report       --results results.csv [results.csv ...] [--out DIR]
 
-Every run writes into a run-scoped subdirectory of the output directory.
+Every run writes into a run-scoped subdirectory of the output directory,
+under ``DIR/<method>/`` when a command runs several methods.
 :func:`main` creates the output directory, hands it to the command's handler
 and writes every ``manifest.json``: ``status: ok`` with the keys the handler
 returns, or ``status: failed`` and a nonzero exit code.  A manifest holds the
@@ -151,64 +152,72 @@ def cmd_train_target(cfg: ExperimentConfig, out: Path) -> dict:
     return {"seeds": prepared.seeds, "test_rca": report.rca, "test_bca": report.bca}
 
 
-def cmd_attack(cfg: ExperimentConfig, out: Path) -> dict:
+def cmd_attack(cfg: ExperimentConfig, out: Path, methods) -> dict:
     if len(cfg.budgets) > 1:
         raise ConfigError(f"attack runs one budget, not {list(cfg.budgets)}: pick one with --budget, or use sweep")
     budget = cfg.budgets[0] if cfg.budgets else None  # None: the configured rounds
-    rows, seeds = [], {}
-    for run, [result] in experiment_runs(cfg, [budget]):
-        seeds[run] = result.seeds
-        run_dir = out / f"run-{run:03d}"
-        run_dir.mkdir(parents=True, exist_ok=True)
-        _write_csv(run_dir / "trace.csv", _TRACE_COLUMNS, _trace_rows(result))
-        save_adversarial_batch(run_dir / "adversarial", result.examples, result.attack_config)
-        if result.substitute is not None:
-            save_checkpoint(result.substitute, run_dir / "substitute.ckpt")
-        save_checkpoint(result.target, run_dir / "target.ckpt")
-        rows.append(_results_row(cfg, result))
-        print(
-            f"run {run}: method={result.method} queries={result.total_queries} "
-            f"baseline_rca={result.baseline.rca:.4f} noisy_rca={result.noisy.rca:.4f} "
-            f"attacked_rca={result.attacked.rca:.4f}"
-        )
-    _write_csv(out / "results.csv", RESULT_COLUMNS, rows)
-    print(f"results: {out / 'results.csv'}")
+    dirs = {method: out / method if len(methods) > 1 else out for method in methods}  # several: out/<method>/
+    rows, seeds = {method: [] for method in methods}, {}
+    for run, results in experiment_runs(cfg, [budget], methods):
+        for result in results:
+            seeds[run] = result.seeds
+            run_dir = dirs[result.method] / f"run-{run:03d}"
+            run_dir.mkdir(parents=True, exist_ok=True)
+            _write_csv(run_dir / "trace.csv", _TRACE_COLUMNS, _trace_rows(result))
+            save_adversarial_batch(run_dir / "adversarial", result.examples, result.attack_config)
+            if result.substitute is not None:
+                save_checkpoint(result.substitute, run_dir / "substitute.ckpt")
+            save_checkpoint(result.target, run_dir / "target.ckpt")
+            rows[result.method].append(_results_row(cfg, result))
+            print(
+                f"run {run}: method={result.method} queries={result.total_queries} "
+                f"baseline_rca={result.baseline.rca:.4f} noisy_rca={result.noisy.rca:.4f} "
+                f"attacked_rca={result.attacked.rca:.4f}"
+            )
+    for method, path in dirs.items():
+        _write_csv(path / "results.csv", RESULT_COLUMNS, rows[method])
+        print(f"results: {path / 'results.csv'}")
     return {"seeds": seeds, "budget": budget}
 
 
-def cmd_sweep(cfg: ExperimentConfig, out: Path) -> dict:
+def cmd_sweep(cfg: ExperimentConfig, out: Path, methods) -> dict:
     if not cfg.budgets:
         raise ConfigError("sweep needs a non-empty budgets list")
-    scored, seeds = [], {}  # each budget's results row and attacked report, and the seeds, per run index
-    for run, results in experiment_runs(cfg, cfg.budgets):
+    dirs = {method: out / method if len(methods) > 1 else out for method in methods}  # several: out/<method>/
+    scored, seeds = {method: [] for method in methods}, {}  # per method and run index: each budget's row and report
+    for run, results in experiment_runs(cfg, cfg.budgets, methods):
         seeds[run] = results[0].seeds
-        scored.append([(_results_row(cfg, r), r.attacked) for r in results])
+        for method, by_method in scored.items():
+            by_method.append([(_results_row(cfg, r), r.attacked) for r in results if r.method == method])
         del results  # free the run's models before the next run trains
-    curve = sweep_curve(cfg.budgets, [[attacked for _, attacked in run] for run in scored])
-    rows = [run[i][0] for i in range(len(cfg.budgets)) for run in scored]  # budget-outer order
-    _write_csv(out / "sweep.csv", _SWEEP_COLUMNS,
-               [[p.budget, repr(p.rca_mean), repr(p.rca_std), repr(p.bca_mean), repr(p.bca_std), p.runs]
-                for p in curve.points])
-    _write_csv(out / "results.csv", RESULT_COLUMNS, rows)
-    for point in curve.points:
-        print(
-            f"budget {point.budget}: attacked rca {point.rca_mean:.4f} (+-{point.rca_std:.4f}) "
-            f"bca {point.bca_mean:.4f} over {point.runs} runs"
-        )
-    print(f"sweep curve: {out / 'sweep.csv'}")
+    for method, path in dirs.items():
+        path.mkdir(exist_ok=True)
+        curve = sweep_curve(cfg.budgets, [[attacked for _, attacked in run] for run in scored[method]])
+        rows = [run[i][0] for i in range(len(cfg.budgets)) for run in scored[method]]  # budget-outer order
+        _write_csv(path / "sweep.csv", _SWEEP_COLUMNS,
+                   [[p.budget, repr(p.rca_mean), repr(p.rca_std), repr(p.bca_mean), repr(p.bca_std), p.runs]
+                    for p in curve.points])
+        _write_csv(path / "results.csv", RESULT_COLUMNS, rows)
+        for point in curve.points:
+            print(
+                f"budget {point.budget}: attacked rca {point.rca_mean:.4f} (+-{point.rca_std:.4f}) "
+                f"bca {point.bca_mean:.4f} over {point.runs} runs"
+            )
+        print(f"sweep curve: {path / 'sweep.csv'}")
     return {"seeds": seeds}
 
 
 _REPORT_KEY = RESULT_COLUMNS[:5]  # dataset, models, method, budget
+_ROW_KEY = RESULT_COLUMNS[:6]  # and seed: what one results row is for
 _REPORT_MEANS = ("rca", "bca", "baseline_rca", "noisy_rca")
 
 
 def cmd_report(result_paths, out_dir: str | None) -> int:
-    rows = []
+    rows, seen = [], {}  # seen: the file of each (dataset, models, method, budget, seed) row
     for path in result_paths:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            if missing := sorted(set(_REPORT_KEY + _REPORT_MEANS) - set(reader.fieldnames or ())):
+            if missing := sorted(set(_ROW_KEY + _REPORT_MEANS) - set(reader.fieldnames or ())):
                 raise ValueError(f"{path} lacks the result column(s) {', '.join(missing)}")
             parsers = [("budget", int, "an integer")] + [(col, float, "a number") for col in _REPORT_MEANS]
             for row in reader:  # budgets group and sort as numbers
@@ -220,6 +229,9 @@ def cmd_report(result_paths, out_dir: str | None) -> int:
                     except (TypeError, ValueError):
                         raise ValueError(f"{path} holds {col} {row[col]!r}, not {kind}") from None
                     row[col] = value
+                if (key := tuple(row[col] for col in _ROW_KEY)) in seen:  # a row counted twice skews its mean
+                    raise ValueError(f"{path} repeats the row {key} of {seen[key]}")
+                seen[key] = path
                 rows.append(row)
     if not rows:
         raise ValueError("no result rows found")
@@ -262,17 +274,20 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
         p.add_argument("--out", default=None, help="override the output directory")
 
+    method = {"type": lambda text: tuple(dict.fromkeys(text.split(","))),  # a repeated name runs once
+              "help": "one of, or a comma list of, " + ", ".join(_METHODS)}
+
     p = sub.add_parser("gen-data", help="write seeded train/test/pool EPO1 files")
     common(p)
     p = sub.add_parser("train-target", help="train the target model and save a checkpoint")
     common(p)
     p = sub.add_parser("attack", help="full attack pipeline: balance, train substitute, craft, score")
     common(p)
-    p.add_argument("--method", choices=_METHODS, default=None)
+    p.add_argument("--method", **method)
     p.add_argument("--budget", type=int, default=None, help="training-query budget override")
     p = sub.add_parser("sweep", help="attack across a budget grid")
     common(p)
-    p.add_argument("--method", choices=_METHODS, default=None)
+    p.add_argument("--method", **method)
     p = sub.add_parser("report", help="aggregate results.csv files")
     p.add_argument("--results", nargs="+", required=True)
     p.add_argument("--out", default=None)
@@ -281,25 +296,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = None
+    cfg, listed = None, {}  # listed: the methods of a multi-method command, in whichever manifest it writes
     try:
         if args.command == "report":
             return cmd_report(args.results, args.out)
         cfg = load_config(args.config)
+        methods = getattr(args, "method", None)  # --method's names; the config keeps the first
         # --out first: a refused override leaves the last config that built, and its manifest
-        for name, flag in (("out_dir", "out"), ("master_seed", "seed"), ("method", "method"), ("budgets", "budget")):
-            value = getattr(args, flag, None)
+        for name, value in (("out_dir", args.out), ("master_seed", args.seed), ("method", methods and methods[0]),
+                            ("budgets", getattr(args, "budget", None))):
             if value is not None:
-                cfg = replace(cfg, **{name: (value,) if flag == "budget" else value})
+                cfg = replace(cfg, **{name: (value,) if name == "budgets" else value})
+        methods = methods or (cfg.method,)
+        listed = {"methods": list(methods)} if len(methods) > 1 else {}
         handler = {
             "gen-data": cmd_gen_data,
             "train-target": cmd_train_target,
-            "attack": cmd_attack,
-            "sweep": cmd_sweep,
+            "attack": lambda cfg, out: cmd_attack(cfg, out, methods),
+            "sweep": lambda cfg, out: cmd_sweep(cfg, out, methods),
         }[args.command]
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_manifest(out, args.command, cfg, "ok", extra=handler(cfg, out))
+        _write_manifest(out, args.command, cfg, "ok", extra={**handler(cfg, out), **listed})
         return 0
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -307,7 +325,7 @@ def main(argv=None) -> int:
         if cfg is not None:
             try:
                 _write_manifest(
-                    Path(cfg.out_dir), args.command, cfg, "failed", stage=type(exc).__name__
+                    Path(cfg.out_dir), args.command, cfg, "failed", stage=type(exc).__name__, extra=listed
                 )
             except OSError:
                 pass

@@ -406,12 +406,15 @@ class SoftmaxClassifier:
         return TrainHistory(val_losses, int(np.argmin(val_losses)))
 
 
+def _checkpoint_text(key: str, value) -> str:
+    """A checkpoint value as :func:`save_checkpoint` writes it: the one text :func:`load_checkpoint` reads back."""
+    return ",".join(str(h) for h in value) if key == "hidden" else f"{value}"
+
+
 def save_checkpoint(model: SoftmaxClassifier, path) -> None:
     """Write the documented plain-text checkpoint format."""
     lines = [f"format: {_CHECKPOINT_FORMAT}"]
-    for key in _SPEC_KEYS:
-        value = getattr(model.spec, key)
-        lines.append(f"{key}: " + (",".join(str(h) for h in value) if key == "hidden" else f"{value}"))
+    lines += [f"{key}: {_checkpoint_text(key, getattr(model.spec, key))}" for key in _SPEC_KEYS]
     lines += [f"n_params: {model.n_parameters}", "params:"]
     lines.extend(repr(v) for v in model.parameters.tolist())  # Python floats: repr gives the bare decimal
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -443,6 +446,8 @@ def load_checkpoint(path) -> SoftmaxClassifier:
                 ) from None
             if not np.isfinite(params[-1]):
                 raise MalformedCheckpointError(f"line {lineno}: parameter {line!r} is not finite")
+            if repr(params[-1]) != line:  # 1_0.5 or 1e1: a number, but not as save_checkpoint writes it
+                raise MalformedCheckpointError(f"line {lineno}: parameter {line!r} is not written as {params[-1]!r}")
             continue
         if line == "params:":
             in_params = True
@@ -460,7 +465,10 @@ def load_checkpoint(path) -> SoftmaxClassifier:
         if key not in fields:
             raise MalformedCheckpointError(f"checkpoint is missing key {key!r}")
         try:
-            return parse(fields[key])
+            value = parse(fields[key])
+            if _checkpoint_text(key, value) != fields[key]:  # 0_3, a non-ASCII digit or +5 reads as a number
+                raise ValueError
+            return value
         except ValueError:
             raise MalformedCheckpointError(
                 f"checkpoint key {key!r} has invalid value {fields[key]!r}"

@@ -6,11 +6,12 @@ generates the seeded train/test/pool splits, trains the target once and
 scores it on clean and noise-perturbed test epochs, none of which depends
 on method or budget.  :func:`attack_runs` then wraps that target in
 counted label-only oracles, balances the initial substitute set by
-predicted label, trains the substitute (active synthesis or the
+predicted label once, fits one round-0 substitute on it, trains each
+requested method's substitute from there (active synthesis or the
 gradient-step baseline, whose step is the ``ufgsm`` craft), crafts
 perturbations from it and scores the target on them, at every budget of
 the grid.  The splits are immutable (frozen) :class:`LabeledSet` values
-that every budget shares.  :func:`attack_run` and
+that every method and budget shares.  :func:`attack_run` and
 :func:`run_attack_experiment` are its one-budget and one-run wrappers.
 
 Budget accounting: the *training budget* of a run is the number of target
@@ -138,8 +139,7 @@ class ExperimentConfig:
     out_dir: str = "runs/out"
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ConfigError(f"method must be one of {', '.join(_METHODS)}, got {self.method!r}")
+        check_budgets(self, ())  # the one refusal of an unknown method
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
         if self.attack.method == "noise":  # a substitute run would craft noise and be labeled with it
@@ -322,23 +322,26 @@ def _s0_size(cfg: ExperimentConfig) -> int:
     return cfg.balance.per_class * cfg.data.classes
 
 
-def check_budgets(cfg: ExperimentConfig, budgets) -> list:
+def check_budgets(cfg: ExperimentConfig, budgets, method: str | None = None) -> list:
     """``(whole rounds, leftover)`` that spend each budget exactly, or None for ``noise``.
 
     ``active`` rounds add ``per_iteration`` epochs, so its leftover is 0.
     ``jacobian`` rounds double the labeled set: the plan is the most whole
     rounds a budget covers, then one more kept to ``leftover`` epochs.
-    Raises :class:`ConfigError` for a budget ``cfg.method`` cannot spend;
-    needs no data or training, so :func:`experiment_runs` checks before it trains.
+    Raises :class:`ConfigError` for an unknown ``method`` (default ``cfg.method``) or a budget it
+    cannot spend; needs no data or training, so :func:`experiment_runs` checks before it trains.
     """
-    if cfg.method == "noise":
+    method = cfg.method if method is None else method
+    if method not in _METHODS:
+        raise ConfigError(f"method must be one of {', '.join(_METHODS)}, got {method!r}")
+    if method == "noise":
         return [None] * len(budgets)
     s0_size, per_iteration, plans = _s0_size(cfg), cfg.synthesis.per_iteration, []
     for budget in budgets:
         extra = budget - s0_size
         if extra < 0:
             raise ConfigError(f"budget {budget} is below the initial set size {s0_size}")
-        if cfg.method == "jacobian":  # r rounds label s0_size * 2**r in all
+        if method == "jacobian":  # r rounds label s0_size * 2**r in all
             rounds = (budget // s0_size).bit_length() - 1
             plans.append((rounds, budget - s0_size * 2**rounds))
         elif extra % per_iteration:
@@ -368,10 +371,12 @@ def prepare_run(cfg: ExperimentConfig, run_index: int = 0) -> PreparedRun:
                        noisy_examples, noise_cfg)
 
 
-def _train_substitutes(prepared: PreparedRun, s0, budgets, plans) -> list:
-    """``(substitute, trace)`` as it stood at each budget, from one trajectory of whole rounds.
+def _train_substitutes(prepared: PreparedRun, s0, budgets: dict, plans: dict) -> dict:
+    """``{method: [(substitute, trace) as it stood at each budget]}``, one trajectory of whole rounds per method.
 
-    The trajectory's oracle is capped at what its rounds label.  A plan
+    Each trajectory's oracle labels S0 and is capped at what its rounds
+    label.  Only the first fits round 0; the rest start from a copy of its
+    substitute, the fit they would make on the same S0, spec and seeds.  A plan
     with no leftover copies the substitute and trace at its round; a
     ``jacobian`` leftover branches a leaf there once the trajectory is
     done: one more round kept to ``leftover`` seeded rows of the
@@ -382,35 +387,42 @@ def _train_substitutes(prepared: PreparedRun, s0, budgets, plans) -> list:
     cfg, seeds = prepared.cfg, prepared.seeds
     spec = _build_spec(cfg.substitute, cfg.data, seeds["substitute-init"])
     train = replace(cfg.substitute.train, shuffle_seed=seeds["substitute-train"])
-    jac, states = cfg.jacobian, {}
+    jac, round0, out = cfg.jacobian, None, {}
+    for method, method_plans in plans.items():
+        states = {}
 
-    def on_round(model, trace, data):
-        done = len(trace.rows) - 1
-        for plan in plans:  # later rounds train this model in place: keep a copy
-            if plan[0] == done:  # only a leaf (leftover > 0) reads the labeled set
-                states[plan] = (model.copy(), AugmentationTrace(list(trace.rows)), data if plan[1] else None)
+        def on_round(model, trace, data):
+            nonlocal round0
+            done = len(trace.rows) - 1
+            if done == 0 and round0 is None and len(plans) > 1:  # every later trajectory starts from it
+                round0 = model.copy()
+            for plan in method_plans:  # later rounds train this model in place: keep a copy
+                if plan[0] == done:  # only a leaf (leftover > 0) reads the labeled set
+                    states[plan] = (model.copy(), AugmentationTrace(list(trace.rows)), data if plan[1] else None)
 
-    def leaf(model, trace, data, done, leftover):
-        new = trunk.rows[done + 1].synthesized if done < rounds else jacobian_augment(data, model, jac.step_size)
-        new = new[np.sort(np.random.default_rng(seeds["synthesis"]).choice(len(new), leftover, replace=False))]
-        labels = TargetOracle(prepared.target, budget=leftover).query_labels(new)
-        model.fit(data.extended(new, labels), train)
-        last = trace.rows[-1]
-        row = TraceRow(last.iteration + 1, last.target_queries + leftover,
-                       last.substitute_queries + len(data), len(data) + leftover, synthesized=new)
-        return model, AugmentationTrace(trace.rows + [row])
+        def leaf(model, trace, data, done, leftover):
+            new = trunk.rows[done + 1].synthesized if done < rounds else jacobian_augment(data, model, jac.step_size)
+            new = new[np.sort(np.random.default_rng(seeds["synthesis"]).choice(len(new), leftover, replace=False))]
+            labels = TargetOracle(prepared.target, budget=leftover).query_labels(new)
+            model.fit(data.extended(new, labels), train)
+            last = trace.rows[-1]
+            row = TraceRow(last.iteration + 1, last.target_queries + leftover,
+                           last.substitute_queries + len(data), len(data) + leftover, synthesized=new)
+            return model, AugmentationTrace(trace.rows + [row])
 
-    cap = max(budget - leftover for budget, (_, leftover) in zip(budgets, plans))
-    oracle, rounds = TargetOracle(prepared.target, budget=cap), max(r for r, _ in plans)
-    if cfg.method == "jacobian":
-        _, trunk = train_substitute_jacobian(oracle, s0, spec, train, replace(jac, n_iterations=rounds), on_round)
-    else:
-        plan = replace(cfg.synthesis, seed=seeds["synthesis"], n_iterations=rounds)
-        _, trunk = train_substitute_active(oracle, s0, spec, train, plan, on_round)
-    return [leaf(*states[plan], *plan) if plan[1] else states[plan][:2] for plan in plans]
+        cap = max(budget - leftover for budget, (_, leftover) in zip(budgets[method], method_plans))
+        oracle, rounds = TargetOracle(prepared.target, budget=cap), max(r for r, _ in method_plans)
+        if method == "jacobian":
+            _, trunk = train_substitute_jacobian(oracle, s0, spec, train, replace(jac, n_iterations=rounds),
+                                                 on_round, round0)
+        else:
+            plan = replace(cfg.synthesis, seed=seeds["synthesis"], n_iterations=rounds)
+            _, trunk = train_substitute_active(oracle, s0, spec, train, plan, on_round, round0)
+        out[method] = [leaf(*states[plan], *plan) if plan[1] else states[plan][:2] for plan in method_plans]
+    return out
 
 
-def _score(prepared: PreparedRun, budget, balance_queries: int, substitute, trace) -> RunResult:
+def _score(prepared: PreparedRun, method: str, budget, balance_queries: int, substitute, trace) -> RunResult:
     """Craft from ``substitute`` (the noise control when None) and score the target."""
     cfg, test_set = prepared.cfg, prepared.test_set
     attacked, examples, crafting = prepared.noisy, prepared.noisy_examples, prepared.noise_config
@@ -422,7 +434,7 @@ def _score(prepared: PreparedRun, budget, balance_queries: int, substitute, trac
     training_queries = trace.rows[-1].target_queries if trace is not None else 0
     return RunResult(
         run_seed=prepared.seeds["run"],
-        method=cfg.method,
+        method=method,
         budget=budget,
         baseline=prepared.baseline,
         noisy=prepared.noisy,
@@ -439,29 +451,31 @@ def _score(prepared: PreparedRun, budget, balance_queries: int, substitute, trac
     )
 
 
-def attack_runs(prepared: PreparedRun, budgets) -> list[RunResult]:
-    """:func:`attack_run` for each budget, one result per budget in order.
+def attack_runs(prepared: PreparedRun, budgets, methods=None) -> list[RunResult]:
+    """:func:`attack_run` for each of ``methods`` (``cfg.method`` by default) and budget, method-major.
 
-    A None budget becomes the one the configured rounds spend (see the
-    module docstring).  Balances the pool once, since S0 depends on
+    A None budget becomes the one the method's configured rounds spend (see
+    the module docstring).  Balances the pool once, since S0 depends on
     neither method nor budget.  ``active`` and ``jacobian`` train one
-    substitute trajectory and score each budget from the round that
-    reaches it, or from a ``jacobian`` leaf branched at its last whole
-    round (see :func:`_train_substitutes`).  That gives what separate
-    runs would: a round never depends on how many rounds follow it.
+    substitute trajectory each, from one shared round-0 fit, and score each
+    budget from the round that reaches it, or from a ``jacobian`` leaf
+    branched at its last whole round (see :func:`_train_substitutes`).
+    That gives what separate runs would: a round never depends on how many
+    rounds follow it, nor on which other methods run.
     """
     cfg = prepared.cfg
-    s0_size = _s0_size(cfg)
+    methods, s0_size = methods or (cfg.method,), _s0_size(cfg)
     spent = {"active": s0_size + cfg.synthesis.n_iterations * cfg.synthesis.per_iteration,
-             "jacobian": s0_size * 2**cfg.jacobian.n_iterations, "noise": 0}[cfg.method]
-    budgets = [spent if budget is None else budget for budget in budgets]
-    plans = check_budgets(cfg, budgets)
+             "jacobian": s0_size * 2**cfg.jacobian.n_iterations, "noise": 0}
+    budgets = {method: [spent.get(method) if budget is None else budget for budget in budgets] for method in methods}
+    plans = {method: check_budgets(cfg, budgets[method], method) for method in methods}
     # an oracle takes no 0 cap; an empty pool fails in balancing instead
     balancer = TargetOracle(prepared.target, budget=len(prepared.pool_set) or None)
     s0 = balance_by_predicted_label(balancer, prepared.pool_set.epochs, cfg.balance.per_class,
                                     prepared.seeds["balance"])
-    states = [(None, None)] * len(budgets) if cfg.method == "noise" else _train_substitutes(prepared, s0, budgets, plans)
-    return [_score(prepared, budget, balancer.query_count, *state) for budget, state in zip(budgets, states)]
+    states = _train_substitutes(prepared, s0, budgets, {m: plan for m, plan in plans.items() if m != "noise"})
+    return [_score(prepared, method, budget, balancer.query_count, *state) for method in methods
+            for budget, state in zip(budgets[method], states.get(method, [(None, None)] * len(budgets[method])))]
 
 
 def attack_run(prepared: PreparedRun, budget: int | None = None) -> RunResult:
@@ -469,14 +483,15 @@ def attack_run(prepared: PreparedRun, budget: int | None = None) -> RunResult:
     return attack_runs(prepared, [budget])[0]
 
 
-def experiment_runs(cfg: ExperimentConfig, budgets):
-    """``(run, attack_runs(prepare_run(cfg, run), budgets))`` per run index, one run at a time.
+def experiment_runs(cfg: ExperimentConfig, budgets, methods=None):
+    """``(run, attack_runs(prepare_run(cfg, run), budgets, methods))`` per run index, one run at a time.
 
-    Checks every budget but None (the configured rounds) before the first target trains.
+    Checks every method and budget but None (the configured rounds) before the first target trains.
     """
-    check_budgets(cfg, [budget for budget in budgets if budget is not None])
+    for method in methods or (cfg.method,):
+        check_budgets(cfg, [budget for budget in budgets if budget is not None], method)
     for run in range(cfg.runs):
-        yield run, attack_runs(prepare_run(cfg, run), budgets)
+        yield run, attack_runs(prepare_run(cfg, run), budgets, methods)
 
 
 def run_attack_experiment(cfg: ExperimentConfig, run_index: int = 0, budget: int | None = None) -> RunResult:

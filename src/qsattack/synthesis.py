@@ -321,13 +321,14 @@ def jacobian_augment(
 
 
 def _augment_rounds(oracle, initial_epochs, model_spec: ModelSpec, train_cfg: TrainConfig, rounds: int, needed, propose,
-                    on_round=None):
+                    on_round=None, round0=None):
     """The loop both trainers share: label the new epochs, append them, fine-tune, trace.
 
     Before the first query, a malformed initial set raises, then a plan whose
     ``needed(len(initial))`` exceeds ``oracle.remaining``: all or nothing.
     Round 0 labels the initial set and trains a fresh substitute on it (trace
-    row 0, ``synthesized`` None); rounds 1 to ``rounds`` label ``propose(data,
+    row 0, ``synthesized`` None), or takes a copy of ``round0``, that same fit
+    made earlier; rounds 1 to ``rounds`` label ``propose(data,
     model, counter)``, the round's new (m, C, T) epochs, and keep training
     that same substitute.  Trace query counts are relative to the oracle
     counter at entry.  ``on_round(model, trace, data)``, when given, sees the
@@ -338,12 +339,13 @@ def _augment_rounds(oracle, initial_epochs, model_spec: ModelSpec, train_cfg: Tr
     if left is not None and left < need:
         raise BudgetExhaustedError(f"plan needs {need} target queries but only {left} remain", remaining=left)
     start = oracle.query_count
-    data, model = LabeledSet(xs[:0], []), SoftmaxClassifier(model_spec)
+    data, model = LabeledSet(xs[:0], []), SoftmaxClassifier(model_spec) if round0 is None else round0.copy()
     trace, counter = AugmentationTrace(), QueryCounter()
     for iteration in range(rounds + 1):
         new = propose(data, model, counter) if iteration else xs
         data = data.extended(new, oracle.query_labels(new))
-        model.fit(data, train_cfg)
+        if iteration or round0 is None:
+            model.fit(data, train_cfg)
         trace.rows.append(TraceRow(iteration, oracle.query_count - start, counter.count, len(data),
                                    synthesized=new if iteration else None))
         if on_round is not None:
@@ -358,6 +360,7 @@ def train_substitute_active(
     train_cfg: TrainConfig,
     syn_cfg: SynthesisConfig,
     on_round=None,
+    round0=None,
 ) -> tuple[SoftmaxClassifier, AugmentationTrace]:
     """Label the initial set and pre-train (round 0), then augment by query synthesis.
 
@@ -370,7 +373,8 @@ def train_substitute_active(
     its first query.  Round ``i`` runs exactly as the last round of an
     ``n_iterations=i`` run would (``n_iterations=0`` stops after round 0), so
     ``on_round(model, trace, data)`` sees every shorter run's final state on
-    the way.  The initial set must hold every class the target labels, as
+    the way; ``round0`` skips the round-0 fit (see :func:`_augment_rounds`).
+    The initial set must hold every class the target labels, as
     :func:`balance_by_predicted_label` returns it.
     """
     rng = np.random.default_rng(syn_cfg.seed)
@@ -379,7 +383,7 @@ def train_substitute_active(
         return synthesize_one_vs_one(data, model, model_spec.classes, syn_cfg, rng, counter)
 
     return _augment_rounds(oracle, initial_epochs, model_spec, train_cfg, syn_cfg.n_iterations,
-                           lambda n: n + syn_cfg.n_iterations * syn_cfg.per_iteration, propose, on_round)
+                           lambda n: n + syn_cfg.n_iterations * syn_cfg.per_iteration, propose, on_round, round0)
 
 
 def train_substitute_jacobian(
@@ -389,15 +393,16 @@ def train_substitute_jacobian(
     train_cfg: TrainConfig,
     jac_cfg: JacobianConfig,
     on_round=None,
+    round0=None,
 ) -> tuple[SoftmaxClassifier, AugmentationTrace]:
     """Baseline substitute training by repeated signed-gradient augmentation.
 
     Each round doubles the labeled set, so after N rounds the new target
     queries total ``len(initial) * (2**N - 1)``, all or nothing.  As for the
-    active method, ``on_round`` sees every shorter run's final state on the way.
+    active method, ``on_round`` and ``round0`` work as in :func:`_augment_rounds`.
     """
     def propose(data, model, counter):
         return jacobian_augment(data, model, jac_cfg.step_size, counter)
 
     return _augment_rounds(oracle, initial_epochs, model_spec, train_cfg, jac_cfg.n_iterations,
-                           lambda n: n * 2**jac_cfg.n_iterations, propose, on_round)
+                           lambda n: n * 2**jac_cfg.n_iterations, propose, on_round, round0)

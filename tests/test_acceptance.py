@@ -28,8 +28,8 @@ from qsattack.pipeline import (
     DataConfig,
     ExperimentConfig,
     NetConfig,
-    attack_run,
     attack_runs,
+    experiment_runs,
     prepare_run,
     run_attack_experiment,
     stage_seeds,
@@ -284,10 +284,8 @@ def test_c07_central_claim_equal_budget():
     runs = 20
     active_rca, jacobian_rca = [], []
     active_agr, jacobian_agr = [], []
-    for run in range(runs):
-        prepared = prepare_run(cfg, run)  # one target serves both methods
-        res_a = attack_run(replace(prepared, cfg=replace(cfg, method="active")))
-        res_j = attack_run(replace(prepared, cfg=replace(cfg, method="jacobian")))
+    # one target and S0 per run index serve both methods, each at its configured budget
+    for run, (res_a, res_j) in experiment_runs(replace(cfg, runs=runs), [None], ("active", "jacobian")):
         assert res_a.training_queries == res_j.training_queries  # equal budgets
         assert res_a.seeds == res_j.seeds  # paired S0 and seeds
         active_rca.append(res_a.attacked.rca)

@@ -12,14 +12,12 @@ trained on the same prepared targets of 10 run indices at master seed 808:
 Master seeds 1808 and 2808 pass the same rule, so it is not fitted to 808.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from qsattack.attack import AttackConfig
 from qsattack.metrics import paired_sign_test
 from qsattack.models import TrainConfig
-from qsattack.pipeline import BalanceConfig, DataConfig, ExperimentConfig, NetConfig, attack_runs, prepare_run
+from qsattack.pipeline import BalanceConfig, DataConfig, ExperimentConfig, NetConfig, experiment_runs
 from qsattack.synthesis import JacobianConfig, SynthesisConfig
 
 BUDGETS = (400, 600, 800, 1000)
@@ -41,18 +39,16 @@ def _c08_config() -> ExperimentConfig:
         jacobian=JacobianConfig(step_size=0.5, n_iterations=1),
         attack=AttackConfig(epsilon=2.1, method="ufgsm"),
         method="active",
+        runs=RUNS,
         master_seed=808,
     )
 
 
 def test_active_beats_jacobian_at_equal_and_at_half_the_queries():
-    cfg = _c08_config()
     rca = {"active": [], "jacobian": []}  # per method: one row per run, one attacked RCA per budget
-    for run in range(RUNS):
-        prepared = prepare_run(cfg, run)  # one target serves both methods
+    for _, results in experiment_runs(_c08_config(), BUDGETS, tuple(rca)):  # one target and S0 per run, both methods
         for method, rows in rca.items():
-            results = attack_runs(replace(prepared, cfg=replace(cfg, method=method)), BUDGETS)
-            rows.append([r.attacked.rca for r in results])
+            rows.append([r.attacked.rca for r in results if r.method == method])
     active, jacobian = (np.array(rows).T for rows in rca.values())
     p_values = [paired_sign_test(a, j) for a, j in zip(active, jacobian)]
     detail = ", ".join(f"{b}: {a.mean():.3f} vs {j.mean():.3f} (p={p:.4f})"

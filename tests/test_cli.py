@@ -269,8 +269,24 @@ def test_report_errors_use_the_common_error_path(tmp_path, capsys):
         assert errors[path].startswith("error: ")
     assert errors[no_rows].startswith("error: no result rows found\n")
     assert str(no_columns) in errors[no_columns]
-    assert ("baseline_rca, bca, budget, dataset, method, noisy_rca, rca, substitute_model, target_model"
+    assert ("baseline_rca, bca, budget, dataset, method, noisy_rca, rca, seed, substitute_model, target_model"
             in errors[no_columns])
+
+
+def test_report_refuses_a_row_given_twice(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    results = tmp_path / "r" / "results.csv"
+    assert main(["attack", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+    row = read_rows(results)[0]
+    key = ", ".join(repr(int(row[c]) if c == "budget" else row[c]) for c in RESULT_COLUMNS[:6])
+    capsys.readouterr()
+    assert main(["report", "--results", str(results), str(results)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {results} repeats the row ({key}) of {results}\n")
+    copy = tmp_path / "twice.csv"  # within one file too
+    lines = results.read_text(encoding="utf-8").splitlines()
+    copy.write_text("\n".join([*lines, lines[1]]) + "\n", encoding="utf-8")
+    assert main(["report", "--results", str(copy)]) == 1
+    assert f"{copy} repeats the row ({key}) of {copy}" in capsys.readouterr().err
 
 
 def test_version_flag():

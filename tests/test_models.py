@@ -502,6 +502,26 @@ def test_checkpoint_errors_are_typed_and_name_the_fault(tmp_path):
         assert fragment in str(info.value)
 
 
+def test_checkpoint_refuses_values_save_checkpoint_never_writes(tmp_path):
+    # each reads as a number, but writing it back gives other text
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(make_model("mlp", seed=3), path)
+    good = path.read_text(encoding="utf-8")
+    first = good.splitlines().index("params:") + 1
+    param = good.splitlines()[first]
+    cases = {
+        "key 'seed' has invalid value '0_3'": good.replace("seed: 3\n", "seed: 0_3\n"),
+        "key 'seed' has invalid value '\u0663'": good.replace("seed: 3\n", "seed: \u0663\n"),
+        "key 'hidden' has invalid value '+5'": good.replace("hidden: 5\n", "hidden: +5\n"),
+        f"line {first + 1}: parameter '1_0.5' is not written as 10.5": good.replace(f"\n{param}\n", "\n1_0.5\n", 1),
+    }
+    for fragment, text in cases.items():
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MalformedCheckpointError) as info:
+            load_checkpoint(path)
+        assert fragment in str(info.value)
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_checkpoint_mutations_load_or_raise_the_typed_error(tmp_path_factory, data):

@@ -571,7 +571,18 @@ def test_jacobian_leaves_take_the_trajectory_next_proposal(monkeypatch):
     rows, gradient = [], SoftmaxClassifier.input_gradient_batch
     monkeypatch.setattr(SoftmaxClassifier, "input_gradient_batch",
                         lambda self, xs, labels: rows.append(len(xs)) or gradient(self, xs, labels))
-    pipeline._train_substitutes(prepared, s0, budgets, check_budgets(cfg, budgets))
+    pipeline._train_substitutes(prepared, s0, {"jacobian": budgets}, {"jacobian": check_budgets(cfg, budgets)})
     # trajectory rounds 1 and 2 augment 200 and 400 rows; the leaf of 600 reuses
     # round 2's 400 and only the leaf past the last round, 1000, augments its own 800
     assert rows == [200, 400, 800]
+
+
+@pytest.mark.parametrize("architecture, hidden", [("linear", ()), ("mlp", (6,)), ("tcn", (3,))])
+def test_active_and_jacobian_fit_the_same_round0_substitute(architecture, hidden):
+    # what lets one command share round 0 across methods: at budget |S0| = 20 the two
+    # single-method runs label the same S0 and fit it with the same spec and seeds
+    net = NetConfig(architecture=architecture, hidden=hidden, kernel_width=3, train=FAST_TRAIN)
+    active, jacobian = (run_attack_experiment(small_config(method=method, substitute=net), 0, budget=20)
+                        for method in ("active", "jacobian"))
+    assert active.substitute.parameters.tobytes() == jacobian.substitute.parameters.tobytes()
+    assert trace_rows(active) == trace_rows(jacobian) == [(0, 20, 0, 20, None)]
