@@ -198,9 +198,10 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, methods) -> dict:
                    [[p.budget, repr(p.rca_mean), repr(p.rca_std), repr(p.bca_mean), repr(p.bca_std), p.runs]
                     for p in curve.points])
         _write_csv(path / "results.csv", RESULT_COLUMNS, rows)
+        named = f"method={method} " if len(methods) > 1 else ""  # as attack's run lines name theirs
         for point in curve.points:
             print(
-                f"budget {point.budget}: attacked rca {point.rca_mean:.4f} (+-{point.rca_std:.4f}) "
+                f"budget {point.budget}: {named}attacked rca {point.rca_mean:.4f} (+-{point.rca_std:.4f}) "
                 f"bca {point.bca_mean:.4f} over {point.runs} runs"
             )
         print(f"sweep curve: {path / 'sweep.csv'}")

@@ -29,7 +29,8 @@ The labels of ``fit``, ``dataset_loss`` and ``input_gradient_batch`` pass
 :func:`qsattack.data.as_labels` once per call: integers in ``[0, classes)``,
 else ``ValueError`` (none is truncated); a wrong count raises ShapeMismatchError.
 
-Checkpoint format (plain text, each documented key once)::
+Checkpoint format: UTF-8, ``\\n`` line ends, these lines in this order.  A
+file loads only in the exact bytes :func:`save_checkpoint` writes::
 
     format: qsattack-model-1
     architecture: mlp
@@ -50,6 +51,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -406,87 +408,69 @@ class SoftmaxClassifier:
         return TrainHistory(val_losses, int(np.argmin(val_losses)))
 
 
-def _checkpoint_text(key: str, value) -> str:
-    """A checkpoint value as :func:`save_checkpoint` writes it: the one text :func:`load_checkpoint` reads back."""
-    return ",".join(str(h) for h in value) if key == "hidden" else f"{value}"
+def _checkpoint_text(model: SoftmaxClassifier) -> str:
+    """The whole text :func:`save_checkpoint` writes: the one text :func:`load_checkpoint` accepts."""
+    spec = dataclasses.asdict(model.spec) | {"hidden": ",".join(map(str, model.spec.hidden))}  # in _SPEC_KEYS order
+    lines = [f"format: {_CHECKPOINT_FORMAT}", *(f"{key}: {value}" for key, value in spec.items()),
+             f"n_params: {model.n_parameters}", "params:"]
+    lines += map(repr, model.parameters.tolist())  # Python floats: repr gives the bare decimal
+    return "\n".join(lines) + "\n"
 
 
 def save_checkpoint(model: SoftmaxClassifier, path) -> None:
-    """Write the documented plain-text checkpoint format."""
-    lines = [f"format: {_CHECKPOINT_FORMAT}"]
-    lines += [f"{key}: {_checkpoint_text(key, getattr(model.spec, key))}" for key in _SPEC_KEYS]
-    lines += [f"n_params: {model.n_parameters}", "params:"]
-    lines.extend(repr(v) for v in model.parameters.tolist())  # Python floats: repr gives the bare decimal
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the documented plain-text checkpoint format, as UTF-8 bytes with ``\\n`` line ends on every platform."""
+    Path(path).write_bytes(_checkpoint_text(model).encode("utf-8"))
 
 
 def load_checkpoint(path) -> SoftmaxClassifier:
-    """Read a checkpoint written by :func:`save_checkpoint`.
+    """Read a checkpoint in exactly the bytes :func:`save_checkpoint` writes.
 
-    Structural problems raise :class:`MalformedCheckpointError` naming the
-    key or line at fault.
+    The keys are read in writer order.  Every fault raises
+    :class:`MalformedCheckpointError`, which names the line at fault when
+    there is one; a file that loads but would be written back otherwise
+    (``\\r\\n``, spacing, ``seed: 0_3``, a parameter ``1e1``) names its first
+    such line.
     """
-    fields = {}
-    params = []
-    in_params = False
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_bytes().decode("utf-8")  # not read_text: it turns \r\n into \n
     except UnicodeDecodeError as exc:
         raise MalformedCheckpointError(f"checkpoint is not UTF-8 text: {exc}") from None
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        if in_params:
-            try:
-                params.append(float(line))
-            except ValueError:
-                raise MalformedCheckpointError(
-                    f"line {lineno}: parameter {line!r} is not a number"
-                ) from None
-            if not np.isfinite(params[-1]):
-                raise MalformedCheckpointError(f"line {lineno}: parameter {line!r} is not finite")
-            if repr(params[-1]) != line:  # 1_0.5 or 1e1: a number, but not as save_checkpoint writes it
-                raise MalformedCheckpointError(f"line {lineno}: parameter {line!r} is not written as {params[-1]!r}")
-            continue
-        if line == "params:":
-            in_params = True
-            continue
-        key, _, value = (part.strip() for part in line.partition(":"))
-        if key in fields:  # a second line would silently win
-            raise MalformedCheckpointError(f"line {lineno}: key {key!r} repeats")
-        fields[key] = value
-    if fields.get("format") != _CHECKPOINT_FORMAT:
-        raise MalformedCheckpointError(f"unsupported checkpoint format {fields.get('format')!r}")
-    if unknown := set(fields) - {"format", "n_params", *_SPEC_KEYS}:
-        raise MalformedCheckpointError(f"unknown checkpoint keys: {sorted(unknown)}")
-
-    def field(key, parse=int):
-        if key not in fields:
-            raise MalformedCheckpointError(f"checkpoint is missing key {key!r}")
-        try:
-            value = parse(fields[key])
-            if _checkpoint_text(key, value) != fields[key]:  # 0_3, a non-ASCII digit or +5 reads as a number
-                raise ValueError
-            return value
-        except ValueError:
-            raise MalformedCheckpointError(
-                f"checkpoint key {key!r} has invalid value {fields[key]!r}"
-            ) from None
-
+    lines = text.removesuffix("\n").split("\n")  # the final newline is checked with the rest below
+    if lines[0] != f"format: {_CHECKPOINT_FORMAT}":
+        raise MalformedCheckpointError(f"line 1: unsupported checkpoint format {lines[0]!r}")
+    keys, values = [*_SPEC_KEYS, "n_params"], {}
     parsers = {"architecture": str, "activation": str,
                "hidden": lambda v: tuple(int(h) for h in v.split(",")) if v else ()}  # int("") refuses an empty item
-    values = {key: field(key, parsers.get(key, int)) for key in _SPEC_KEYS}
+    for lineno, (key, line) in enumerate(zip_longest(keys, lines[1 : len(keys) + 1], fillvalue=""), 2):
+        if not line.startswith(f"{key}: "):
+            raise MalformedCheckpointError(f"line {lineno}: expected key {key!r}, found {line!r}")
+        value = line[len(key) + 2 :]
+        try:
+            values[key] = parsers.get(key, int)(value)
+        except ValueError:
+            raise MalformedCheckpointError(f"line {lineno}: key {key!r} has invalid value {value!r}") from None
+    params, first = [], len(keys) + 3  # line len(keys) + 2 is "params:"
+    for lineno, line in enumerate(lines[first - 1 :], first):
+        try:
+            params.append(float(line))
+        except ValueError:
+            raise MalformedCheckpointError(f"line {lineno}: parameter {line!r} is not a number") from None
+        if not math.isfinite(params[-1]):
+            raise MalformedCheckpointError(f"line {lineno}: parameter {line!r} is not finite")
+    n_params = values.pop("n_params")
     try:
         spec = ModelSpec(**values)
     except ValueError as exc:
         raise MalformedCheckpointError(f"checkpoint describes an invalid model: {exc}") from None
-    n_params = field("n_params")
     if len(params) != n_params or n_params != spec.n_params:
         raise MalformedCheckpointError(
             f"checkpoint key 'n_params' declares {n_params} parameters, the file holds "
             f"{len(params)} and the model needs {spec.n_params}"
         )
     model = SoftmaxClassifier(spec)
-    model.set_parameters(np.array(params))
+    model.set_parameters(params)
+    if (written := _checkpoint_text(model)) != text:  # also every line the parse above let through
+        lineno, found, wanted = next((n, got, want) for n, (got, want) in enumerate(
+            zip_longest(text.splitlines(True), written.splitlines(True), fillvalue=""), 1) if got != want)
+        raise MalformedCheckpointError(f"line {lineno} reads {found!r}, where save_checkpoint writes {wanted!r}")
     return model

@@ -340,14 +340,13 @@ def check_budgets(cfg: ExperimentConfig, budgets, method: str | None = None) -> 
     for budget in budgets:
         extra = budget - s0_size
         if extra < 0:
-            raise ConfigError(f"budget {budget} is below the initial set size {s0_size}")
+            raise ConfigError(f"method {method!r}: budget {budget} is below the initial set size {s0_size}")
         if method == "jacobian":  # r rounds label s0_size * 2**r in all
             rounds = (budget // s0_size).bit_length() - 1
             plans.append((rounds, budget - s0_size * 2**rounds))
         elif extra % per_iteration:
-            raise ConfigError(
-                f"budget {budget} minus initial {s0_size} must be a multiple of per_iteration={per_iteration}"
-            )
+            raise ConfigError(f"method {method!r}: budget {budget} minus initial {s0_size} "
+                              f"must be a multiple of per_iteration={per_iteration}")
         else:
             plans.append((extra // per_iteration, 0))
     return plans

@@ -110,6 +110,19 @@ def test_attack_refuses_bad_budget_before_training(tmp_path, monkeypatch):
     assert fits == []
 
 
+def test_a_budget_refusal_names_the_method_whose_rule_it_breaks(tmp_path, monkeypatch, capsys):
+    # 30 suits jacobian (a partial round) but not active: 30 - |S0| = 10 is no multiple of per_iteration = 20
+    fits, fit = [], SoftmaxClassifier.fit
+    monkeypatch.setattr(SoftmaxClassifier, "fit", lambda *a, **kw: fits.append(1) or fit(*a, **kw))
+    cfg, out = write_config(tmp_path), tmp_path / "out"
+    assert main(["attack", "--config", str(cfg), "--out", str(out), "--method", "jacobian,active", "--budget", "30"]) == 1
+    assert "error: method 'active': budget 30 minus initial 20 must be a multiple of per_iteration=20" in (
+        capsys.readouterr().err)
+    assert main(["attack", "--config", str(cfg), "--out", str(out), "--method", "jacobian,active", "--budget", "10"]) == 1
+    assert "error: method 'jacobian': budget 10 is below the initial set size 20" in capsys.readouterr().err
+    assert fits == []
+
+
 def test_noise_attack_refuses_a_negative_budget(tmp_path, capsys):
     # the noise control plans no rounds, so only the config check stands between -5 and results.csv
     cfg, out = write_config(tmp_path, method="noise"), tmp_path / "out"
@@ -186,6 +199,20 @@ def test_sweep_rows_equal_attack_rows_per_budget(tmp_path, method):
     assert len(swept) == 6
     assert (json.loads((tmp_path / "sweep" / "manifest.json").read_text())["seeds"]
             == json.loads((out / "manifest.json").read_text())["seeds"])
+
+
+def test_a_multi_method_sweep_names_the_method_in_each_budget_line(tmp_path, capsys):
+    cfg = write_config(tmp_path, budgets=[20, 40])
+
+    def budget_lines(method, out):
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / out), "--method", method]) == 0
+        return [line for line in capsys.readouterr().out.splitlines() if line.startswith("budget ")]
+
+    apart = {method: budget_lines(method, method) for method in ("active", "jacobian")}
+    for lines in apart.values():  # one method: the lines as they always were
+        assert [re.match(r"budget (\d+): attacked rca \d\.\d{4} \(", line)[1] for line in lines] == ["20", "40"]
+    named = [line.replace(": ", f": method={method} ", 1) for method, lines in apart.items() for line in lines]
+    assert budget_lines("active,jacobian", "together") == named
 
 
 def test_sweep_refuses_bad_budget_before_training(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qsattack.attack import AdversarialExample, AttackConfig, craft_batch
 from qsattack.data import (
@@ -342,6 +343,26 @@ def test_epo_mutations_read_back_exactly_or_raise_the_typed_error(tmp_path_facto
     except MalformedEpochFileError:
         return
     write_epochs(path, dataset)
+    assert path.read_bytes() == raw
+
+
+F32_EDGES = [0.0, -0.0, 1e-45, -1e-45, float(np.finfo(np.float32).tiny), F32_MAX, -F32_MAX]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_epo_round_trips_every_shape_label_and_binary32_value(tmp_path_factory, data):
+    n, c, t = data.draw(st.tuples(st.integers(0, 4), st.integers(1, 4), st.integers(1, 4)))
+    binary32 = st.sampled_from(F32_EDGES) | st.floats(width=32, allow_nan=False, allow_infinity=False)
+    values = data.draw(arrays(np.float32, (n, c, t), elements=binary32))
+    labels = data.draw(arrays(np.int64, n, elements=st.integers(-1, 2**31 - 1)))
+    path = tmp_path_factory.getbasetemp() / "any.epo"
+    write_epochs(path, LabeledSet(values, labels))
+    raw = path.read_bytes()
+    back = read_epochs(path)
+    assert back.epochs.astype("<f4").tobytes() == values.astype("<f4").tobytes()  # -0.0 keeps its sign
+    assert np.array_equal(back.labels, labels)
+    write_epochs(path, back)
     assert path.read_bytes() == raw
 
 

@@ -1,12 +1,14 @@
 import dataclasses
 import hashlib
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qsattack import models
 from qsattack.data import LabeledSet, gen_blobs
@@ -482,7 +484,8 @@ def test_checkpoint_errors_are_typed_and_name_the_fault(tmp_path):
         "declares": good + "0.5\n",  # one parameter more than n_params
         "UTF-8": good.replace("mlp", "ml\udcff"),
         "seed must be >= 0": good.replace("seed: 4", "seed: -4"),
-        f"line {lines.index('seed: 4') + 2}: key 'seed' repeats": good.replace("seed: 4\n", "seed: 4\nseed: 7\n"),
+        f"line {lines.index('seed: 4') + 2}: expected key 'n_params', found 'seed: 7'":
+            good.replace("seed: 4\n", "seed: 4\nseed: 7\n"),
         "key 'hidden' has invalid value ','": good.replace("hidden: 5\n", "hidden: ,\n"),
         "key 'hidden' has invalid value '5,'": good.replace("hidden: 5\n", "hidden: 5,\n"),
     }
@@ -507,13 +510,16 @@ def test_checkpoint_refuses_values_save_checkpoint_never_writes(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(make_model("mlp", seed=3), path)
     good = path.read_text(encoding="utf-8")
-    first = good.splitlines().index("params:") + 1
-    param = good.splitlines()[first]
+    lines = good.splitlines()
+    first, seed, hidden = (lines.index(line) + 1 for line in ("params:", "seed: 3", "hidden: 5"))
     cases = {
-        "key 'seed' has invalid value '0_3'": good.replace("seed: 3\n", "seed: 0_3\n"),
-        "key 'seed' has invalid value '\u0663'": good.replace("seed: 3\n", "seed: \u0663\n"),
-        "key 'hidden' has invalid value '+5'": good.replace("hidden: 5\n", "hidden: +5\n"),
-        f"line {first + 1}: parameter '1_0.5' is not written as 10.5": good.replace(f"\n{param}\n", "\n1_0.5\n", 1),
+        f"line {seed} reads 'seed: 0_3\\n', where save_checkpoint writes 'seed: 3\\n'":
+            good.replace("seed: 3\n", "seed: 0_3\n"),
+        f"line {seed} reads 'seed: \u0663\\n'": good.replace("seed: 3\n", "seed: \u0663\n"),
+        f"line {hidden} reads 'hidden: +5\\n', where save_checkpoint writes 'hidden: 5\\n'":
+            good.replace("hidden: 5\n", "hidden: +5\n"),
+        f"line {first + 1} reads '1_0.5\\n', where save_checkpoint writes '10.5\\n'":
+            good.replace(f"\n{lines[first]}\n", "\n1_0.5\n", 1),
     }
     for fragment, text in cases.items():
         path.write_text(text, encoding="utf-8")
@@ -527,8 +533,65 @@ def test_checkpoint_refuses_values_save_checkpoint_never_writes(tmp_path):
 def test_checkpoint_mutations_load_or_raise_the_typed_error(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
     save_checkpoint(make_model("mlp", seed=4), path)
-    path.write_bytes(data.draw(mutations(path.read_bytes())))
+    raw = data.draw(mutations(path.read_bytes()))
+    path.write_bytes(raw)
     try:
-        load_checkpoint(path)
+        model = load_checkpoint(path)
     except MalformedCheckpointError:
-        pass
+        return
+    save_checkpoint(model, path)
+    assert path.read_bytes() == raw
+
+
+def test_checkpoint_refuses_every_text_but_the_one_save_checkpoint_writes(tmp_path):
+    # texts save_checkpoint never writes: each is refused, naming the line where it departs
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(make_model("tcn", seed=2), path)
+    good = path.read_bytes().decode("utf-8")
+    lines = good.splitlines()
+    seed, first = lines.index("seed: 2") + 1, lines.index("params:") + 2  # 1-based line numbers
+    cases = {
+        "no final newline": (good[:-1], len(lines)),
+        "tab after a colon": (good.replace("seed: 2", "seed:\t2"), seed),
+        "\\r\\n line ends": (good.replace("\n", "\r\n"), 1),
+        "trailing space on a key": (good.replace("seed: 2\n", "seed: 2 \n"), seed),
+        "trailing space on a parameter": (good.replace(f"\n{lines[first - 1]}\n", f"\n{lines[first - 1]} \n"), first),
+        "reordered keys": (good.replace("channels: 2\nsamples: 6\n", "samples: 6\nchannels: 2\n"), 3),
+        "blank line in the keys": (good.replace("seed: 2\n", "\nseed: 2\n"), seed),
+        "blank line before the parameters": (good.replace("params:\n", "params:\n\n"), first),
+        "blank line at the end": (good + "\n", len(lines) + 1),
+    }
+    for name, (text, lineno) in cases.items():
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(MalformedCheckpointError, match=rf"^line {lineno}[: ]"):
+            load_checkpoint(path)
+
+
+FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, sys.float_info.max, -sys.float_info.max]
+
+
+@st.composite
+def model_specs(draw):
+    """Every architecture and activation, shapes of a few parameters, any seed; ``kernel_width`` is free but for ``tcn``."""
+    architecture, samples = draw(st.sampled_from(["linear", "mlp", "tcn"])), draw(st.integers(1, 6))
+    hidden = {"linear": st.just(()), "mlp": st.lists(st.integers(1, 4), min_size=1, max_size=2),
+              "tcn": st.tuples(st.integers(1, 3))}[architecture]
+    kernel_width = st.integers(1, samples) if architecture == "tcn" else st.integers(-3, 12)
+    return ModelSpec(architecture, draw(st.integers(1, 3)), samples, draw(st.integers(2, 4)), hidden=draw(hidden),
+                     activation=draw(st.sampled_from(["relu", "tanh"])), kernel_width=draw(kernel_width),
+                     seed=draw(st.integers(0, 2**70)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=model_specs(), data=st.data())
+def test_checkpoint_round_trips_every_spec_and_parameter_bit_for_bit(tmp_path_factory, spec, data):
+    model = SoftmaxClassifier(spec)
+    finite = st.sampled_from(FLOAT_EDGES) | st.floats(allow_nan=False, allow_infinity=False)
+    model.set_parameters(data.draw(arrays(np.float64, spec.n_params, elements=finite)))
+    path = tmp_path_factory.getbasetemp() / "spec.ckpt"
+    save_checkpoint(model, path)
+    raw = path.read_bytes()
+    loaded = load_checkpoint(path)
+    assert loaded.spec == spec and loaded.parameters.tobytes() == model.parameters.tobytes()
+    save_checkpoint(loaded, path)
+    assert path.read_bytes() == raw
