@@ -84,7 +84,7 @@ def _results_row(cfg: ExperimentConfig, result: RunResult) -> list:
         model_name(cfg.substitute) if result.method != "noise" else "",
         result.method,
         result.budget,
-        result.run_seed,
+        result.seeds["run"],
         *(repr(value) for report in (result.attacked, result.baseline, result.noisy)  # rca, bca of each
           for value in (report.rca, report.bca)),
     ]
@@ -174,6 +174,7 @@ def cmd_attack(cfg: ExperimentConfig, out: Path, methods) -> dict:
                 f"baseline_rca={result.baseline.rca:.4f} noisy_rca={result.noisy.rca:.4f} "
                 f"attacked_rca={result.attacked.rca:.4f}"
             )
+        del results, result  # free the run's models and traces before the next run trains
     for method, path in dirs.items():
         _write_csv(path / "results.csv", RESULT_COLUMNS, rows[method])
         print(f"results: {path / 'results.csv'}")
@@ -220,16 +221,18 @@ def cmd_report(result_paths, out_dir: str | None) -> int:
             reader = csv.DictReader(fh)
             if missing := sorted(set(_ROW_KEY + _REPORT_MEANS) - set(reader.fieldnames or ())):
                 raise ValueError(f"{path} lacks the result column(s) {', '.join(missing)}")
-            parsers = [("budget", int, "an integer")] + [(col, float, "a number") for col in _REPORT_MEANS]
-            for row in reader:  # budgets group and sort as numbers
+            parsers = [*((col, int, "an integer") for col in ("budget", "seed")),
+                       *((col, float, "a number") for col in _REPORT_MEANS)]
+            for row in reader:  # budgets group and sort as numbers; a seed keys as its text
                 for col, parse, kind in parsers:
                     try:
                         value = parse(row[col])
-                        if not -np.inf < value < np.inf:  # nan and inf would average to nan and inf
+                        # nan and inf would average to nan and inf; "03", "+3" and "1_0" are not what results.csv writes
+                        if not -np.inf < value < np.inf or parse is int and str(value) != row[col]:
                             raise ValueError
                     except (TypeError, ValueError):
                         raise ValueError(f"{path} holds {col} {row[col]!r}, not {kind}") from None
-                    row[col] = value
+                    row[col] = value if col != "seed" else row[col]
                 if (key := tuple(row[col] for col in _ROW_KEY)) in seen:  # a row counted twice skews its mean
                     raise ValueError(f"{path} repeats the row {key} of {seen[key]}")
                 seen[key] = path

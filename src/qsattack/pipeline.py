@@ -301,7 +301,6 @@ class PreparedRun:
 
 @dataclass
 class RunResult:
-    run_seed: int
     method: str
     budget: int
     baseline: MetricReport
@@ -371,68 +370,62 @@ def prepare_run(cfg: ExperimentConfig, run_index: int = 0) -> PreparedRun:
 
 
 def _train_substitutes(prepared: PreparedRun, s0, budgets: dict, plans: dict) -> dict:
-    """``{method: [(substitute, trace) as it stood at each budget]}``, one trajectory of whole rounds per method.
+    """``{method: [the trace of the run each budget stops]}``, one trajectory of whole rounds per method.
 
     Each trajectory's oracle labels S0 and is capped at what its rounds
-    label.  Only the first fits round 0; the rest start from a copy of its
-    substitute, the fit they would make on the same S0, spec and seeds.  A plan
-    with no leftover copies the substitute and trace at its round; a
-    ``jacobian`` leftover branches a leaf there once the trajectory is
-    done: one more round kept to ``leftover`` seeded rows of the
-    trajectory's next proposal (computed only past its last round),
-    labeled on its own oracle capped at ``leftover``, and fit on a copy
-    of the substitute, as a run stopping at that budget would end.
+    label.  Only the first fits round 0; the rest start from its row-0
+    substitute, the fit they would make on the same S0, spec and seeds.  A
+    plan with no leftover ends at the row of its round, whose substitute is
+    the one that round left.  A ``jacobian`` leftover branches a leaf from
+    that row: one more round kept to ``leftover`` seeded rows of the
+    trajectory's next proposal (computed only past its last round), labeled
+    on its own oracle capped at ``leftover``, and fit on a copy of the row's
+    substitute over the labeled set its rows rebuild, as a run stopping at
+    that budget would end.
     """
     cfg, seeds = prepared.cfg, prepared.seeds
     spec = _build_spec(cfg.substitute, cfg.data, seeds["substitute-init"])
     train = replace(cfg.substitute.train, shuffle_seed=seeds["substitute-train"])
     jac, round0, out = cfg.jacobian, None, {}
     for method, method_plans in plans.items():
-        states = {}
-
-        def on_round(model, trace, data):
-            nonlocal round0
-            done = len(trace.rows) - 1
-            if done == 0 and round0 is None and len(plans) > 1:  # every later trajectory starts from it
-                round0 = model.copy()
-            for plan in method_plans:  # later rounds train this model in place: keep a copy
-                if plan[0] == done:  # only a leaf (leftover > 0) reads the labeled set
-                    states[plan] = (model.copy(), AugmentationTrace(list(trace.rows)), data if plan[1] else None)
-
-        def leaf(model, trace, data, done, leftover):
-            new = trunk.rows[done + 1].synthesized if done < rounds else jacobian_augment(data, model, jac.step_size)
-            new = new[np.sort(np.random.default_rng(seeds["synthesis"]).choice(len(new), leftover, replace=False))]
-            labels = TargetOracle(prepared.target, budget=leftover).query_labels(new)
-            model.fit(data.extended(new, labels), train)
-            last = trace.rows[-1]
-            row = TraceRow(last.iteration + 1, last.target_queries + leftover,
-                           last.substitute_queries + len(data), len(data) + leftover, synthesized=new)
-            return model, AugmentationTrace(trace.rows + [row])
-
         cap = max(budget - leftover for budget, (_, leftover) in zip(budgets[method], method_plans))
         oracle, rounds = TargetOracle(prepared.target, budget=cap), max(r for r, _ in method_plans)
         if method == "jacobian":
-            _, trunk = train_substitute_jacobian(oracle, s0, spec, train, replace(jac, n_iterations=rounds),
-                                                 on_round, round0)
+            _, trace = train_substitute_jacobian(oracle, s0, spec, train, replace(jac, n_iterations=rounds),
+                                                 round0=round0)
         else:
             plan = replace(cfg.synthesis, seed=seeds["synthesis"], n_iterations=rounds)
-            _, trunk = train_substitute_active(oracle, s0, spec, train, plan, on_round, round0)
-        out[method] = [leaf(*states[plan], *plan) if plan[1] else states[plan][:2] for plan in method_plans]
+            _, trace = train_substitute_active(oracle, s0, spec, train, plan, round0=round0)
+        rows, round0 = trace.rows, round0 or trace.rows[0].substitute  # every later trajectory starts from it
+        out[method] = []
+        for done, leftover in method_plans:
+            kept = rows[: done + 1]
+            if leftover:
+                data = LabeledSet(np.concatenate([s0, *(row.synthesized for row in kept[1:])]),
+                                  np.concatenate([row.labels for row in kept]))
+                last, model = rows[done], rows[done].substitute.copy()  # two budgets may branch from one row
+                new = rows[done + 1].synthesized if done < rounds else jacobian_augment(data, model, jac.step_size)
+                new = new[np.sort(np.random.default_rng(seeds["synthesis"]).choice(len(new), leftover, replace=False))]
+                labels = TargetOracle(prepared.target, budget=leftover).query_labels(new)
+                model.fit(data.extended(new, labels), train)
+                kept.append(TraceRow(done + 1, last.target_queries + leftover, last.substitute_queries + len(data),
+                                     len(data) + leftover, new, labels, model))
+            out[method].append(AugmentationTrace(kept))
     return out
 
 
-def _score(prepared: PreparedRun, method: str, budget, balance_queries: int, substitute, trace) -> RunResult:
-    """Craft from ``substitute`` (the noise control when None) and score the target."""
+def _score(prepared: PreparedRun, method: str, budget, balance_queries: int, trace) -> RunResult:
+    """Craft from the substitute that ends ``trace`` (the noise control when None) and score the target."""
     cfg, test_set = prepared.cfg, prepared.test_set
     attacked, examples, crafting = prepared.noisy, prepared.noisy_examples, prepared.noise_config
-    if substitute is not None:
-        crafting = cfg.attack
+    substitute, training_queries = None, 0
+    if trace is not None:
+        crafting, last = cfg.attack, trace.rows[-1]
+        substitute, training_queries = last.substitute, last.target_queries
         examples = craft_batch(substitute, test_set.epochs, crafting, true_labels=test_set.labels)
         attacked_preds = prepared.target.predict_batch(examples.perturbed)
         attacked = metric_report(attacked_preds, test_set.labels, cfg.data.classes)
-    training_queries = trace.rows[-1].target_queries if trace is not None else 0
     return RunResult(
-        run_seed=prepared.seeds["run"],
         method=method,
         budget=budget,
         baseline=prepared.baseline,
@@ -472,9 +465,9 @@ def attack_runs(prepared: PreparedRun, budgets, methods=None) -> list[RunResult]
     balancer = TargetOracle(prepared.target, budget=len(prepared.pool_set) or None)
     s0 = balance_by_predicted_label(balancer, prepared.pool_set.epochs, cfg.balance.per_class,
                                     prepared.seeds["balance"])
-    states = _train_substitutes(prepared, s0, budgets, {m: plan for m, plan in plans.items() if m != "noise"})
-    return [_score(prepared, method, budget, balancer.query_count, *state) for method in methods
-            for budget, state in zip(budgets[method], states.get(method, [(None, None)] * len(budgets[method])))]
+    traces = _train_substitutes(prepared, s0, budgets, {m: plan for m, plan in plans.items() if m != "noise"})
+    return [_score(prepared, method, budget, balancer.query_count, trace) for method in methods
+            for budget, trace in zip(budgets[method], traces.get(method, [None] * len(budgets[method])))]
 
 
 def attack_run(prepared: PreparedRun, budget: int | None = None) -> RunResult:

@@ -17,7 +17,8 @@ Accounting conventions:
   in lockstep as ``2 * bisection_steps`` more batched forwards.
 
 The baseline's step, :func:`jacobian_augment`, is the ``ufgsm`` craft at
-``epsilon = step_size``.  A round's labeled set is a new, immutable :class:`LabeledSet`.
+``epsilon = step_size``.  A round's labeled set is a new, immutable :class:`LabeledSet`,
+and its :class:`TraceRow` keeps its labels and substitute: how a run stopping there ends.
 """
 
 from __future__ import annotations
@@ -105,11 +106,16 @@ class QueryCounter:
 
 @dataclass
 class TraceRow:
+    """One round: its counts, new epochs (None in row 0), what the oracle labeled them
+    (S0 in row 0) and a copy of the substitute the round left, Adam state included."""
+
     iteration: int
     target_queries: int
     substitute_queries: int
     train_set_size: int
     synthesized: np.ndarray | None = None
+    labels: np.ndarray | None = None
+    substitute: SoftmaxClassifier | None = None
 
 
 @dataclass
@@ -321,7 +327,7 @@ def jacobian_augment(
 
 
 def _augment_rounds(oracle, initial_epochs, model_spec: ModelSpec, train_cfg: TrainConfig, rounds: int, needed, propose,
-                    on_round=None, round0=None):
+                    round0=None):
     """The loop both trainers share: label the new epochs, append them, fine-tune, trace.
 
     Before the first query, a malformed initial set raises, then a plan whose
@@ -331,8 +337,8 @@ def _augment_rounds(oracle, initial_epochs, model_spec: ModelSpec, train_cfg: Tr
     made earlier; rounds 1 to ``rounds`` label ``propose(data,
     model, counter)``, the round's new (m, C, T) epochs, and keep training
     that same substitute.  Trace query counts are relative to the oracle
-    counter at entry.  ``on_round(model, trace, data)``, when given, sees the
-    substitute, the trace so far and the labeled set after every round.
+    counter at entry.  Every row keeps its round's labels and a copy of the
+    substitute, since later rounds train the live one in place.
     """
     xs = as_epoch_batch(initial_epochs, model_spec.input_shape)
     need, left = needed(len(xs)), oracle.remaining
@@ -343,13 +349,11 @@ def _augment_rounds(oracle, initial_epochs, model_spec: ModelSpec, train_cfg: Tr
     trace, counter = AugmentationTrace(), QueryCounter()
     for iteration in range(rounds + 1):
         new = propose(data, model, counter) if iteration else xs
-        data = data.extended(new, oracle.query_labels(new))
+        data = data.extended(new, labels := oracle.query_labels(new))
         if iteration or round0 is None:
             model.fit(data, train_cfg)
         trace.rows.append(TraceRow(iteration, oracle.query_count - start, counter.count, len(data),
-                                   synthesized=new if iteration else None))
-        if on_round is not None:
-            on_round(model, trace, data)
+                                   new if iteration else None, labels, model.copy()))
     return model, trace
 
 
@@ -359,7 +363,6 @@ def train_substitute_active(
     model_spec: ModelSpec,
     train_cfg: TrainConfig,
     syn_cfg: SynthesisConfig,
-    on_round=None,
     round0=None,
 ) -> tuple[SoftmaxClassifier, AugmentationTrace]:
     """Label the initial set and pre-train (round 0), then augment by query synthesis.
@@ -372,8 +375,8 @@ def train_substitute_active(
     :func:`_augment_rounds` refuses a plan the oracle cannot pay for before
     its first query.  Round ``i`` runs exactly as the last round of an
     ``n_iterations=i`` run would (``n_iterations=0`` stops after round 0), so
-    ``on_round(model, trace, data)`` sees every shorter run's final state on
-    the way; ``round0`` skips the round-0 fit (see :func:`_augment_rounds`).
+    trace row ``i`` holds that shorter run's labels and substitute;
+    ``round0`` skips the round-0 fit (see :func:`_augment_rounds`).
     The initial set must hold every class the target labels, as
     :func:`balance_by_predicted_label` returns it.
     """
@@ -383,7 +386,7 @@ def train_substitute_active(
         return synthesize_one_vs_one(data, model, model_spec.classes, syn_cfg, rng, counter)
 
     return _augment_rounds(oracle, initial_epochs, model_spec, train_cfg, syn_cfg.n_iterations,
-                           lambda n: n + syn_cfg.n_iterations * syn_cfg.per_iteration, propose, on_round, round0)
+                           lambda n: n + syn_cfg.n_iterations * syn_cfg.per_iteration, propose, round0)
 
 
 def train_substitute_jacobian(
@@ -392,17 +395,16 @@ def train_substitute_jacobian(
     model_spec: ModelSpec,
     train_cfg: TrainConfig,
     jac_cfg: JacobianConfig,
-    on_round=None,
     round0=None,
 ) -> tuple[SoftmaxClassifier, AugmentationTrace]:
     """Baseline substitute training by repeated signed-gradient augmentation.
 
     Each round doubles the labeled set, so after N rounds the new target
-    queries total ``len(initial) * (2**N - 1)``, all or nothing.  As for the
-    active method, ``on_round`` and ``round0`` work as in :func:`_augment_rounds`.
+    queries total ``len(initial) * (2**N - 1)``, all or nothing.  Trace row
+    ``i`` and ``round0`` work as in :func:`train_substitute_active`.
     """
     def propose(data, model, counter):
         return jacobian_augment(data, model, jac_cfg.step_size, counter)
 
     return _augment_rounds(oracle, initial_epochs, model_spec, train_cfg, jac_cfg.n_iterations,
-                           lambda n: n * 2**jac_cfg.n_iterations, propose, on_round, round0)
+                           lambda n: n * 2**jac_cfg.n_iterations, propose, round0)

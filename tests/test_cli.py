@@ -272,6 +272,18 @@ def test_report_orders_budgets_as_numbers(tmp_path, capsys):
     assert f"{path} holds budget '2e1', not an integer" in capsys.readouterr().err
 
 
+def test_report_reads_budget_and_seed_only_as_results_csv_writes_them(tmp_path, capsys):
+    header = "dataset,target_model,substitute_model,method,budget,seed,rca,bca,baseline_rca,baseline_bca,noisy_rca,noisy_bca"
+    good = dict(zip(header.split(","), "blobs-k2-4x16,mlp-16,mlp-16,active,10,3,0.5,0.5,0.9,0.9,0.8,0.8".split(",")))
+    first = tmp_path / "a.csv"
+    first.write_text(f"{header}\n{','.join(good.values())}\n", encoding="utf-8")
+    for col, value in (("budget", "1_0"), ("seed", "03"), ("seed", " 3"), ("seed", "+3")):
+        path = tmp_path / "c.csv"  # the run of a.csv again, had int() read the key
+        path.write_text(f"{header}\n{','.join(dict(good, **{col: value}).values())}\n", encoding="utf-8")
+        assert main(["report", "--results", str(first), str(path)]) == 1
+        assert f"error: {path} holds {col} {value!r}, not an integer" in capsys.readouterr().err
+
+
 def test_report_names_the_file_and_column_of_an_unreadable_value(tmp_path, capsys):
     path = tmp_path / "results.csv"
     header = "dataset,target_model,substitute_model,method,budget,seed,rca,bca,baseline_rca,baseline_bca,noisy_rca,noisy_bca"

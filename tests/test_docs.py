@@ -1,7 +1,10 @@
-"""The README's library example runs, the bundled example config loads, and the package holds no dead names."""
+"""The README's library example runs, the bundled example config loads, the package holds no dead names, and
+a falsified property test fails as a test."""
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from qsattack.pipeline import load_config
@@ -48,3 +51,15 @@ def test_package_has_no_dead_imports_or_private_names():
             dead += [f"{name}: {private}" for private in defined
                      if private.startswith("_") and not private.startswith("__") and private not in used]
     assert dead == []
+
+
+def test_a_falsified_property_is_a_plain_failure(tmp_path):
+    """Under the ``error`` warning filter, hypothesis's falsifying-example report must not end the session."""
+    (tmp_path / "test_falsified.py").write_text("from hypothesis import given, strategies as st\n\n\n"
+                                                "@given(st.integers())\ndef test_small(x):\n    assert x < 5\n",
+                                                encoding="utf-8")
+    argv = [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-c", str(ROOT / "pyproject.toml"),
+            "test_falsified.py"]  # run in tmp_path, so .hypothesis/ lands there
+    done = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "1 failed" in done.stdout

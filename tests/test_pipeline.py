@@ -394,7 +394,7 @@ def test_results_row_layout(tmp_path):
     assert row["target_model"] == "mlp-6"
     assert row["method"] == "active"
     assert float(row["rca"]) == result.attacked.rca
-    assert row["seed"] == str(result.run_seed)
+    assert row["seed"] == str(result.seeds["run"])
 
 
 def test_runs_are_reproducible():

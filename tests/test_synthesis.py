@@ -585,7 +585,7 @@ def test_jacobian_training_exponential_growth():
 
 def test_active_training_zero_rounds_is_round_zero():
     # n_iterations=0 stops after round 0: S0 labeled, a fresh substitute
-    # trained on it, exactly what round 0 of a longer run hands to on_round
+    # trained on it, exactly what row 0 of a longer run keeps
     _, oracle, s0 = make_oracle_and_s0(n_s0=20)
     spec = ModelSpec("mlp", 2, 6, 2, hidden=(5,), seed=4)
     cfg = SynthesisConfig(n_iterations=0, per_iteration=8, bisection_steps=4, offset_norm=2.0)
@@ -594,12 +594,33 @@ def test_active_training_zero_rounds_is_round_zero():
     [row] = trace.rows
     assert (row.iteration, row.target_queries, row.substitute_queries, row.train_set_size) == (0, 20, 0, 20)
     assert row.synthesized is None
-    seen = []
     _, oracle, s0 = make_oracle_and_s0(n_s0=20)
-    train_substitute_active(oracle, s0, spec, FAST_TRAIN, replace(cfg, n_iterations=2),
-                            on_round=lambda m, t, d: seen.append(m.parameters))
-    assert len(seen) == 3
-    assert np.array_equal(seen[0], model.parameters)
+    _, longer = train_substitute_active(oracle, s0, spec, FAST_TRAIN, replace(cfg, n_iterations=2))
+    assert len(longer.rows) == 3
+    assert np.array_equal(longer.rows[0].substitute.parameters, model.parameters)
+
+
+@pytest.mark.parametrize("trainer", ["active", "jacobian"])
+@pytest.mark.parametrize("arch, hidden", [("mlp", (5,)), ("tcn", (3,))])
+def test_every_trace_row_is_the_run_that_stops_there(trainer, arch, hidden):
+    spec = ModelSpec(arch, 2, 6, 2, hidden=hidden, kernel_width=3, seed=4)
+
+    def run(rounds):
+        target, oracle, s0 = make_oracle_and_s0(n_s0=8)
+        if trainer == "active":
+            cfg = SynthesisConfig(n_iterations=rounds, per_iteration=4, bisection_steps=3, offset_norm=2.0, seed=5)
+            return target, s0, *train_substitute_active(oracle, s0, spec, FAST_TRAIN, cfg)
+        return target, s0, *train_substitute_jacobian(oracle, s0, spec, FAST_TRAIN, JacobianConfig(0.5, rounds))
+
+    target, s0, model, trace = run(2)
+    assert [row.iteration for row in trace.rows] == [0, 1, 2]
+    assert trace.rows[-1].substitute is not model
+    model.fit(LabeledSet(s0, target.predict_batch(s0)), FAST_TRAIN)  # the live model trains on: no row moves
+    for i, row in enumerate(trace.rows):
+        _, _, alone, _ = run(i)
+        assert row.substitute.parameters.tobytes() == alone.parameters.tobytes()
+        assert row.substitute._adam_t == alone._adam_t
+        assert np.array_equal(row.labels, target.predict_batch(s0 if i == 0 else row.synthesized))
 
 
 def test_synthesis_config_validation():
