@@ -48,8 +48,7 @@ from .models import (
     save_checkpoint,
 )
 from .oracle import TargetOracle
-from .pipeline import ExperimentConfig, RunResult, load_config, run_attack_experiment
-from .seeding import derive_seed
+from .pipeline import ExperimentConfig, RunResult, derive_seed, load_config, run_attack_experiment
 from .synthesis import (
     AugmentationTrace,
     JacobianConfig,

@@ -38,7 +38,7 @@ class AttackConfig:
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
         if self.method not in _METHODS:
-            raise ValueError(f"unknown attack method {self.method!r}")
+            raise ValueError(f"method must be one of {', '.join(_METHODS)}, got {self.method!r}")
 
 
 @dataclass(frozen=True)

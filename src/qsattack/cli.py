@@ -170,7 +170,7 @@ def cmd_attack(cfg: ExperimentConfig, out: Path, methods) -> dict:
             save_checkpoint(result.target, run_dir / "target.ckpt")
             rows[result.method].append(_results_row(cfg, result))
             print(
-                f"run {run}: method={result.method} queries={result.total_queries} "
+                f"run {run}: method={result.method} queries={result.balance_queries + result.training_queries} "
                 f"baseline_rca={result.baseline.rca:.4f} noisy_rca={result.noisy.rca:.4f} "
                 f"attacked_rca={result.attacked.rca:.4f}"
             )
@@ -227,8 +227,8 @@ def cmd_report(result_paths, out_dir: str | None) -> int:
                 for col, parse, kind in parsers:
                     try:
                         value = parse(row[col])
-                        # nan and inf would average to nan and inf; "03", "+3" and "1_0" are not what results.csv writes
-                        if not -np.inf < value < np.inf or parse is int and str(value) != row[col]:
+                        # nan and inf would average to nan and inf; results.csv writes repr(value), never "03" or "0_5"
+                        if not -np.inf < value < np.inf or repr(value) != row[col]:
                             raise ValueError
                     except (TypeError, ValueError):
                         raise ValueError(f"{path} holds {col} {row[col]!r}, not {kind}") from None

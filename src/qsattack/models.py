@@ -22,7 +22,8 @@ the backward's reversed ``(layer, gW, gb, W)`` rows, the architecture
 flag, the activation and its derivative); a row's max folds
 ``np.maximum`` over the class columns, exact in any order; softmax,
 log-sum-exp and bias adds work in place on their own temporaries, and a
-fit builds its batch views once.  Specs of over 2**31 parameters are refused.
+fit builds its batch views once.  ``spec.n_params`` is the one parameter
+count; specs of over 2**31 parameters are refused.
 All math is deterministic given the seeds.
 
 The labels of ``fit``, ``dataset_loss`` and ``input_gradient_batch`` pass
@@ -222,10 +223,6 @@ class SoftmaxClassifier:
     # -- parameters ------------------------------------------------------
 
     @property
-    def n_parameters(self) -> int:
-        return self._params.size
-
-    @property
     def parameters(self) -> np.ndarray:
         """Copy of the flat parameter vector."""
         return self._params.copy()
@@ -386,7 +383,7 @@ class SoftmaxClassifier:
         X_val, y_val, targets = data.epochs[val_idx], y[val_idx], np.eye(self.spec.classes)[y]
 
         best_loss, best_params, stall, val_losses = np.inf, self._params.copy(), 0, []
-        m_hat, v_hat = np.empty((2, self.n_parameters))  # Adam's scratch, written in place every step
+        m_hat, v_hat = np.empty((2, self.spec.n_params))  # Adam's scratch, written in place every step
         X_epoch, T_epoch = data.epochs[train_idx], targets[train_idx]  # each epoch's shuffled rows, refilled
         batches = [(X_epoch[i : i + cfg.batch_size], T_epoch[i : i + cfg.batch_size])  # views, built once
                    for i in range(0, len(train_idx), cfg.batch_size)]
@@ -412,7 +409,7 @@ def _checkpoint_text(model: SoftmaxClassifier) -> str:
     """The whole text :func:`save_checkpoint` writes: the one text :func:`load_checkpoint` accepts."""
     spec = dataclasses.asdict(model.spec) | {"hidden": ",".join(map(str, model.spec.hidden))}  # in _SPEC_KEYS order
     lines = [f"format: {_CHECKPOINT_FORMAT}", *(f"{key}: {value}" for key, value in spec.items()),
-             f"n_params: {model.n_parameters}", "params:"]
+             f"n_params: {model.spec.n_params}", "params:"]
     lines += map(repr, model.parameters.tolist())  # Python floats: repr gives the bare decimal
     return "\n".join(lines) + "\n"
 

@@ -30,15 +30,17 @@ the oracle: that is the experimenter measuring the outcome, not the
 attacker querying.
 
 Per-stage seeds are derived from ``(master_seed, run_index, stage_name)``
-via :func:`qsattack.seeding.derive_seed`; stage names are fixed strings
-("data-train", "target-init", "balance", ...), so every run is
-reproducible in isolation and stays paired across methods and budgets.
+by :func:`derive_seed`, ``sha256(repr(...))`` reduced to 63 bits; stage
+names are fixed strings ("data-train", "target-init", "balance", ...), so
+every run is reproducible in isolation and stays paired across methods
+and budgets.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import numbers
@@ -54,7 +56,6 @@ from .errors import ConfigError
 from .metrics import MetricReport, metric_report
 from .models import ModelSpec, SoftmaxClassifier, TrainConfig, TrainHistory
 from .oracle import TargetOracle
-from .seeding import derive_seed
 from .synthesis import (
     AugmentationTrace,
     JacobianConfig,
@@ -198,8 +199,8 @@ def _config_from_dict(cls, raw: dict, path: str):
         return cls(**kwargs)
     except ConfigError:  # a pipeline config's own refusal already names its key
         raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid value in {path or 'config'}: {exc}") from exc
+    except ValueError as exc:  # a library config's names its field: prefix the section
+        raise ConfigError(f"{path}.{exc}") from exc
 
 
 def load_config(path) -> ExperimentConfig:
@@ -226,6 +227,12 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         *sections, key = where.split(".")
         del functools.reduce(dict.__getitem__, sections, out)[key]
     return out
+
+
+def derive_seed(master: int, *parts) -> int:
+    """Derive a child seed from a master seed and any hashable name parts."""
+    digest = hashlib.sha256(repr((int(master),) + tuple(parts)).encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "little") & (2**63 - 1)
 
 
 def stage_seeds(master_seed: int, run_index: int) -> dict:
@@ -301,20 +308,29 @@ class PreparedRun:
 
 @dataclass
 class RunResult:
+    """One method and budget of one run index; its substitute and training queries are read from ``trace``."""
+
     method: str
     budget: int
     baseline: MetricReport
     noisy: MetricReport
     attacked: MetricReport
-    trace: AugmentationTrace | None
+    trace: AugmentationTrace | None  # None for the noise control
     balance_queries: int
-    training_queries: int
-    total_queries: int
     seeds: dict
-    examples: AdversarialExample | None = None
-    attack_config: AttackConfig | None = None  # what crafted ``examples``
-    substitute: SoftmaxClassifier | None = None
-    target: SoftmaxClassifier | None = None
+    examples: AdversarialExample
+    attack_config: AttackConfig  # what crafted ``examples``
+    target: SoftmaxClassifier
+
+    @property
+    def substitute(self) -> SoftmaxClassifier | None:
+        """The substitute that ends ``trace``, which crafted ``examples``."""
+        return None if self.trace is None else self.trace.rows[-1].substitute
+
+    @property
+    def training_queries(self) -> int:
+        """The target queries that trained the substitute, beside ``balance_queries``."""
+        return 0 if self.trace is None else self.trace.rows[-1].target_queries
 
 
 def _s0_size(cfg: ExperimentConfig) -> int:
@@ -418,11 +434,9 @@ def _score(prepared: PreparedRun, method: str, budget, balance_queries: int, tra
     """Craft from the substitute that ends ``trace`` (the noise control when None) and score the target."""
     cfg, test_set = prepared.cfg, prepared.test_set
     attacked, examples, crafting = prepared.noisy, prepared.noisy_examples, prepared.noise_config
-    substitute, training_queries = None, 0
     if trace is not None:
-        crafting, last = cfg.attack, trace.rows[-1]
-        substitute, training_queries = last.substitute, last.target_queries
-        examples = craft_batch(substitute, test_set.epochs, crafting, true_labels=test_set.labels)
+        crafting = cfg.attack
+        examples = craft_batch(trace.rows[-1].substitute, test_set.epochs, crafting, true_labels=test_set.labels)
         attacked_preds = prepared.target.predict_batch(examples.perturbed)
         attacked = metric_report(attacked_preds, test_set.labels, cfg.data.classes)
     return RunResult(
@@ -433,12 +447,9 @@ def _score(prepared: PreparedRun, method: str, budget, balance_queries: int, tra
         attacked=attacked,
         trace=trace,
         balance_queries=balance_queries,
-        training_queries=training_queries,
-        total_queries=balance_queries + training_queries,
         seeds=prepared.seeds,
         examples=examples,
         attack_config=crafting,
-        substitute=substitute,
         target=prepared.target,
     )
 

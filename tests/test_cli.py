@@ -97,6 +97,11 @@ def test_attack_bad_config_fails_with_manifest(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert capsys.readouterr().err
+    blocked = tmp_path / "file"  # --out names a file: the error still prints, and no manifest can be written
+    blocked.write_text("kept", encoding="utf-8")
+    assert main(["attack", "--config", str(cfg), "--out", str(blocked)]) == 1
+    assert blocked.read_text(encoding="utf-8") == "kept"
+    assert capsys.readouterr().err.startswith(f"error: [Errno 17] File exists: '{blocked}'\n")
 
 
 def test_attack_refuses_bad_budget_before_training(tmp_path, monkeypatch):
@@ -289,7 +294,8 @@ def test_report_names_the_file_and_column_of_an_unreadable_value(tmp_path, capsy
     header = "dataset,target_model,substitute_model,method,budget,seed,rca,bca,baseline_rca,baseline_bca,noisy_rca,noisy_bca"
     good = "blobs-k2-4x16,mlp-16,mlp-16,active,200,7,0.5,0.5,0.9,0.9,0.8,0.8"
     for col, value in (("rca", "x"), ("noisy_rca", ""), ("baseline_rca", "0.9.1"),
-                       ("rca", "nan"), ("noisy_rca", "inf")):  # nan and inf would average to nan and inf
+                       ("rca", "nan"), ("noisy_rca", "inf"),  # nan and inf would average to nan and inf
+                       ("rca", "0_5"), ("bca", "5e-1"), ("baseline_rca", "0.50"), ("noisy_rca", " 0.5")):  # not repr's
         cells = dict(zip(header.split(","), good.split(",")), **{col: value})
         path.write_text("\n".join([header, ",".join(cells.values())]) + "\n", encoding="utf-8")
         assert main(["report", "--results", str(path)]) == 1
@@ -362,7 +368,14 @@ GOLDEN_COMMANDS = {
                         "e7d9eb49a32d961330afe7e39a98a97a494053694ae6ca2eadb9213f565c0bb4"),
     "attack-budget-7": (["attack", "--budget", "7"],
                        "90e41619a21e3986131dc737a9b0dd26371751319270c4e96623da71db0f7378"),
+    "attack-three-methods": (["attack", "--method", "active,jacobian,noise"],
+                            "f3dc4207bdf12d65eb47fd868c152e5fe740f750fcf5e46be3137ccfb3a0f260"),
+    "sweep": (["sweep"],
+             "032e220bba2e5919e226e13180c4625f897eb43b02ae813ab7892f3c7a21aac7"),
+    "sweep-two-methods": (["sweep", "--method", "active,jacobian"],
+                         "0f16f20f40ca45f7f8acd0cb409fbddaf7b3f14e54ce7d2d10c408598ab03c57"),
 }
+_GOLDEN_BUDGETS = {"sweep": [20, 40], "sweep-two-methods": [20, 40]}  # the config's budgets where not []
 
 
 def _command_digest(out: Path, code: int, stdout: str, tmp: Path) -> str:
@@ -389,9 +402,9 @@ def test_every_subcommand_writes_the_golden_bytes(tmp_path, capsys):
     cfg["balance"]["per_class"] = 10
     cfg["synthesis"].update(per_iteration=20, bisection_steps=4, offset_norm=3.0)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg), encoding="utf-8")
     digests = {}
     for name, (argv, _) in GOLDEN_COMMANDS.items():
+        path.write_text(json.dumps(cfg | {"budgets": _GOLDEN_BUDGETS.get(name, [])}), encoding="utf-8")
         out = tmp_path / name
         code = main([*argv, "--config", str(path), "--out", str(out)])
         digests[name] = _command_digest(out, code, capsys.readouterr().out, tmp_path)

@@ -130,6 +130,8 @@ def test_every_label_entry_point_takes_integer_valued_labels_as_ints(entry, labe
 def test_as_epoch_batch_shape_check():
     with pytest.raises(ShapeMismatchError):
         as_epoch_batch(np.zeros((2, 3, 4)), shape=(2, 4))
+    with pytest.raises(ShapeMismatchError, match=r"expected epochs of shape \(n, C, T\), got \(2, 4\)"):
+        as_epoch_batch(np.zeros((2, 4)))  # one epoch, not a batch of them
     out = as_epoch_batch([np.zeros((2, 4)), np.ones((2, 4))])
     assert out.shape == (2, 2, 4)
 
@@ -222,10 +224,12 @@ def test_balance_counts_and_determinism():
 
 def test_balance_strict_and_lenient_modes():
     target = make_model("linear", channels=2, samples=4)
-    target.set_parameters(np.zeros(target.n_parameters))  # constant predictor: class 0
+    target.set_parameters(np.zeros(target.spec.n_params))  # constant predictor: class 0
     pool = RNG.standard_normal((15, 2, 4))
     with pytest.raises(ClassBalanceError):  # class 1 has no members; a short class is never kept
         balance_by_predicted_label(TargetOracle(target), pool, 5, seed=0)
+    with pytest.raises(ValueError, match="per_class must be >= 1"):
+        balance_by_predicted_label(TargetOracle(target), pool, 0, seed=0)
 
 
 def test_epo_roundtrip_bit_exact(tmp_path):

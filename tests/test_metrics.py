@@ -99,7 +99,7 @@ def test_boundary_agreement_definitions():
     own = model.predict_batch(xs)
     assert boundary_agreement(model, own, xs) == 1.0
     constant = make_model("linear")
-    constant.set_parameters(np.zeros(constant.n_parameters))
+    constant.set_parameters(np.zeros(constant.spec.n_params))
     labels = np.repeat([0, 1], 30)
     assert boundary_agreement(constant, labels, xs) == 0.5
     other = RNG.integers(0, 2, 60)
@@ -111,6 +111,8 @@ def test_paired_sign_test_hand_values():
     assert paired_sign_test([1, 1], [1, 1]) == 1.0  # all ties
     # 3 wins, 1 loss: P(X >= 3), X ~ Binomial(4, 1/2)
     assert paired_sign_test([0, 0, 0, 2], [1, 1, 1, 1]) == pytest.approx(5 / 16)
+    with pytest.raises(ValueError, match="equal-length 1-D"):
+        paired_sign_test([0, 0, 0], [1, 1])
 
 
 def fixed_report(value):

@@ -31,7 +31,7 @@ RNG = np.random.default_rng(1234)
                          ids=["linear", "mlp16", "mlp16x8", "tcn"])
 def test_a_spec_counts_its_parameters_once(architecture, hidden):
     spec = ModelSpec(architecture, 3, 12, 3, hidden=hidden, kernel_width=5, seed=1)
-    assert spec.n_params == SoftmaxClassifier(spec).n_parameters
+    assert spec.n_params == SoftmaxClassifier(spec).parameters.size
     # an attribute, not a field: checkpoint keys, equality and repr stay as they were
     assert "n_params" not in {f.name for f in dataclasses.fields(ModelSpec)} and "n_params" not in repr(spec)
     assert spec == dataclasses.replace(spec) and spec.n_params == dataclasses.replace(spec).n_params
@@ -54,6 +54,8 @@ def test_spec_validation():
         ModelSpec("mlp", 2, 4, 2, hidden=(4, 0))
     with pytest.raises(ValueError):
         ModelSpec("tcn", 2, 4, 2, hidden=(3,), kernel_width=5)
+    with pytest.raises(ValueError, match="tcn takes exactly one hidden size"):
+        ModelSpec("tcn", 2, 4, 2, hidden=(3, 3), kernel_width=3)
     with pytest.raises(ValueError):
         ModelSpec("linear", 2, 4, 2, activation="gelu")
 
@@ -75,7 +77,7 @@ def test_parameter_count_is_exact_past_int64(monkeypatch):
 def test_zero_weights_give_uniform_probs():
     for classes in (2, 3, 5):
         model = make_model("linear", classes=classes)
-        model.set_parameters(np.zeros(model.n_parameters))
+        model.set_parameters(np.zeros(model.spec.n_params))
         probs = model.probs(RNG.standard_normal((2, 6)))
         assert np.allclose(probs, 1.0 / classes)
 
@@ -126,13 +128,13 @@ def test_softmax_and_logsumexp_equal_the_reduce_formulas_bit_for_bit(k):
 
 def test_predict_tie_breaks_to_lowest_index():
     model = make_model("linear", classes=4)
-    model.set_parameters(np.zeros(model.n_parameters))
+    model.set_parameters(np.zeros(model.spec.n_params))
     assert model.predict(RNG.standard_normal((2, 6))) == 0
 
 
 def test_predict_matches_constructed_probabilities():
     model = make_model("linear")
-    model.set_parameters(np.zeros(model.n_parameters))
+    model.set_parameters(np.zeros(model.spec.n_params))
     model.views["b0"][:] = np.log([0.2, 0.8])
     x = RNG.standard_normal((2, 6))
     assert np.allclose(model.probs(x), [0.2, 0.8])
@@ -159,7 +161,7 @@ def test_forward_rejects_bad_shape():
 
 def test_input_gradient_zero_model_is_flat():
     model = make_model("linear", classes=3)
-    model.set_parameters(np.zeros(model.n_parameters))
+    model.set_parameters(np.zeros(model.spec.n_params))
     g = model.input_gradient(RNG.standard_normal((2, 6)), 1)
     assert np.all(g == 0.0)
 
@@ -193,7 +195,7 @@ def test_param_gradient_matches_finite_differences(arch, hidden, width, activati
     rng = np.random.default_rng(21)
     X, y = rng.standard_normal((5, 2, 6)), rng.integers(0, 3, 5)
     analytic = model._loss_and_param_grad(X, np.eye(3)[y])
-    theta, numeric = model.parameters, np.zeros(model.n_parameters)
+    theta, numeric = model.parameters, np.zeros(model.spec.n_params)
     for i in range(theta.size):
         for sign in (1.0, -1.0):
             shifted = theta.copy()
@@ -306,6 +308,8 @@ def test_train_rejects_empty_data():
     empty = LabeledSet(np.zeros((0, 2, 6)), np.zeros(0, dtype=np.int64))
     with pytest.raises(ValueError):
         model.fit(empty, TrainConfig())
+    with pytest.raises(ShapeMismatchError, match=r"data shape \(2, 5\) does not match model input \(2, 6\)"):
+        model.fit(gen_blobs(3, 2, 2, 5, seed=0), TrainConfig())
 
 
 def test_train_is_deterministic():
@@ -430,6 +434,8 @@ def test_set_parameters_refuses_non_finite_values(bad):
     values[[4, 7]] = bad
     with pytest.raises(ValueError, match=f"parameter 4 is not finite: {bad}"):
         model.set_parameters(values)
+    with pytest.raises(ValueError, match=f"expected {len(before)} parameters, got {len(before) - 1}"):
+        model.set_parameters(before[1:])
     assert model.parameters.tobytes() == before.tobytes()
 
 

@@ -191,13 +191,28 @@ def test_config_that_is_not_utf8_json_raises_config_error(tmp_path, text, where)
     ({"method": "random"}, "method must be one of active, jacobian, noise, got 'random'"),
     ({"runs": 0}, "runs must be >= 1"),
     ({"budgets": [300, 200]}, "budgets must be strictly increasing"),
+    ([], "config root must be a JSON object"),
+    ({"synthesis": {"n_iterations": -1}}, "synthesis.n_iterations must be >= 0"),
+    ({"synthesis": {"per_iteration": 0}}, "synthesis.per_iteration must be >= 1"),
+    ({"synthesis": {"bisection_steps": 0}}, "synthesis.bisection_steps must be >= 1"),
+    ({"synthesis": {"offset_norm": 0}}, "synthesis.offset_norm must be > 0"),
+    ({"jacobian": {"step_size": 0}}, "jacobian.step_size must be > 0"),
+    ({"jacobian": {"n_iterations": -1}}, "jacobian.n_iterations must be >= 0"),
+    ({"attack": {"epsilon": -0.5}}, "attack.epsilon must be >= 0"),
+    ({"attack": {"method": "pgd"}}, "attack.method must be one of fgsm, ufgsm, noise, got 'pgd'"),
+    ({"target": {"train": {"max_epochs": 0}}}, "target.train.max_epochs must be >= 1"),
+    ({"substitute": {"train": {"patience": 0}}}, "substitute.train.patience must be >= 1"),
+    ({"target": {"train": {"batch_size": 0}}}, "target.train.batch_size must be >= 1"),
 ], ids=["data-not-object", "train-not-object", "budgets-number", "budgets-string",
         "hidden-string", "train-below-1", "test-below-1", "pool-below-0", "budget-negative", "balance-below-1",
         "unknown-architecture", "mlp-three-hidden", "tcn-kernel-too-wide", "unknown-activation",
         "one-class", "separation-zero", "separation-negative", "noise-sigma-negative",
         "noise-amplitude-negative", "synthesis-seed", "jacobian-seed", "target-shuffle-seed",
         "substitute-shuffle-seed", "target-class-weights", "attack-noise-seed", "attack-method-noise",
-        "unknown-generator", "strict-false", "unknown-method", "runs-below-1", "budgets-decreasing"])
+        "unknown-generator", "strict-false", "unknown-method", "runs-below-1", "budgets-decreasing",
+        "root-array", "iterations-below-0", "per-iteration-below-1", "bisection-below-1", "offset-norm-zero",
+        "step-size-zero", "jacobian-iterations-below-0", "epsilon-negative", "attack-method-unknown",
+        "max-epochs-below-1", "patience-below-1", "batch-size-below-1"])
 def test_config_wrong_types_raise_config_error(tmp_path, doc, key):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -355,7 +370,7 @@ def test_equal_budget_methods_match_query_totals():
     jacobian = run_attack_experiment(small_config(method="jacobian"), 0)
     # |S0| = 20, active adds 1 x 20, jacobian doubles once: equal totals
     assert active.training_queries == jacobian.training_queries == 40
-    assert active.total_queries == jacobian.total_queries
+    assert active.balance_queries == jacobian.balance_queries
     assert active.seeds == jacobian.seeds  # paired by construction
 
 
@@ -382,7 +397,7 @@ def test_run_trace_csv(tmp_path):
     lines = (tmp_path / "attack" / "run-000" / "trace.csv").read_text().strip().splitlines()
     assert lines[0] == "stage,iteration,target_queries,substitute_queries,train_set_size"
     assert lines[1].startswith("balance,0,60,")
-    assert lines[-1].split(",")[2] == str(result.total_queries)
+    assert lines[-1].split(",")[2] == str(result.balance_queries + result.training_queries)
 
 
 def test_results_row_layout(tmp_path):
@@ -401,7 +416,7 @@ def test_runs_are_reproducible():
     a = run_attack_experiment(small_config(), 3)
     b = run_attack_experiment(small_config(), 3)
     assert a.attacked.rca == b.attacked.rca
-    assert a.total_queries == b.total_queries
+    assert (a.balance_queries, a.training_queries) == (b.balance_queries, b.training_queries)
     assert np.array_equal(a.substitute.parameters, b.substitute.parameters)
 
 
@@ -438,7 +453,7 @@ def test_attack_runs_equal_separate_runs_per_budget(method, budgets):
             assert (row.synthesized is None) == (ref.synthesized is None)
             assert row.synthesized is None or np.array_equal(row.synthesized, ref.synthesized)
         assert result.training_queries == alone.training_queries == budget
-        assert result.total_queries == alone.total_queries
+        assert result.balance_queries == alone.balance_queries
         assert np.array_equal(result.attacked.confusion, alone.attacked.confusion)
     assert not np.array_equal(shared[0].substitute.parameters, shared[-1].substitute.parameters)
     if method == "jacobian":

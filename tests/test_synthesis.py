@@ -102,6 +102,8 @@ def test_binary_search_boundary_lost():
     pair = OppositePair([[0.8]], [[0.9]], 1, 0)  # both above threshold
     with pytest.raises(BoundaryLostError):
         binary_search_pair(pair, model, 5)
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        binary_search_pair(OppositePair([[0.8]], [[0.2]], 1, 0), model, -1)
 
 
 def test_mid_perpendicular_two_dimensional_case():
@@ -148,6 +150,8 @@ def test_mid_perpendicular_coincident_pair_rejected():
     pair = OppositePair([[0.7, 0.1]], [[0.7, 0.1]], 1, 0)
     with pytest.raises(DegenerateDirectionError):
         mid_perpendicular(pair, model, 0, 1.0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="offset_norm must be > 0"):
+        mid_perpendicular(OppositePair([[0.7, 0.1]], [[0.2, 0.1]], 1, 0), model, 0, 0.0, np.random.default_rng(0))
 
 
 def test_select_opposite_pair_forced_and_errors():
@@ -180,6 +184,8 @@ def test_one_vs_one_quotas():
     assert one_vs_one_quotas(2, 10) == {(0, 1): 10}
     with pytest.raises(ValueError):
         one_vs_one_quotas(1, 10)
+    with pytest.raises(ValueError, match="total must be >= 1"):
+        one_vs_one_quotas(2, 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -219,7 +225,7 @@ def test_synthesize_one_vs_one_missing_class():
 def test_jacobian_augment_zero_gradient_copies():
     data = gen_blobs(5, 2, 2, 4, seed=7)
     model = make_model("linear", channels=2, samples=4)
-    model.set_parameters(np.zeros(model.n_parameters))
+    model.set_parameters(np.zeros(model.spec.n_params))
     out = jacobian_augment(data, model, 0.5)
     assert len(out) == len(data)
     for src, new in zip(data.epochs, out):
@@ -341,7 +347,7 @@ def test_active_training_refuses_an_initial_set_the_target_labels_one_class():
     cfg = SynthesisConfig(n_iterations=1, per_iteration=2, bisection_steps=3, offset_norm=2.0, seed=4)
     # the target labels everything class 0, so the labeled set lacks class 1
     constant_target = make_model("linear", channels=2, samples=6)
-    constant_target.set_parameters(np.zeros(constant_target.n_parameters))
+    constant_target.set_parameters(np.zeros(constant_target.spec.n_params))
     constant_target.views["b0"][0] = 1.0
     with pytest.raises(ClassBalanceError, match=r"\[1\]"):
         train_substitute_active(TargetOracle(constant_target), make_oracle_and_s0()[2], spec, FAST_TRAIN, cfg)
@@ -634,3 +640,5 @@ def test_synthesis_config_validation():
         SynthesisConfig(offset_norm=0.0)
     with pytest.raises(ValueError):
         JacobianConfig(step_size=0.0)
+    with pytest.raises(ValueError, match="step_size must be > 0"):
+        jacobian_augment(gen_blobs(2, 2, 2, 4, seed=7), make_model("linear", channels=2, samples=4), 0.0)

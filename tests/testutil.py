@@ -41,7 +41,7 @@ def logistic_model(w, bias=0.0):
     w = np.asarray(w, dtype=np.float64)
     c, t = w.shape
     model = make_model("linear", channels=c, samples=t, classes=2)
-    model.set_parameters(np.zeros(model.n_parameters))
+    model.set_parameters(np.zeros(model.spec.n_params))
     model.views["W0"][1, :] = w.ravel()
     model.views["b0"][1] = bias
     return model
