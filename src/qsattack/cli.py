@@ -9,13 +9,13 @@ Subcommands::
     qsattack report       --results results.csv [results.csv ...] [--out DIR]
 
 Every run writes into a run-scoped subdirectory of the output directory,
-under ``DIR/<method>/`` when a command runs several methods.
-:func:`main` creates the output directory, hands it to the command's handler
-and writes every ``manifest.json``: ``status: ok`` with the keys the handler
-returns, or ``status: failed`` and a nonzero exit code.  A manifest holds the
-flattened config (less ``out_dir``, so no output depends on where it is
-written, and less the derived seeds, so it loads back as a config), the
-derived per-stage seeds and library versions.
+under ``DIR/<method>/`` when a command runs several methods.  :func:`main`
+creates the output directory, maps each method to its directory once for the
+command's handler, and writes every ``manifest.json``: ``status: ok`` with
+the keys the handler returns, or ``status: failed`` and a nonzero exit
+code.  A manifest holds the flattened config (less ``out_dir``, so no output
+depends on where it is written, and less the derived seeds, so it loads
+back as a config), the derived per-stage seeds and library versions.
 """
 
 from __future__ import annotations
@@ -152,13 +152,12 @@ def cmd_train_target(cfg: ExperimentConfig, out: Path) -> dict:
     return {"seeds": prepared.seeds, "test_rca": report.rca, "test_bca": report.bca}
 
 
-def cmd_attack(cfg: ExperimentConfig, out: Path, methods) -> dict:
+def cmd_attack(cfg: ExperimentConfig, dirs: dict) -> dict:
     if len(cfg.budgets) > 1:
         raise ConfigError(f"attack runs one budget, not {list(cfg.budgets)}: pick one with --budget, or use sweep")
     budget = cfg.budgets[0] if cfg.budgets else None  # None: the configured rounds
-    dirs = {method: out / method if len(methods) > 1 else out for method in methods}  # several: out/<method>/
-    rows, seeds = {method: [] for method in methods}, {}
-    for run, results in experiment_runs(cfg, [budget], methods):
+    rows, seeds = {method: [] for method in dirs}, {}
+    for run, results in experiment_runs(cfg, [budget], list(dirs)):
         for result in results:
             seeds[run] = result.seeds
             run_dir = dirs[result.method] / f"run-{run:03d}"
@@ -181,12 +180,11 @@ def cmd_attack(cfg: ExperimentConfig, out: Path, methods) -> dict:
     return {"seeds": seeds, "budget": budget}
 
 
-def cmd_sweep(cfg: ExperimentConfig, out: Path, methods) -> dict:
+def cmd_sweep(cfg: ExperimentConfig, dirs: dict) -> dict:
     if not cfg.budgets:
         raise ConfigError("sweep needs a non-empty budgets list")
-    dirs = {method: out / method if len(methods) > 1 else out for method in methods}  # several: out/<method>/
-    scored, seeds = {method: [] for method in methods}, {}  # per method and run index: each budget's row and report
-    for run, results in experiment_runs(cfg, cfg.budgets, methods):
+    scored, seeds = {method: [] for method in dirs}, {}  # per method and run index: each budget's row and report
+    for run, results in experiment_runs(cfg, cfg.budgets, list(dirs)):
         seeds[run] = results[0].seeds
         for method, by_method in scored.items():
             by_method.append([(_results_row(cfg, r), r.attacked) for r in results if r.method == method])
@@ -199,7 +197,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, methods) -> dict:
                    [[p.budget, repr(p.rca_mean), repr(p.rca_std), repr(p.bca_mean), repr(p.bca_std), p.runs]
                     for p in curve.points])
         _write_csv(path / "results.csv", RESULT_COLUMNS, rows)
-        named = f"method={method} " if len(methods) > 1 else ""  # as attack's run lines name theirs
+        named = f"method={method} " if len(dirs) > 1 else ""  # as attack's run lines name theirs
         for point in curve.points:
             print(
                 f"budget {point.budget}: {named}attacked rca {point.rca_mean:.4f} (+-{point.rca_std:.4f}) "
@@ -212,25 +210,32 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, methods) -> dict:
 _REPORT_KEY = RESULT_COLUMNS[:5]  # dataset, models, method, budget
 _ROW_KEY = RESULT_COLUMNS[:6]  # and seed: what one results row is for
 _REPORT_MEANS = ("rca", "bca", "baseline_rca", "noisy_rca")
+_PARSERS = {**dict.fromkeys(("budget", "seed"), (int, np.inf, "an integer >= 0")),  # (parse, top, kind)
+            **dict.fromkeys(RESULT_COLUMNS[6:], (float, 1.0, "a number in [0, 1]"))}  # all six accuracies
 
 
 def cmd_report(result_paths, out_dir: str | None) -> int:
     rows, seen = [], {}  # seen: the file of each (dataset, models, method, budget, seed) row
     for path in result_paths:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if missing := sorted(set(_ROW_KEY + _REPORT_MEANS) - set(reader.fieldnames or ())):
+            header = next(reader := csv.reader(fh), [])
+            if missing := sorted(set(_ROW_KEY + _REPORT_MEANS) - set(header)):
                 raise ValueError(f"{path} lacks the result column(s) {', '.join(missing)}")
-            parsers = [*((col, int, "an integer") for col in ("budget", "seed")),
-                       *((col, float, "a number") for col in _REPORT_MEANS)]
-            for row in reader:  # budgets group and sort as numbers; a seed keys as its text
-                for col, parse, kind in parsers:
+            if twice := [col for i, col in enumerate(header) if col in header[:i]]:  # the later would win
+                raise ValueError(f"{path} names the column {twice[0]} twice")
+            parsers = [(col, *_PARSERS[col]) for col in header if col in _PARSERS]
+            for cells in reader:  # budgets group and sort as numbers; a seed keys as its text
+                if len(cells) != len(header):  # a cell short or over would shift the columns after it
+                    at = f"no {header[len(cells)]}" if len(cells) < len(header) else f"a cell past {header[-1]}"
+                    raise ValueError(f"{path} line {reader.line_num} holds {at}")
+                if (row := dict(zip(header, cells)))["method"] not in _METHODS:
+                    raise ValueError(f"{path} holds method {row['method']!r}, not one of {', '.join(_METHODS)}")
+                for col, parse, top, kind in parsers:
                     try:
                         value = parse(row[col])
-                        # nan and inf would average to nan and inf; results.csv writes repr(value), never "03" or "0_5"
-                        if not -np.inf < value < np.inf or repr(value) != row[col]:
+                        if not 0 <= value <= top or repr(value) != row[col]:  # as results.csv writes it
                             raise ValueError
-                    except (TypeError, ValueError):
+                    except ValueError:
                         raise ValueError(f"{path} holds {col} {row[col]!r}, not {kind}") from None
                     row[col] = value if col != "seed" else row[col]
                 if (key := tuple(row[col] for col in _ROW_KEY)) in seen:  # a row counted twice skews its mean
@@ -241,8 +246,7 @@ def cmd_report(result_paths, out_dir: str | None) -> int:
         raise ValueError("no result rows found")
     groups = {}
     for row in rows:
-        key = tuple(row[col] for col in _REPORT_KEY)
-        groups.setdefault(key, []).append(row)
+        groups.setdefault(tuple(row[col] for col in _REPORT_KEY), []).append(row)
     header = (
         f"{'dataset':<20} {'target':<10} {'substitute':<10} {'method':<9} "
         f"{'budget':>7} {'runs':>4} {'rca':>7} {'bca':>7} {'base':>7} {'noisy':>7}"
@@ -311,15 +315,15 @@ def main(argv=None) -> int:
                             ("budgets", getattr(args, "budget", None))):
             if value is not None:
                 cfg = replace(cfg, **{name: (value,) if name == "budgets" else value})
-        methods = methods or (cfg.method,)
-        listed = {"methods": list(methods)} if len(methods) > 1 else {}
+        methods, out = methods or (cfg.method,), Path(cfg.out_dir)
+        dirs = {method: out / method if len(methods) > 1 else out for method in methods}  # several: out/<method>/
+        listed = {"methods": list(dirs)} if len(dirs) > 1 else {}
         handler = {
             "gen-data": cmd_gen_data,
             "train-target": cmd_train_target,
-            "attack": lambda cfg, out: cmd_attack(cfg, out, methods),
-            "sweep": lambda cfg, out: cmd_sweep(cfg, out, methods),
+            "attack": lambda cfg, out: cmd_attack(cfg, dirs),
+            "sweep": lambda cfg, out: cmd_sweep(cfg, dirs),
         }[args.command]
-        out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         _write_manifest(out, args.command, cfg, "ok", extra={**handler(cfg, out), **listed})
         return 0

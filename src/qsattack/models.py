@@ -270,33 +270,33 @@ class SoftmaxClassifier:
         logits = acts[-1] @ W.T
         return np.add(logits, b, logits), cache
 
-    def _backward(self, X, cache, dlogits, want_params: bool, want_inputs: bool):
-        """Backprop ``dlogits`` to the input gradients (returned) and/or the parameter gradient (into ``_grad``)."""
+    def _backward(self, X, cache, dlogits, to_inputs: bool):
+        """Backprop ``dlogits`` to input gradients (returned) if ``to_inputs``, else to the parameters' ``_grad``."""
         tcn, derivative = self._tcn, self._derivative
         acts, delta = cache["acts"], dlogits
         for layer, gW, gb, W in self._backprop:
-            if want_params:
+            if not to_inputs:
                 np.add.reduce(delta, axis=0, out=gb)
                 np.matmul(delta.T, acts[layer], out=gW)
-            if layer == 0 and not (want_inputs or tcn):
-                break
+            if layer == 0 and not (to_inputs or tcn):
+                return None
             delta = delta @ W
             if layer:
                 delta *= derivative(acts[layer])
-        dX = delta.reshape(X.shape) if want_inputs and not tcn else None
-        if tcn:  # filter bank: the averaging matmul's transpose spreads dpooled over the windows
-            X2d, band, act = cache["X2d"], cache["band"], cache["act"]
-            n, n_filters, C = X.shape[0], self.spec.hidden[0], self.spec.channels
-            dpooled = delta.reshape(n, n_filters, C).transpose(0, 2, 1).reshape(n * C, n_filters)
-            dfeat = dpooled @ self._pool.T  # (n*C, windows*F)
-            dfeat *= derivative(act)
-            if want_params:  # conv_w sums X2d.T @ dfeat along each tap's band diagonal
-                by_filter = dfeat.reshape(dfeat.size // n_filters, n_filters)
-                np.matmul(np.ones(len(by_filter)), by_filter, out=self._grads["conv_b"])
-                np.add.reduce((X2d.T @ dfeat).ravel()[self._band_idx], axis=0, out=self._grads["conv_w"])
-            if want_inputs:
-                dX = (dfeat @ band.T).reshape(X.shape)
-        return dX
+        if not tcn:
+            return delta.reshape(X.shape)
+        # filter bank: the averaging matmul's transpose spreads dpooled over the windows
+        X2d, band, act = cache["X2d"], cache["band"], cache["act"]
+        n, n_filters, C = X.shape[0], self.spec.hidden[0], self.spec.channels
+        dpooled = delta.reshape(n, n_filters, C).transpose(0, 2, 1).reshape(n * C, n_filters)
+        dfeat = dpooled @ self._pool.T  # (n*C, windows*F)
+        dfeat *= derivative(act)
+        if not to_inputs:  # conv_w sums X2d.T @ dfeat along each tap's band diagonal
+            by_filter = dfeat.reshape(dfeat.size // n_filters, n_filters)
+            np.matmul(np.ones(len(by_filter)), by_filter, out=self._grads["conv_b"])
+            np.add.reduce((X2d.T @ dfeat).ravel()[self._band_idx], axis=0, out=self._grads["conv_w"])
+            return None
+        return (dfeat @ band.T).reshape(X.shape)
 
     def probs_batch(self, epochs) -> np.ndarray:
         logits, _ = self._forward(as_epoch_batch(epochs, self.spec.input_shape))
@@ -336,7 +336,7 @@ class SoftmaxClassifier:
         logits, cache = self._forward(X)
         dlogits = _softmax(logits)
         dlogits[np.arange(len(y)), y] -= 1.0
-        return self._backward(X, cache, dlogits, want_params=False, want_inputs=True)
+        return self._backward(X, cache, dlogits, to_inputs=True)
 
     def input_gradient(self, x, label: int) -> np.ndarray:
         """Exact analytic gradient of the scalar loss w.r.t. every input entry."""
@@ -348,7 +348,7 @@ class SoftmaxClassifier:
         dlogits = _softmax(logits)
         dlogits -= targets  # exactly 1.0 off each label's probability, 0.0 off the rest
         dlogits *= 1.0 / len(targets)  # times the reciprocal: a division rounds differently
-        self._backward(X, cache, dlogits, True, False)  # positional: no keyword matching per step
+        self._backward(X, cache, dlogits, False)  # positional: no keyword matching per step
         return self._grad
 
     def _adam_step(self, grads: np.ndarray, m_hat: np.ndarray, v_hat: np.ndarray) -> None:

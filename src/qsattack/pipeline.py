@@ -11,8 +11,8 @@ requested method's substitute from there (active synthesis or the
 gradient-step baseline, whose step is the ``ufgsm`` craft), crafts
 perturbations from it and scores the target on them, at every budget of
 the grid.  The splits are immutable (frozen) :class:`LabeledSet` values
-that every method and budget shares.  :func:`attack_run` and
-:func:`run_attack_experiment` are its one-budget and one-run wrappers.
+that every method and budget shares.  :func:`run_attack_experiment` runs
+one run index at one budget.
 
 Budget accounting: the *training budget* of a run is the number of target
 queries spent on substitute training (initial set plus augmentation).
@@ -455,7 +455,7 @@ def _score(prepared: PreparedRun, method: str, budget, balance_queries: int, tra
 
 
 def attack_runs(prepared: PreparedRun, budgets, methods=None) -> list[RunResult]:
-    """:func:`attack_run` for each of ``methods`` (``cfg.method`` by default) and budget, method-major.
+    """Balance, train each substitute, craft and score, per method (``cfg.method`` by default) and budget, method-major.
 
     A None budget becomes the one the method's configured rounds spend (see
     the module docstring).  Balances the pool once, since S0 depends on
@@ -481,11 +481,6 @@ def attack_runs(prepared: PreparedRun, budgets, methods=None) -> list[RunResult]
             for budget, trace in zip(budgets[method], traces.get(method, [None] * len(budgets[method])))]
 
 
-def attack_run(prepared: PreparedRun, budget: int | None = None) -> RunResult:
-    """Balance the pool, train the substitute, craft and score; see the module docstring."""
-    return attack_runs(prepared, [budget])[0]
-
-
 def experiment_runs(cfg: ExperimentConfig, budgets, methods=None):
     """``(run, attack_runs(prepare_run(cfg, run), budgets, methods))`` per run index, one run at a time.
 
@@ -498,5 +493,5 @@ def experiment_runs(cfg: ExperimentConfig, budgets, methods=None):
 
 
 def run_attack_experiment(cfg: ExperimentConfig, run_index: int = 0, budget: int | None = None) -> RunResult:
-    """Execute one full attack run: :func:`prepare_run` then :func:`attack_run`."""
-    return attack_run(prepare_run(cfg, run_index), budget)
+    """Execute one full attack run: :func:`prepare_run`, then :func:`attack_runs` at one budget."""
+    return attack_runs(prepare_run(cfg, run_index), [budget])[0]

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsattack.cli import RESULT_COLUMNS, main
+from qsattack.cli import RESULT_COLUMNS, _write_csv, cmd_report, main
 from qsattack.data import read_epochs
 from qsattack.models import SoftmaxClassifier, load_checkpoint
 from qsattack.pipeline import ExperimentConfig, load_config
@@ -332,6 +334,83 @@ def test_report_refuses_a_row_given_twice(tmp_path, capsys):
     copy.write_text("\n".join([*lines, lines[1]]) + "\n", encoding="utf-8")
     assert main(["report", "--results", str(copy)]) == 1
     assert f"{copy} repeats the row ({key}) of {copy}" in capsys.readouterr().err
+
+
+def result_rows():
+    """Strategy: rows as results.csv writes them, at most one per (dataset, models, method, budget, seed)."""
+    cells = st.tuples(
+        st.sampled_from(["blobs-k2-4x16", "erp-k3-8x32"]), st.sampled_from(["linear", "mlp-16"]),
+        st.sampled_from(["active", "jacobian", "noise"]),
+        (st.integers(0, 3) | st.integers(0, 10**9)).map(str),  # few budgets and seeds, so groups form
+        (st.integers(0, 3) | st.integers(0, 2**63 - 1)).map(str),
+        *[st.floats(0.0, 1.0).map(repr)] * 6,  # rca, bca, baseline_rca, baseline_bca, noisy_rca, noisy_bca
+    )
+    row = cells.map(lambda c: [c[0], c[1], "" if c[2] == "noise" else c[1], *c[2:]])  # noise names no substitute
+    return st.lists(row, min_size=1, max_size=12, unique_by=lambda r: tuple(r[:6]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=result_rows())
+def test_report_reads_every_results_csv_its_writer_can_write(tmp_path_factory, rows):
+    base = tmp_path_factory.getbasetemp()
+    _write_csv(base / "results.csv", RESULT_COLUMNS, rows)
+    assert cmd_report([base / "results.csv"], str(base / "rep")) == 0
+    groups = {}
+    for row in rows:
+        groups.setdefault(tuple(row[:5]), []).append(row)
+    report = read_rows(base / "rep" / "report.csv")
+    assert sorted(tuple(r[c] for c in RESULT_COLUMNS[:5]) for r in report) == sorted(groups)
+    for r in report:
+        bucket = groups[tuple(r[c] for c in RESULT_COLUMNS[:5])]
+        assert int(r["runs"]) == len(bucket)
+        for col in ("rca", "bca", "baseline_rca", "noisy_rca"):
+            i = RESULT_COLUMNS.index(col)
+            assert float(r[col]) == float(np.mean([float(cells[i]) for cells in bucket]))
+
+
+_OUT_OF_RANGE = {  # no value results.csv writes: counts below 0, accuracies outside [0, 1]
+    **dict.fromkeys(("budget", "seed"), st.integers(max_value=-1).map(str)),
+    **dict.fromkeys(RESULT_COLUMNS[6:], st.sampled_from(["nan", "inf", "-inf", "-5e-324", "1.0000000000000002"])
+                    | st.floats(max_value=-5e-324).map(repr) | st.floats(min_value=1.0000000000000002).map(repr)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=result_rows(), data=st.data())
+def test_report_refuses_any_cell_outside_what_results_csv_writes(tmp_path_factory, rows, data):
+    i, col = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.sampled_from([*_OUT_OF_RANGE, "method"]))
+    value = data.draw(_OUT_OF_RANGE[col] if col != "method" else st.sampled_from(["pgd", "Active", "fgsm", ""]))
+    rows = [[value if j == i and c == col else cell for c, cell in zip(RESULT_COLUMNS, r)] for j, r in enumerate(rows)]
+    path = tmp_path_factory.getbasetemp() / "bad.csv"
+    _write_csv(path, RESULT_COLUMNS, rows)
+    with pytest.raises(ValueError, match=re.escape(f"{path} holds {col} {value!r}, not ")):
+        cmd_report([path], None)
+
+
+_HEADER = ",".join(RESULT_COLUMNS)
+_ROW = "blobs-k2-4x16,mlp-16,mlp-16,active,200,7,0.5,0.5,0.9,0.9,0.8,0.8"
+_REFUSED = {  # the lines of a file results.csv never writes, and the start of the error after its path
+    "counts-below-0": ([_HEADER, _ROW.replace(",200,7,0.5,", ",-5,-3,1.5,")], "holds budget '-5', not an integer >= 0"),
+    "seed-below-0": ([_HEADER, _ROW.replace(",7,", ",-3,")], "holds seed '-3', not an integer >= 0"),
+    "rca-above-1": ([_HEADER, _ROW.replace(",7,0.5,", ",7,1.5,")], "holds rca '1.5', not a number in [0, 1]"),
+    "baseline-rca-below-0": ([_HEADER, _ROW.replace(",0.9,0.9,", ",-0.25,0.9,")],
+                             "holds baseline_rca '-0.25', not a number in [0, 1]"),
+    "baseline-bca-above-1": ([_HEADER, _ROW.replace(",0.9,0.9,", ",0.9,2.0,")],
+                             "holds baseline_bca '2.0', not a number in [0, 1]"),
+    "method-pgd": ([_HEADER, _ROW.replace("active", "pgd")], "holds method 'pgd', not one of active, jacobian, noise"),
+    "rca-twice": ([f"{_HEADER},rca", f"{_ROW},0.75"], "names the column rca twice"),  # the later rca was averaged
+    "cell-short": ([_HEADER, _ROW[:-4]], "line 2 holds no noisy_bca"),
+    "cell-over": ([_HEADER, f"{_ROW},0.8"], "line 2 holds a cell past noisy_bca"),
+    "blank-line": ([_HEADER, _ROW, ""], "line 3 holds no dataset"),
+}
+
+
+@pytest.mark.parametrize("lines, error", _REFUSED.values(), ids=_REFUSED)
+def test_report_refuses_a_file_results_csv_never_writes(tmp_path, capsys, lines, error):
+    path = tmp_path / "results.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["report", "--results", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path} {error}\n")
 
 
 def test_version_flag():

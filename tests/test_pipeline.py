@@ -17,7 +17,6 @@ from qsattack.pipeline import (
     DataConfig,
     ExperimentConfig,
     NetConfig,
-    attack_run,
     attack_runs,
     check_budgets,
     config_to_dict,
@@ -444,7 +443,7 @@ def test_attack_runs_equal_separate_runs_per_budget(method, budgets):
     shared = attack_runs(prepared, budgets)
     assert [r.budget for r in shared] == budgets
     for budget, result in zip(budgets, shared):
-        alone = attack_run(prepared, budget)
+        alone = attack_runs(prepared, [budget])[0]
         assert np.array_equal(result.substitute.parameters, alone.substitute.parameters)
         assert len(result.trace.rows) == len(alone.trace.rows)
         for row, ref in zip(result.trace.rows, alone.trace.rows):
@@ -562,10 +561,10 @@ def test_a_run_without_a_budget_is_the_run_at_its_configured_budget(monkeypatch,
     cfg = small_config(method=method)
     prepared = prepare_run(cfg, 0)
     monkeypatch.setattr(pipeline, "TargetOracle", RecordingOracle)
-    bare = attack_run(prepared)
+    bare = attack_runs(prepared, [None])[0]
     assert bare.budget == spent
     assert None not in [o.budget for o in oracles]  # every oracle, the trajectory's too, is capped
-    budgeted = attack_run(prepared, spent)
+    budgeted = attack_runs(prepared, [spent])[0]
     assert _results_row(cfg, bare) == _results_row(cfg, budgeted)
     assert trace_rows(bare) == trace_rows(budgeted)
 
