@@ -441,6 +441,8 @@ GOLDEN_COMMANDS = {
                      "fdf458aabb8227ab44810dcbdeaf913a8bca29f3cdc5a6d36057bed63736e8ce"),
     "attack-jacobian": (["attack", "--method", "jacobian"],
                        "ef72694c26a62ede8ed703f6157512a0daca893be3273be83d24020344f20827"),
+    "attack-jacobian-leaf": (["attack", "--method", "jacobian", "--budget", "47"],  # round 1, then a 7-row leaf
+                            "d4d3bfd4120d93883aacd19a47c63b83d4ee322da37a572e61fe549aa8582ad0"),
     "attack-noise": (["attack", "--method", "noise"],
                     "ba3d60826b8c3ffc7ffe528e2925cfd98dc93ea1f9ff4779965f66d8fd1a95c2"),
     "sweep-no-budgets": (["sweep"],
