@@ -26,6 +26,7 @@ import json
 import sys
 import traceback
 from dataclasses import replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +224,9 @@ def cmd_report(result_paths, out_dir: str | None) -> int:
                 raise ValueError(f"{path} lacks the result column(s) {', '.join(missing)}")
             if twice := [col for i, col in enumerate(header) if col in header[:i]]:  # the later would win
                 raise ValueError(f"{path} names the column {twice[0]} twice")
+            for i, (col, written) in enumerate(zip_longest(header, RESULT_COLUMNS)):  # exactly these, in order
+                if col != written:
+                    raise ValueError(f"{path} column {i + 1} is {col!r}, where results.csv writes {written!r}")
             parsers = [(col, *_PARSERS[col]) for col in header if col in _PARSERS]
             for cells in reader:  # budgets group and sort as numbers; a seed keys as its text
                 if len(cells) != len(header):  # a cell short or over would shift the columns after it

@@ -60,7 +60,7 @@ from .synthesis import (
     AugmentationTrace,
     JacobianConfig,
     SynthesisConfig,
-    TraceRow,
+    advance,
     jacobian_augment,
     train_substitute_active,
     train_substitute_jacobian,
@@ -393,11 +393,10 @@ def _train_substitutes(prepared: PreparedRun, s0, budgets: dict, plans: dict) ->
     substitute, the fit they would make on the same S0, spec and seeds.  A
     plan with no leftover ends at the row of its round, whose substitute is
     the one that round left.  A ``jacobian`` leftover branches a leaf from
-    that row: one more round kept to ``leftover`` seeded rows of the
-    trajectory's next proposal (computed only past its last round), labeled
-    on its own oracle capped at ``leftover``, and fit on a copy of the row's
-    substitute over the labeled set its rows rebuild, as a run stopping at
-    that budget would end.
+    that row: one :func:`advance` from the labeled set the rows rebuild, on
+    ``leftover`` seeded rows of the trajectory's next proposal (computed
+    only past its last round) and its own oracle capped at ``leftover``,
+    as a run stopping at that budget would end.
     """
     cfg, seeds = prepared.cfg, prepared.seeds
     spec = _build_spec(cfg.substitute, cfg.data, seeds["substitute-init"])
@@ -419,13 +418,11 @@ def _train_substitutes(prepared: PreparedRun, s0, budgets: dict, plans: dict) ->
             if leftover:
                 data = LabeledSet(np.concatenate([s0, *(row.synthesized for row in kept[1:])]),
                                   np.concatenate([row.labels for row in kept]))
-                last, model = rows[done], rows[done].substitute.copy()  # two budgets may branch from one row
-                new = rows[done + 1].synthesized if done < rounds else jacobian_augment(data, model, jac.step_size)
+                new = (rows[done + 1].synthesized if done < rounds
+                       else jacobian_augment(data, rows[done].substitute, jac.step_size))
                 new = new[np.sort(np.random.default_rng(seeds["synthesis"]).choice(len(new), leftover, replace=False))]
-                labels = TargetOracle(prepared.target, budget=leftover).query_labels(new)
-                model.fit(data.extended(new, labels), train)
-                kept.append(TraceRow(done + 1, last.target_queries + leftover, last.substitute_queries + len(data),
-                                     len(data) + leftover, new, labels, model))
+                kept.append(advance(rows[done], data, new, TargetOracle(prepared.target, budget=leftover), train,
+                                    len(data))[1])
             out[method].append(AugmentationTrace(kept))
     return out
 

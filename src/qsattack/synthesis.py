@@ -17,13 +17,15 @@ Accounting conventions:
   in lockstep as ``2 * bisection_steps`` more batched forwards.
 
 The baseline's step, :func:`jacobian_augment`, is the ``ufgsm`` craft at
-``epsilon = step_size``.  A round's labeled set is a new, immutable :class:`LabeledSet`,
-and its :class:`TraceRow` keeps its labels and substitute: how a run stopping there ends.
+``epsilon = step_size``.  Every round after round 0 is one :func:`advance`: it labels the
+round's epochs, extends the immutable :class:`LabeledSet` and fits a copy of the last
+round's substitute, so its :class:`TraceRow` keeps how a run stopping there ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -326,45 +328,49 @@ def jacobian_augment(
     return craft_batch(model, data.epochs, AttackConfig(step_size, "ufgsm")).perturbed
 
 
+def advance(row: TraceRow, data: LabeledSet, new, oracle, train_cfg: TrainConfig, spent: int):
+    """The round after ``row``, whose substitute was fit on ``data``, as ``(extended set, its trace row)``.
+
+    Labels ``new``, appends it and fits a copy of ``row.substitute`` on the
+    result; the row adds the labels and ``spent`` substitute queries to ``row``'s counts.
+    """
+    data, model = data.extended(new, labels := oracle.query_labels(new)), row.substitute.copy()
+    model.fit(data, train_cfg)
+    return data, TraceRow(row.iteration + 1, row.target_queries + len(labels), row.substitute_queries + spent,
+                          len(data), new, labels, model)
+
+
 def _augment_rounds(oracle, initial_epochs, model_spec: ModelSpec, train_cfg: TrainConfig, rounds: int, needed, propose,
                     round0=None):
-    """The loop both trainers share: label the new epochs, append them, fine-tune, trace.
+    """The loop both trainers share: round 0, then ``rounds`` rounds of :func:`advance`.
 
     Before the first query, a malformed initial set raises, then a plan whose
     ``needed(len(initial))`` exceeds ``oracle.remaining``: all or nothing.
     Round 0 labels the initial set and trains a fresh substitute on it (trace
     row 0, ``synthesized`` None), or takes a copy of ``round0``, that same fit
-    made earlier; rounds 1 to ``rounds`` label ``propose(data,
-    model, counter)``, the round's new (m, C, T) epochs, and keep training
-    that same substitute.  Trace query counts are relative to the oracle
-    counter at entry.  Every row keeps its round's labels and a copy of the
-    substitute, since later rounds train the live one in place.
+    made earlier; each later round labels ``propose(data, substitute,
+    counter=counter)``, the (m, C, T) epochs proposed from the last row.
+    Trace query counts are relative to the oracle counter at entry.
+    Returns a copy of the last row's substitute and the trace.
     """
     xs = as_epoch_batch(initial_epochs, model_spec.input_shape)
     need, left = needed(len(xs)), oracle.remaining
     if left is not None and left < need:
         raise BudgetExhaustedError(f"plan needs {need} target queries but only {left} remain", remaining=left)
-    start = oracle.query_count
-    data, model = LabeledSet(xs[:0], []), SoftmaxClassifier(model_spec) if round0 is None else round0.copy()
-    trace, counter = AugmentationTrace(), QueryCounter()
-    for iteration in range(rounds + 1):
-        new = propose(data, model, counter) if iteration else xs
-        data = data.extended(new, labels := oracle.query_labels(new))
-        if iteration or round0 is None:
-            model.fit(data, train_cfg)
-        trace.rows.append(TraceRow(iteration, oracle.query_count - start, counter.count, len(data),
-                                   new if iteration else None, labels, model.copy()))
-    return model, trace
+    data = LabeledSet(xs, labels := oracle.query_labels(xs))
+    model = SoftmaxClassifier(model_spec) if round0 is None else round0.copy()
+    if round0 is None:
+        model.fit(data, train_cfg)
+    rows = [TraceRow(0, len(xs), 0, len(xs), None, labels, model)]
+    for _ in range(rounds):
+        new = propose(data, rows[-1].substitute, counter=(counter := QueryCounter()))
+        data, row = advance(rows[-1], data, new, oracle, train_cfg, counter.count)
+        rows.append(row)
+    return rows[-1].substitute.copy(), AugmentationTrace(rows)
 
 
-def train_substitute_active(
-    oracle,
-    initial_epochs,
-    model_spec: ModelSpec,
-    train_cfg: TrainConfig,
-    syn_cfg: SynthesisConfig,
-    round0=None,
-) -> tuple[SoftmaxClassifier, AugmentationTrace]:
+def train_substitute_active(oracle, initial_epochs, model_spec: ModelSpec, train_cfg: TrainConfig,
+                            syn_cfg: SynthesisConfig, round0=None) -> tuple[SoftmaxClassifier, AugmentationTrace]:
     """Label the initial set and pre-train (round 0), then augment by query synthesis.
 
     Per later round, ``per_iteration`` epochs are synthesized against
@@ -380,31 +386,20 @@ def train_substitute_active(
     The initial set must hold every class the target labels, as
     :func:`balance_by_predicted_label` returns it.
     """
-    rng = np.random.default_rng(syn_cfg.seed)
-
-    def propose(data, model, counter):
-        return synthesize_one_vs_one(data, model, model_spec.classes, syn_cfg, rng, counter)
-
+    propose = partial(synthesize_one_vs_one, n_classes=model_spec.classes, cfg=syn_cfg,
+                      rng=np.random.default_rng(syn_cfg.seed))
     return _augment_rounds(oracle, initial_epochs, model_spec, train_cfg, syn_cfg.n_iterations,
                            lambda n: n + syn_cfg.n_iterations * syn_cfg.per_iteration, propose, round0)
 
 
-def train_substitute_jacobian(
-    oracle,
-    initial_epochs,
-    model_spec: ModelSpec,
-    train_cfg: TrainConfig,
-    jac_cfg: JacobianConfig,
-    round0=None,
-) -> tuple[SoftmaxClassifier, AugmentationTrace]:
+def train_substitute_jacobian(oracle, initial_epochs, model_spec: ModelSpec, train_cfg: TrainConfig,
+                              jac_cfg: JacobianConfig, round0=None) -> tuple[SoftmaxClassifier, AugmentationTrace]:
     """Baseline substitute training by repeated signed-gradient augmentation.
 
     Each round doubles the labeled set, so after N rounds the new target
     queries total ``len(initial) * (2**N - 1)``, all or nothing.  Trace row
     ``i`` and ``round0`` work as in :func:`train_substitute_active`.
     """
-    def propose(data, model, counter):
-        return jacobian_augment(data, model, jac_cfg.step_size, counter)
-
+    propose = partial(jacobian_augment, step_size=jac_cfg.step_size)
     return _augment_rounds(oracle, initial_epochs, model_spec, train_cfg, jac_cfg.n_iterations,
                            lambda n: n * 2**jac_cfg.n_iterations, propose, round0)

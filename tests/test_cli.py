@@ -402,6 +402,9 @@ _REFUSED = {  # the lines of a file results.csv never writes, and the start of t
     "cell-short": ([_HEADER, _ROW[:-4]], "line 2 holds no noisy_bca"),
     "cell-over": ([_HEADER, f"{_ROW},0.8"], "line 2 holds a cell past noisy_bca"),
     "blank-line": ([_HEADER, _ROW, ""], "line 3 holds no dataset"),
+    "header-not-written": ([_HEADER.replace(",baseline_bca", "").replace(",noisy_bca", ",extra"),  # was averaged
+                            "blobs-k2-4x16,mlp-16,mlp-16,active,200,7,0.5,0.5,0.9,0.8,x"],
+                           "column 10 is 'noisy_rca', where results.csv writes 'baseline_bca'"),
 }
 
 

@@ -1,12 +1,14 @@
-"""The README's library example runs, the bundled example config loads, the package holds no dead names, and
-a falsified property test fails as a test."""
+"""The README's library example runs, the bundled example config loads, the package holds no dead names,
+a falsified property test fails as a test, and a failed golden test names the BLAS kernel."""
 
 import ast
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+from conftest import RECORDED_CORE, openblas_core, pytest_terminal_summary
 from qsattack.pipeline import load_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,3 +65,14 @@ def test_a_falsified_property_is_a_plain_failure(tmp_path):
     done = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True)
     assert done.returncode == 1, done.stdout + done.stderr
     assert "1 failed" in done.stdout
+
+
+def test_a_failed_golden_test_names_the_blas_kernel():
+    core = openblas_core()
+    assert isinstance(core, str) and core
+    for marked, expected in ((["golden"], 1), (["slow"], 0)):
+        lines = []
+        failed = [SimpleNamespace(keywords=dict.fromkeys(marked, 1))]
+        pytest_terminal_summary(SimpleNamespace(stats={"failed": failed}, write_line=lines.append))
+        assert lines == [f"golden digests were recorded under OpenBLAS {RECORDED_CORE}; "
+                         f"this process loaded {core}"] * expected
