@@ -1,14 +1,21 @@
-"""Session hooks: a failed ``golden`` test names the BLAS kernel this process loaded."""
+"""Session hooks: pin the BLAS kernel the golden digests were recorded under, and name the loaded one on failure."""
 
 import ctypes
+import os
+import sys
 from pathlib import Path
 
-RECORDED_CORE = "SkylakeX"  # the OpenBLAS kernel the golden digests were recorded under
+RECORDED_CORE = "Haswell"  # the OpenBLAS kernel the golden digests were recorded under; any AVX2 x86-64 host runs it
+
+if "numpy" in sys.modules and os.environ.get("OPENBLAS_CORETYPE") != RECORDED_CORE:
+    raise RuntimeError(f"numpy loaded before tests/conftest.py could set OPENBLAS_CORETYPE={RECORDED_CORE}; "
+                       "its kernel is not the one the golden digests were recorded under")
+os.environ["OPENBLAS_CORETYPE"] = RECORDED_CORE  # OpenBLAS reads it once, when numpy first loads it
 
 
 def openblas_core() -> str:
     """The kernel numpy's bundled OpenBLAS chose when it loaded, or ``unknown`` when no such library answers."""
-    import numpy  # here, not at module level, so this file can still set OPENBLAS_CORETYPE before numpy loads
+    import numpy  # here, not at module level, so numpy loads only after the pin above
 
     package = Path(numpy.__file__).parent
     for lib in sorted([*package.parent.glob("numpy.libs/*openblas*"), *package.glob(".dylibs/*openblas*")]):

@@ -441,7 +441,7 @@ GOLDEN_COMMANDS = {
     "train-target": (["train-target"],
                     "15ed5cec259e62b2c9906592630a227d61786bcf1846101b6a29e4cebe05766e"),
     "attack-active": (["attack", "--method", "active"],
-                     "fdf458aabb8227ab44810dcbdeaf913a8bca29f3cdc5a6d36057bed63736e8ce"),
+                     "2f8d54e594e29ee73a314268b7956a796964a97d120d10cba0d0c467d6c73029"),
     "attack-jacobian": (["attack", "--method", "jacobian"],
                        "ef72694c26a62ede8ed703f6157512a0daca893be3273be83d24020344f20827"),
     "attack-jacobian-leaf": (["attack", "--method", "jacobian", "--budget", "47"],  # round 1, then a 7-row leaf
@@ -453,7 +453,7 @@ GOLDEN_COMMANDS = {
     "attack-budget-7": (["attack", "--budget", "7"],
                        "90e41619a21e3986131dc737a9b0dd26371751319270c4e96623da71db0f7378"),
     "attack-three-methods": (["attack", "--method", "active,jacobian,noise"],
-                            "f3dc4207bdf12d65eb47fd868c152e5fe740f750fcf5e46be3137ccfb3a0f260"),
+                            "3554a7bf5e54390d9c9ec36aac069c644b2fdc4aab8ef803b53b9b905e174b50"),
     "sweep": (["sweep"],
              "032e220bba2e5919e226e13180c4625f897eb43b02ae813ab7892f3c7a21aac7"),
     "sweep-two-methods": (["sweep", "--method", "active,jacobian"],

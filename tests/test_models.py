@@ -343,22 +343,22 @@ def test_train_restores_best_validation_parameters():
 # two consecutive fits.  They pin the training step's float operations and their order where no
 # benchmark workload reaches: early stopping and tanh.  linear has no activation: its rows agree.
 _GOLDEN_FITS = {
-    ("linear", "relu", 3): "a986a7f1dbeade028b27daff0f7401ea39648728f535379eea4dacbc34138730",
-    ("linear", "relu", 40): "3f7768dca6f439dc6d05c84dcb1e25ddc9bf5320e5eb944d8bd2cec40d1e2d80",
-    ("linear", "tanh", 3): "a986a7f1dbeade028b27daff0f7401ea39648728f535379eea4dacbc34138730",
-    ("linear", "tanh", 40): "3f7768dca6f439dc6d05c84dcb1e25ddc9bf5320e5eb944d8bd2cec40d1e2d80",
-    ("mlp16", "relu", 3): "7937e94e1c54b85cdadb78a006abfe00ea8c493e131fa27ad260258fe6498d51",
-    ("mlp16", "relu", 40): "e230d357d27b13cd6cfb70ce29a2c8af95d493a4e4e6f0920bd7de88644036dc",
-    ("mlp16", "tanh", 3): "aecb6dbfe42685e2bae6677c237f32257fd09f4ba53327503c66d66b901fdbdd",
-    ("mlp16", "tanh", 40): "11a1ce8c8a4614ff82e6065c410d81aae890bbfdc3e939290fea43aeabfdbc5a",
-    ("mlp16x8", "relu", 3): "b7f49c2fa2190708fbb23f9af9d6e546e3708dee421349f7f9de9417f04a42cc",
-    ("mlp16x8", "relu", 40): "d16d67f3752123a30ea41be643c18d8a4fd0ca6914e913aeefc19424a0f9502d",
-    ("mlp16x8", "tanh", 3): "b68c35faca65bd56aca57f6ad9d0cd94fe8c5697d6cb93074f938220df99f17c",
-    ("mlp16x8", "tanh", 40): "1710c2a3365882cfd0d65607259d4cef470b0689a2ad05f80599b13f4e663674",
-    ("tcn", "relu", 3): "40003e8375fca1e8f8d3e8d8c4c3dbdb6c982c2c9729c32fb9411c9ff70c3397",
-    ("tcn", "relu", 40): "ad6d4bae86fc15648a969188b61dd1714ec3693da0af62611f2b7ed655cc8d01",
-    ("tcn", "tanh", 3): "88e245271377114d537f37c1f856d7f143f5fe31996f0e2fd658b3769658a354",
-    ("tcn", "tanh", 40): "876bf8817a5144c420e83d22f2ba4a56e8d5033501627817fe0543ff856a131d",
+    ("linear", "relu", 3): "f77cfd55bf63b73f69955162bcb8d64b4cec6f36fa805d637563c398cb8fd046",
+    ("linear", "relu", 40): "fda9f3d45532d36924db9a1f3cb3e667bbe594dbcd88ef81ce7f0915670f1950",
+    ("linear", "tanh", 3): "f77cfd55bf63b73f69955162bcb8d64b4cec6f36fa805d637563c398cb8fd046",
+    ("linear", "tanh", 40): "fda9f3d45532d36924db9a1f3cb3e667bbe594dbcd88ef81ce7f0915670f1950",
+    ("mlp16", "relu", 3): "3c18341344282c34d061ef5cd040c0b503f460991d5d8ba399c0ceda6eb83212",
+    ("mlp16", "relu", 40): "521f1fa3393afcd469a3a763ab4cda10b871fa3541f61a7229495ee78de371db",
+    ("mlp16", "tanh", 3): "ce1bfb0e5cef50c3ed33e9dc9c97b121947772811ff0fbe1e6db2588ca627117",
+    ("mlp16", "tanh", 40): "dca5aca160cc8fd8419d88694151469d686da7e392015016c7596934ccadb6af",
+    ("mlp16x8", "relu", 3): "3cf229721e44325605c0ae150e93c0c141a77b7d9268bc8e910e5c0aee0c8ef1",
+    ("mlp16x8", "relu", 40): "63840d21d200365e19391076b5224983f65eac346de519245256566c1c4dc6ad",
+    ("mlp16x8", "tanh", 3): "f76ea1a2b0f16bb657a1f2ed733900d9c0163519b3750d8da3a24a08022d81c9",
+    ("mlp16x8", "tanh", 40): "8674d153c75ed84dd84834b3ba5a0d79d49722eb27d2f5ec28c67129176237fc",
+    ("tcn", "relu", 3): "6305b8c6e5bcfbad014375853897909e0905124f380a4fd84f7600a88310c2b3",
+    ("tcn", "relu", 40): "3f84c59791621b6c1682ea188f054fd9a7b58c798b92a4e20156c31e7b1e1429",
+    ("tcn", "tanh", 3): "dfefb28d55ac85f9fcf1c6e35a313ec38ec50aa2721a8451224cf689e38bb2b9",
+    ("tcn", "tanh", 40): "b376fa38fa0295426c4e21e9711ee2bee6831e9099d72f5feca971ca108ad8fb",
 }
 _GOLDEN_ARCHS = {"linear": ("linear", ()), "mlp16": ("mlp", (16,)), "mlp16x8": ("mlp", (16, 8)), "tcn": ("tcn", (4,))}
 
@@ -380,14 +380,14 @@ def test_two_fits_reproduce_the_golden_bytes(name, activation, patience):
 
 
 _GOLDEN_PROBES = {
-    ("linear", "relu"): "e79be04ca137bfa366520fabc727277cf2e07428dc69ba253c8dac6ef45f601e",
-    ("linear", "tanh"): "e79be04ca137bfa366520fabc727277cf2e07428dc69ba253c8dac6ef45f601e",
-    ("mlp16", "relu"): "8c847895721d01415a0916e64b2ca6e37297eb5e533d2efc44540ad8ac00de09",
-    ("mlp16", "tanh"): "91d0f7583fa3f41088f1d144375adc421ab030f56a929e97841e3e9d09494425",
-    ("mlp16x8", "relu"): "c37385dbc466fc07c30107969171da1293ecceff9ab484fcb76ba9a66b4f4f2e",
-    ("mlp16x8", "tanh"): "8bcafb1c91c16c825919e166ca3bf45d74628ea65b49c42d323acaa5718e76e3",
-    ("tcn", "relu"): "d47c8fadfa2c1e8907c63847e0f6cf0810a5d17dce0ad81b1985868201cfa57d",
-    ("tcn", "tanh"): "978242ef61e7a05847553b491ed2802b9102ad9cca7db67d54c0eca2ee8523b1",
+    ("linear", "relu"): "f15961e43b16b0f0b81e9ff024a3604060d1de645623df6916c0aab9ab78a613",
+    ("linear", "tanh"): "f15961e43b16b0f0b81e9ff024a3604060d1de645623df6916c0aab9ab78a613",
+    ("mlp16", "relu"): "9c1d37e2738e25f6d89d382572d64e4e175a504475576d3aa88dfecf3c86d365",
+    ("mlp16", "tanh"): "c0ab9780bc64fb9333cfced147b7601959aea87f3ab160a8ac2bb93049f61fd6",
+    ("mlp16x8", "relu"): "b3aa942267cf05992d28d629f6c8caa90ba72490509c1cc55f16b2868ac84e23",
+    ("mlp16x8", "tanh"): "346c7ece0e2567777536b14dbe26f95f334c22a1b353ed05a80c516a9febec53",
+    ("tcn", "relu"): "30231ba15fb0b9eb34eddebcc002b4380a0bb5ea33382285df2c0d66c8d6b0bb",
+    ("tcn", "tanh"): "83a7fcf90497a86070a50cfeb64da5fa0d7e3bafe9b40826063576f35a118b7b",
 }
 
 
