@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import LabeledSet, as_epoch_batch, as_labels, freeze, write_epochs
+from .errors import check_fields, ranged
 
 _METHODS = ("fgsm", "ufgsm", "noise")
 
@@ -30,15 +31,12 @@ _METHODS = ("fgsm", "ufgsm", "noise")
 class AttackConfig:
     """Perturbation bound and crafting method."""
 
-    epsilon: float = 0.1
-    method: str = "ufgsm"
-    noise_seed: int = 0
+    epsilon: float = ranged(0.1, low=0)
+    method: str = ranged("ufgsm", choices=_METHODS)
+    noise_seed: int = ranged(0, low=0)
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {', '.join(_METHODS)}, got {self.method!r}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of the legal values each record field declares
+with :func:`ranged`: ``<name> must be >= <low>, got <value>`` (or ``> <low>``, ``one of a, b``); NaN meets no bound."""
+
+from dataclasses import MISSING, field, fields
 
 
 class ShapeMismatchError(ValueError):
@@ -40,3 +43,17 @@ class ClassBalanceError(ValueError):
 class ConfigError(ValueError):
     """Unknown key or invalid value in an experiment configuration."""
 
+
+def ranged(default=MISSING, *, low=None, above=False, choices=None):
+    """A dataclass field whose value must be one of ``choices``, else ``>= low`` (``> low`` when ``above``)."""
+    return field(default=default, metadata={"choices": choices} if choices else {"low": low, "above": above})
+
+
+def check_fields(record, section="", error=ValueError):
+    """Raise ``error`` at the first field of ``record`` outside its :func:`ranged` rule, naming ``section + name``."""
+    for f in fields(record):
+        value, rule = getattr(record, f.name), f.metadata
+        if "choices" in rule and value not in rule["choices"]:
+            raise error(f"{section}{f.name} must be one of {', '.join(rule['choices'])}, got {value!r}")
+        if "low" in rule and not (value > rule["low"] if rule["above"] else value >= rule["low"]):
+            raise error(f"{section}{f.name} must be {'>' if rule['above'] else '>='} {rule['low']}, got {value!r}")

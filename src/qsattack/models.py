@@ -58,7 +58,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import _MAX_VALUES, LabeledSet, as_epoch_batch, as_labels
-from .errors import MalformedCheckpointError, ShapeMismatchError
+from .errors import MalformedCheckpointError, ShapeMismatchError, check_fields, ranged
 
 _ARCHITECTURES = ("linear", "mlp", "tcn")
 _ACTIVATIONS = {  # in place on z; the derivative from the activation alone: relu(z) > 0 exactly where z > 0
@@ -80,27 +80,18 @@ class ModelSpec:
     none.  ``kernel_width`` only matters for ``tcn``.  ``n_params`` counts the parameters.
     """
 
-    architecture: str
-    channels: int
-    samples: int
-    classes: int
+    architecture: str = ranged(choices=_ARCHITECTURES)
+    channels: int = ranged(low=1)
+    samples: int = ranged(low=1)
+    classes: int = ranged(low=2)
     hidden: tuple = ()
-    activation: str = "relu"
+    activation: str = ranged("relu", choices=_ACTIVATIONS)
     kernel_width: int = 9
-    seed: int = 0
+    seed: int = ranged(0, low=0)  # numpy takes no negative seed
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        if self.architecture not in _ARCHITECTURES:
-            raise ValueError(f"unknown architecture {self.architecture!r}")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.classes < 2:
-            raise ValueError("classes must be >= 2")
-        if self.channels < 1 or self.samples < 1:
-            raise ValueError("channels and samples must be >= 1")
-        if self.seed < 0:  # numpy takes no negative seed
-            raise ValueError("seed must be >= 0")
+        check_fields(self)
         if any(h < 1 for h in self.hidden):
             raise ValueError("hidden sizes must all be >= 1")
         if self.architecture == "linear" and self.hidden:
@@ -129,18 +120,13 @@ _SPEC_KEYS = [f.name for f in dataclasses.fields(ModelSpec)]  # checkpoint key o
 class TrainConfig:
     """Adam + cross-entropy + early-stopping hyperparameters beside the module's fixed rate and split."""
 
-    max_epochs: int = 200
-    patience: int = 10
-    batch_size: int = 32
-    shuffle_seed: int = 0
+    max_epochs: int = ranged(200, low=1)
+    patience: int = ranged(10, low=1)
+    batch_size: int = ranged(32, low=1)
+    shuffle_seed: int = ranged(0, low=0)
 
     def __post_init__(self):
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        check_fields(self)
 
 
 @dataclass

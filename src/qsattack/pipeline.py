@@ -52,7 +52,7 @@ import numpy as np
 
 from .attack import AdversarialExample, AttackConfig, craft_batch
 from .data import _MAX_VALUES, LabeledSet, balance_by_predicted_label, gen_blobs, gen_synthetic_epochs
-from .errors import ConfigError
+from .errors import ConfigError, check_fields, ranged
 from .metrics import MetricReport, metric_report
 from .models import ModelSpec, SoftmaxClassifier, TrainConfig, TrainHistory
 from .oracle import TargetOracle
@@ -72,31 +72,23 @@ _GENERATORS = ("blobs", "erp")
 
 @dataclass(frozen=True)
 class DataConfig:
-    generator: str = "blobs"
+    generator: str = ranged("blobs", choices=_GENERATORS)
     classes: int = 2
     channels: int = 4
     samples: int = 16
-    train_per_class: int = 200
-    test_per_class: int = 100
-    pool_per_class: int = 300
-    separation: float = 4.0       # blobs only
-    noise_sigma: float = 1.0      # blobs only
-    noise_amplitude: float = 0.5  # erp only
+    train_per_class: int = ranged(200, low=1)
+    test_per_class: int = ranged(100, low=1)
+    pool_per_class: int = ranged(300, low=0)
+    separation: float = ranged(4.0, low=0, above=True)  # blobs only
+    noise_sigma: float = ranged(1.0, low=0)             # blobs only
+    noise_amplitude: float = ranged(0.5, low=0)         # erp only
 
     def __post_init__(self):
-        if self.generator not in _GENERATORS:
-            raise ConfigError(f"data.generator must be one of {', '.join(_GENERATORS)}, got {self.generator!r}")
+        check_fields(self, "data.", ConfigError)
         epoch_values = int(self.classes) * int(self.channels) * int(self.samples)  # Python ints: no overflow
-        for name, least in (("train_per_class", 1), ("test_per_class", 1), ("pool_per_class", 0)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"data.{name} must be >= {least}")
+        for name in ("train_per_class", "test_per_class", "pool_per_class"):
             if int(getattr(self, name)) * epoch_values > _MAX_VALUES:
                 raise ConfigError(f"data.{name} * classes * channels * samples exceeds {_MAX_VALUES} values")
-        if self.separation <= 0:
-            raise ConfigError(f"data.separation must be > 0, got {self.separation}")
-        for name in ("noise_sigma", "noise_amplitude"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"data.{name} must be >= 0, got {getattr(self, name)}")
         if self.generator == "erp" and self.samples < 8:
             raise ConfigError(f"data.samples must be >= 8 for erp epochs, got {self.samples}")
         if self.generator == "blobs" and self.channels * self.samples < self.classes:
@@ -114,12 +106,11 @@ class NetConfig:
 
 @dataclass(frozen=True)
 class BalanceConfig:
-    per_class: int = 100
+    per_class: int = ranged(100, low=1)  # budgets are planned in multiples of the initial set size
     strict: bool = True  # accepted only as true: every predicted class fills ``per_class``
 
     def __post_init__(self):
-        if self.per_class < 1:  # budgets are planned in multiples of the initial set size
-            raise ConfigError("balance.per_class must be >= 1")
+        check_fields(self, "balance.", ConfigError)
         if self.strict is not True:
             raise ConfigError("balance.strict must be true: a class short of per_class is refused")
 
@@ -134,15 +125,14 @@ class ExperimentConfig:
     jacobian: JacobianConfig = field(default_factory=JacobianConfig)
     attack: AttackConfig = field(default_factory=AttackConfig)
     method: str = "active"
-    runs: int = 1
+    runs: int = ranged(1, low=1)
     budgets: tuple = ()
     master_seed: int = 0
     out_dir: str = "runs/out"
 
     def __post_init__(self):
         check_budgets(self, ())  # the one refusal of an unknown method
-        if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
+        check_fields(self, "", ConfigError)
         if self.attack.method == "noise":  # a substitute run would craft noise and be labeled with it
             raise ConfigError("attack.method must be fgsm or ufgsm; the noise control is method 'noise'")
         if any(isinstance(b, bool) or not isinstance(b, numbers.Integral) or b < 0 for b in self.budgets):

@@ -32,7 +32,8 @@ import numpy as np
 
 from .attack import AttackConfig, craft_batch
 from .data import LabeledSet, as_epoch_batch, freeze
-from .errors import BoundaryLostError, BudgetExhaustedError, ClassBalanceError, DegenerateDirectionError
+from .errors import (BoundaryLostError, BudgetExhaustedError, ClassBalanceError, DegenerateDirectionError,
+                     check_fields, ranged)
 from .models import ModelSpec, SoftmaxClassifier, TrainConfig
 
 _NORM_FLOOR = 1e-8
@@ -65,35 +66,25 @@ class OppositePair:
 class SynthesisConfig:
     """Knobs of the active augmentation loop."""
 
-    n_iterations: int = 2        # augment-and-retrain rounds after round 0; 0 pretrains only
-    per_iteration: int = 200     # synthesized epochs per round
-    bisection_steps: int = 10    # midpoint halvings per boundary search
-    offset_norm: float = 1.0     # L2 magnitude of the orthogonal offset
-    seed: int = 0
+    n_iterations: int = ranged(2, low=0)                 # augment-and-retrain rounds after round 0; 0 pretrains only
+    per_iteration: int = ranged(200, low=1)              # synthesized epochs per round
+    bisection_steps: int = ranged(10, low=1)             # midpoint halvings per boundary search
+    offset_norm: float = ranged(1.0, low=0, above=True)  # L2 magnitude of the orthogonal offset
+    seed: int = ranged(0, low=0)
 
     def __post_init__(self):
-        if self.n_iterations < 0:
-            raise ValueError("n_iterations must be >= 0")
-        if self.per_iteration < 1:
-            raise ValueError("per_iteration must be >= 1")
-        if self.bisection_steps < 1:
-            raise ValueError("bisection_steps must be >= 1")
-        if self.offset_norm <= 0:
-            raise ValueError("offset_norm must be > 0")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class JacobianConfig:
     """Gradient-step augmentation baseline."""
 
-    step_size: float = 0.5
-    n_iterations: int = 1        # doubling rounds after round 0; 0 pretrains only
+    step_size: float = ranged(0.5, low=0, above=True)
+    n_iterations: int = ranged(1, low=0)  # doubling rounds after round 0; 0 pretrains only
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be > 0")
-        if self.n_iterations < 0:
-            raise ValueError("n_iterations must be >= 0")
+        check_fields(self)
 
 
 class QueryCounter:

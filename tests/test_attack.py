@@ -119,6 +119,10 @@ def test_invalid_inputs_rejected():
         AttackConfig(epsilon=-1.0)
     with pytest.raises(ValueError):
         AttackConfig(method="pgd")
+    with pytest.raises(ValueError, match=r"^noise_seed must be >= 0, got -2$"):  # numpy takes no negative seed
+        AttackConfig(noise_seed=-2)
+    with pytest.raises(ValueError, match=r"^epsilon must be >= 0, got nan$"):
+        AttackConfig(epsilon=float("nan"))
     with pytest.raises(ValueError):
         craft_batch(model, x[None], AttackConfig(method="fgsm"))  # needs labels
 

@@ -301,6 +301,8 @@ def test_train_fits_separable_blobs():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(patience=0)
+    with pytest.raises(ValueError, match=r"^shuffle_seed must be >= 0, got -1$"):  # numpy takes no negative seed
+        TrainConfig(shuffle_seed=-1)
 
 
 def test_train_rejects_empty_data():

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import typing
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +12,7 @@ from qsattack import models, pipeline
 from qsattack.cli import _results_row, main
 from qsattack.data import balance_by_predicted_label
 from qsattack.errors import ConfigError
-from qsattack.models import SoftmaxClassifier, TrainConfig
+from qsattack.models import ModelSpec, SoftmaxClassifier, TrainConfig
 from qsattack.oracle import TargetOracle
 from qsattack.pipeline import (
     BalanceConfig,
@@ -202,6 +204,13 @@ def test_config_that_is_not_utf8_json_raises_config_error(tmp_path, text, where)
     ({"target": {"train": {"max_epochs": 0}}}, "target.train.max_epochs must be >= 1"),
     ({"substitute": {"train": {"patience": 0}}}, "substitute.train.patience must be >= 1"),
     ({"target": {"train": {"batch_size": 0}}}, "target.train.batch_size must be >= 1"),
+    # the one refusal form names the value it got
+    ({"synthesis": {"per_iteration": 0}}, "synthesis.per_iteration must be >= 1, got 0"),
+    ({"data": {"separation": 0}}, "data.separation must be > 0, got 0"),
+    ({"runs": 0}, "runs must be >= 1, got 0"),
+    ({"balance": {"per_class": 0}}, "balance.per_class must be >= 1, got 0"),
+    ({"attack": {"epsilon": -0.5}}, "attack.epsilon must be >= 0, got -0.5"),
+    ({"target": {"architecture": "cnn"}}, "target: architecture must be one of linear, mlp, tcn, got 'cnn'"),
 ], ids=["data-not-object", "train-not-object", "budgets-number", "budgets-string",
         "hidden-string", "train-below-1", "test-below-1", "pool-below-0", "budget-negative", "balance-below-1",
         "unknown-architecture", "mlp-three-hidden", "tcn-kernel-too-wide", "unknown-activation",
@@ -211,7 +220,8 @@ def test_config_that_is_not_utf8_json_raises_config_error(tmp_path, text, where)
         "unknown-generator", "strict-false", "unknown-method", "runs-below-1", "budgets-decreasing",
         "root-array", "iterations-below-0", "per-iteration-below-1", "bisection-below-1", "offset-norm-zero",
         "step-size-zero", "jacobian-iterations-below-0", "epsilon-negative", "attack-method-unknown",
-        "max-epochs-below-1", "patience-below-1", "batch-size-below-1"])
+        "max-epochs-below-1", "patience-below-1", "batch-size-below-1", "per-iteration-message",
+        "separation-message", "runs-message", "balance-message", "epsilon-message", "architecture-message"])
 def test_config_wrong_types_raise_config_error(tmp_path, doc, key):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -308,6 +318,47 @@ def test_config_validation():
     assert DataConfig(noise_sigma=0.0, noise_amplitude=0.0).noise_sigma == 0.0  # noiseless data is valid
     DataConfig(generator="erp", samples=8)
     DataConfig(generator="blobs", classes=4, channels=2, samples=2)
+    with pytest.raises(ConfigError, match=r"^data\.separation must be > 0, got nan$"):  # NaN meets no bound
+        DataConfig(separation=float("nan"))
+    with pytest.raises(ConfigError, match=r"^data\.noise_sigma must be >= 0, got nan$"):
+        DataConfig(noise_sigma=float("nan"))
+
+
+# every single-field rule of the config and spec records, declared on its field with ranged()
+_DECLARED = {
+    ModelSpec: ("architecture", "channels", "samples", "classes", "activation", "seed"),
+    TrainConfig: ("max_epochs", "patience", "batch_size", "shuffle_seed"),
+    SynthesisConfig: ("n_iterations", "per_iteration", "bisection_steps", "offset_norm", "seed"),
+    JacobianConfig: ("step_size", "n_iterations"),
+    AttackConfig: ("epsilon", "method", "noise_seed"),
+    DataConfig: ("generator", "train_per_class", "test_per_class", "pool_per_class", "separation", "noise_sigma",
+                 "noise_amplitude"),
+    BalanceConfig: ("per_class",),
+    ExperimentConfig: ("runs",),
+}
+_SECTIONS = {DataConfig: "data.", BalanceConfig: "balance.", ExperimentConfig: ""}  # the rest raise ValueError
+
+
+@pytest.mark.parametrize("record", _DECLARED, ids=lambda record: record.__name__)
+def test_every_declared_rule_refuses_one_step_outside_it_in_one_form(record):
+    assert tuple(f.name for f in dataclasses.fields(record) if f.metadata) == _DECLARED[record]
+    required = {"architecture": "linear", "channels": 2, "samples": 8, "classes": 2} if record is ModelSpec else {}
+    record(**required)  # every default, and these, meet their rules
+    types = typing.get_type_hints(record)
+    for f in dataclasses.fields(record):
+        rule = f.metadata
+        if "choices" in rule:
+            bad = [("conv", f"one of {', '.join(rule['choices'])}")]
+        elif rule:
+            bound = f"{'>' if rule['above'] else '>='} {rule['low']}"
+            bad = [(rule["low"] if rule["above"] else rule["low"] - 1, bound)]
+            bad += [(float("nan"), bound)] if types[f.name] is float else []
+        else:
+            continue
+        for value, must in bad:
+            with pytest.raises(ConfigError if record in _SECTIONS else ValueError) as info:
+                record(**required | {f.name: value})
+            assert str(info.value) == f"{_SECTIONS.get(record, '')}{f.name} must be {must}, got {value!r}"
 
 
 
