@@ -474,9 +474,8 @@ def _command_digest(out: Path, code: int, stdout: str, tmp: Path) -> str:
     return digest.hexdigest()
 
 
-@pytest.mark.golden
-def test_every_subcommand_writes_the_golden_bytes(tmp_path, capsys):
-    # the example config, shrunk: every file a command writes, its stdout and its exit code stay the same
+def _golden_config() -> dict:
+    """The example config, shrunk so each golden command runs in well under a second."""
     cfg = json.loads(EXAMPLE.read_text(encoding="utf-8"))
     cfg["runs"] = 1
     cfg["data"].update(channels=2, samples=8, train_per_class=30, test_per_class=20, pool_per_class=30)
@@ -485,7 +484,13 @@ def test_every_subcommand_writes_the_golden_bytes(tmp_path, capsys):
         cfg[model]["train"].update(max_epochs=8, patience=3, batch_size=16)
     cfg["balance"]["per_class"] = 10
     cfg["synthesis"].update(per_iteration=20, bisection_steps=4, offset_norm=3.0)
-    path = tmp_path / "cfg.json"
+    return cfg
+
+
+@pytest.mark.golden
+def test_every_subcommand_writes_the_golden_bytes(tmp_path, capsys):
+    # the example config, shrunk: every file a command writes, its stdout and its exit code stay the same
+    cfg, path = _golden_config(), tmp_path / "cfg.json"
     digests = {}
     for name, (argv, _) in GOLDEN_COMMANDS.items():
         path.write_text(json.dumps(cfg | {"budgets": _GOLDEN_BUDGETS.get(name, [])}), encoding="utf-8")
@@ -493,3 +498,20 @@ def test_every_subcommand_writes_the_golden_bytes(tmp_path, capsys):
         code = main([*argv, "--config", str(path), "--out", str(out)])
         digests[name] = _command_digest(out, code, capsys.readouterr().out, tmp_path)
     assert digests == {name: digest for name, (_, digest) in GOLDEN_COMMANDS.items()}
+
+
+# report over the three results.csv of a sweep: the SHA-256 of its exit code, stdout and report.csv
+GOLDEN_REPORT = "8106245d2a3f376c966ba8094ceb79624b3814bdb8325bb25e7b1370d4e7b4c8"
+
+
+@pytest.mark.golden
+def test_report_writes_the_golden_bytes(tmp_path, capsys):
+    path, sweep = tmp_path / "cfg.json", tmp_path / "sweep"
+    # two runs, so every one of the six (method, budget) groups averages two rows
+    path.write_text(json.dumps(_golden_config() | {"runs": 2, "budgets": [20, 40]}), encoding="utf-8")
+    assert main(["sweep", "--method", "active,jacobian,noise", "--config", str(path), "--out", str(sweep)]) == 0
+    capsys.readouterr()
+    results = [str(sweep / method / "results.csv") for method in ("active", "jacobian", "noise")]
+    out = tmp_path / "report"
+    code = main(["report", "--results", *results, "--out", str(out)])
+    assert _command_digest(out, code, capsys.readouterr().out, tmp_path) == GOLDEN_REPORT
