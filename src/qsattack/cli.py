@@ -208,67 +208,54 @@ def cmd_sweep(cfg: ExperimentConfig, dirs: dict) -> dict:
     return {"seeds": seeds}
 
 
-_REPORT_KEY = RESULT_COLUMNS[:5]  # dataset, models, method, budget
-_ROW_KEY = RESULT_COLUMNS[:6]  # and seed: what one results row is for
 _REPORT_MEANS = ("rca", "bca", "baseline_rca", "noisy_rca")
-_PARSERS = {**dict.fromkeys(("budget", "seed"), (int, np.inf, "an integer >= 0")),  # (parse, top, kind)
-            **dict.fromkeys(RESULT_COLUMNS[6:], (float, 1.0, "a number in [0, 1]"))}  # all six accuracies
+_CELLS = ((int, np.inf, "an integer >= 0"),) * 2 + ((float, 1.0, "a number in [0, 1]"),) * 6  # RESULT_COLUMNS[4:]
 
 
 def cmd_report(result_paths, out_dir: str | None) -> int:
-    rows, seen = [], {}  # seen: the file of each (dataset, models, method, budget, seed) row
+    groups, seen = {}, {}  # the rows of each (dataset, models, method, budget); the file of each row
     for path in result_paths:
         with open(path, newline="", encoding="utf-8") as fh:
             header = next(reader := csv.reader(fh), [])
-            if missing := sorted(set(_ROW_KEY + _REPORT_MEANS) - set(header)):
+            if missing := sorted({*RESULT_COLUMNS[:6], *_REPORT_MEANS} - set(header)):
                 raise ValueError(f"{path} lacks the result column(s) {', '.join(missing)}")
             if twice := [col for i, col in enumerate(header) if col in header[:i]]:  # the later would win
                 raise ValueError(f"{path} names the column {twice[0]} twice")
             for i, (col, written) in enumerate(zip_longest(header, RESULT_COLUMNS)):  # exactly these, in order
                 if col != written:
                     raise ValueError(f"{path} column {i + 1} is {col!r}, where results.csv writes {written!r}")
-            parsers = [(col, *_PARSERS[col]) for col in header if col in _PARSERS]
             for cells in reader:  # budgets group and sort as numbers; a seed keys as its text
                 if len(cells) != len(header):  # a cell short or over would shift the columns after it
                     at = f"no {header[len(cells)]}" if len(cells) < len(header) else f"a cell past {header[-1]}"
                     raise ValueError(f"{path} line {reader.line_num} holds {at}")
-                if (row := dict(zip(header, cells)))["method"] not in _METHODS:
-                    raise ValueError(f"{path} holds method {row['method']!r}, not one of {', '.join(_METHODS)}")
-                for col, parse, top, kind in parsers:
+                if cells[3] not in _METHODS:
+                    raise ValueError(f"{path} holds method {cells[3]!r}, not one of {', '.join(_METHODS)}")
+                for i, (parse, top, kind) in enumerate(_CELLS, 4):  # budget, seed, then the six accuracies
                     try:
-                        value = parse(row[col])
-                        if not 0 <= value <= top or repr(value) != row[col]:  # as results.csv writes it
+                        value = parse(cells[i])
+                        if not 0 <= value <= top or repr(value) != cells[i]:  # as results.csv writes it
                             raise ValueError
                     except ValueError:
-                        raise ValueError(f"{path} holds {col} {row[col]!r}, not {kind}") from None
-                    row[col] = value if col != "seed" else row[col]
-                if (key := tuple(row[col] for col in _ROW_KEY)) in seen:  # a row counted twice skews its mean
+                        raise ValueError(f"{path} holds {header[i]} {cells[i]!r}, not {kind}") from None
+                    cells[i] = value if i != 5 else cells[i]
+                if (key := tuple(cells[:6])) in seen:  # a row counted twice skews its mean
                     raise ValueError(f"{path} repeats the row {key} of {seen[key]}")
                 seen[key] = path
-                rows.append(row)
-    if not rows:
+                groups.setdefault(key[:5], []).append(cells)
+    if not groups:
         raise ValueError("no result rows found")
-    groups = {}
-    for row in rows:
-        groups.setdefault(tuple(row[col] for col in _REPORT_KEY), []).append(row)
-    header = (
-        f"{'dataset':<20} {'target':<10} {'substitute':<10} {'method':<9} "
-        f"{'budget':>7} {'runs':>4} {'rca':>7} {'bca':>7} {'base':>7} {'noisy':>7}"
-    )
-    print(header)
+    print(f"{'dataset':<20} {'target':<10} {'substitute':<10} {'method':<9} "
+          f"{'budget':>7} {'runs':>4} {'rca':>7} {'bca':>7} {'base':>7} {'noisy':>7}")
     report_rows = []
-    for key in sorted(groups):
-        bucket = groups[key]
-        means = [float(np.mean([r[col] for r in bucket])) for col in _REPORT_MEANS]
+    for key, bucket in sorted(groups.items()):  # the keys differ, so no two buckets are compared
+        means = [float(np.mean(cells)) for col, cells in zip(RESULT_COLUMNS, zip(*bucket)) if col in _REPORT_MEANS]
         report_rows.append([*key, len(bucket), *means])
-        print(
-            f"{key[0]:<20} {key[1]:<10} {key[2]:<10} {key[3]:<9} {key[4]:>7} {len(bucket):>4} "
-            + " ".join(f"{mean:>7.4f}" for mean in means)
-        )
+        print(f"{key[0]:<20} {key[1]:<10} {key[2]:<10} {key[3]:<9} {key[4]:>7} {len(bucket):>4} "
+              + " ".join(f"{mean:>7.4f}" for mean in means))
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "report.csv", (*_REPORT_KEY, "runs", *_REPORT_MEANS), report_rows)
+        _write_csv(out / "report.csv", (*RESULT_COLUMNS[:5], "runs", *_REPORT_MEANS), report_rows)
         print(f"report: {out / 'report.csv'}")
     return 0
 
