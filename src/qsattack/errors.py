@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the one check of the legal values each record field declares
-with :func:`ranged`: ``<name> must be >= <low>, got <value>`` (or ``> <low>``, ``one of a, b``); NaN meets no bound."""
+with :func:`ranged`: ``<name> must be >= <low>, got <value>`` (or ``> <low>``, ``one of a, b``); NaN meets no bound,
+nor does a value the rule cannot compare or look up, such as ``'5'`` or ``None`` against a number."""
 
 from dataclasses import MISSING, field, fields
 
@@ -49,11 +50,21 @@ def ranged(default=MISSING, *, low=None, above=False, choices=None):
     return field(default=default, metadata={"choices": choices} if choices else {"low": low, "above": above})
 
 
+def _meets(value, rule) -> bool:
+    """Whether ``value`` meets a :func:`ranged` rule; one the rule cannot compare or look up meets none."""
+    try:
+        if "choices" in rule:
+            return value in rule["choices"]
+        return value > rule["low"] if rule["above"] else value >= rule["low"]
+    except TypeError:
+        return False
+
+
 def check_fields(record, section="", error=ValueError):
     """Raise ``error`` at the first field of ``record`` outside its :func:`ranged` rule, naming ``section + name``."""
     for f in fields(record):
         value, rule = getattr(record, f.name), f.metadata
-        if "choices" in rule and value not in rule["choices"]:
-            raise error(f"{section}{f.name} must be one of {', '.join(rule['choices'])}, got {value!r}")
-        if "low" in rule and not (value > rule["low"] if rule["above"] else value >= rule["low"]):
-            raise error(f"{section}{f.name} must be {'>' if rule['above'] else '>='} {rule['low']}, got {value!r}")
+        if rule and not _meets(value, rule):
+            must = (f"one of {', '.join(rule['choices'])}" if "choices" in rule
+                    else f"{'>' if rule['above'] else '>='} {rule['low']}")
+            raise error(f"{section}{f.name} must be {must}, got {value!r}")

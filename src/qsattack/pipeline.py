@@ -73,9 +73,9 @@ _GENERATORS = ("blobs", "erp")
 @dataclass(frozen=True)
 class DataConfig:
     generator: str = ranged("blobs", choices=_GENERATORS)
-    classes: int = 2
-    channels: int = 4
-    samples: int = 16
+    classes: int = ranged(2, low=2)
+    channels: int = ranged(4, low=1)
+    samples: int = ranged(16, low=1)
     train_per_class: int = ranged(200, low=1)
     test_per_class: int = ranged(100, low=1)
     pool_per_class: int = ranged(300, low=0)
@@ -411,8 +411,8 @@ def _train_substitutes(prepared: PreparedRun, s0, budgets: dict, plans: dict) ->
                 new = (rows[done + 1].synthesized if done < rounds
                        else jacobian_augment(data, rows[done].substitute, jac.step_size))
                 new = new[np.sort(np.random.default_rng(seeds["synthesis"]).choice(len(new), leftover, replace=False))]
-                kept.append(advance(rows[done], data, new, TargetOracle(prepared.target, budget=leftover), train,
-                                    len(data))[1])
+                labels = TargetOracle(prepared.target, budget=leftover).query_labels(new)
+                kept.append(advance(rows[done], data.extended(new, labels), new, labels, train, len(data)))
             out[method].append(AugmentationTrace(kept))
     return out
 

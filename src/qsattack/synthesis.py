@@ -17,9 +17,9 @@ Accounting conventions:
   in lockstep as ``2 * bisection_steps`` more batched forwards.
 
 The baseline's step, :func:`jacobian_augment`, is the ``ufgsm`` craft at
-``epsilon = step_size``.  Every round after round 0 is one :func:`advance`: it labels the
-round's epochs, extends the immutable :class:`LabeledSet` and fits a copy of the last
-round's substitute, so its :class:`TraceRow` keeps how a run stopping there ends.
+``epsilon = step_size``.  Every round after round 0 labels its epochs and extends the
+immutable :class:`LabeledSet`; one :func:`advance` then fits a copy of the last round's
+substitute on it, so its :class:`TraceRow` keeps how a run stopping there ends.
 """
 
 from __future__ import annotations
@@ -319,16 +319,16 @@ def jacobian_augment(
     return craft_batch(model, data.epochs, AttackConfig(step_size, "ufgsm")).perturbed
 
 
-def advance(row: TraceRow, data: LabeledSet, new, oracle, train_cfg: TrainConfig, spent: int):
-    """The round after ``row``, whose substitute was fit on ``data``, as ``(extended set, its trace row)``.
+def advance(row: TraceRow, data: LabeledSet, new, labels, train_cfg: TrainConfig, spent: int) -> TraceRow:
+    """The round after ``row``: a copy of ``row.substitute`` fit on ``data``, its set with ``new`` appended.
 
-    Labels ``new``, appends it and fits a copy of ``row.substitute`` on the
-    result; the row adds the labels and ``spent`` substitute queries to ``row``'s counts.
+    ``labels`` are the oracle's labels of ``new``; the row adds them and
+    ``spent`` substitute queries to ``row``'s counts.
     """
-    data, model = data.extended(new, labels := oracle.query_labels(new)), row.substitute.copy()
+    model = row.substitute.copy()
     model.fit(data, train_cfg)
-    return data, TraceRow(row.iteration + 1, row.target_queries + len(labels), row.substitute_queries + spent,
-                          len(data), new, labels, model)
+    return TraceRow(row.iteration + 1, row.target_queries + len(labels), row.substitute_queries + spent,
+                    len(data), new, labels, model)
 
 
 def _augment_rounds(oracle, initial_epochs, model_spec: ModelSpec, train_cfg: TrainConfig, rounds: int, needed, propose,
@@ -355,8 +355,8 @@ def _augment_rounds(oracle, initial_epochs, model_spec: ModelSpec, train_cfg: Tr
     rows = [TraceRow(0, len(xs), 0, len(xs), None, labels, model)]
     for _ in range(rounds):
         new = propose(data, rows[-1].substitute, counter=(counter := QueryCounter()))
-        data, row = advance(rows[-1], data, new, oracle, train_cfg, counter.count)
-        rows.append(row)
+        data = data.extended(new, labels := oracle.query_labels(new))  # frees the last round's set before the fit
+        rows.append(advance(rows[-1], data, new, labels, train_cfg, counter.count))
     return rows[-1].substitute.copy(), AugmentationTrace(rows)
 
 

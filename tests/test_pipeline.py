@@ -175,7 +175,9 @@ def test_config_that_is_not_utf8_json_raises_config_error(tmp_path, text, where)
     ({"data": {"samples": 8}, "substitute": {"architecture": "tcn", "hidden": [4], "kernel_width": 99}},
      "substitute"),
     ({"target": {"activation": "relu"}}, "unknown key(s) ['activation'] in target"),
-    ({"data": {"classes": 1}}, "target"),
+    ({"data": {"classes": 1}}, "data.classes must be >= 2, got 1"),  # not a target.classes key
+    ({"data": {"channels": 0}}, "data.channels must be >= 1, got 0"),
+    ({"data": {"samples": 0}}, "data.samples must be >= 1, got 0"),
     ({"data": {"separation": 0}}, "data.separation must be > 0"),
     ({"data": {"separation": -1}}, "data.separation must be > 0"),
     ({"data": {"noise_sigma": -2}}, "data.noise_sigma must be >= 0"),
@@ -214,7 +216,7 @@ def test_config_that_is_not_utf8_json_raises_config_error(tmp_path, text, where)
 ], ids=["data-not-object", "train-not-object", "budgets-number", "budgets-string",
         "hidden-string", "train-below-1", "test-below-1", "pool-below-0", "budget-negative", "balance-below-1",
         "unknown-architecture", "mlp-three-hidden", "tcn-kernel-too-wide", "unknown-activation",
-        "one-class", "separation-zero", "separation-negative", "noise-sigma-negative",
+        "one-class", "channels-zero", "samples-zero", "separation-zero", "separation-negative", "noise-sigma-negative",
         "noise-amplitude-negative", "synthesis-seed", "jacobian-seed", "target-shuffle-seed",
         "substitute-shuffle-seed", "target-class-weights", "attack-noise-seed", "attack-method-noise",
         "unknown-generator", "strict-false", "unknown-method", "runs-below-1", "budgets-decreasing",
@@ -331,8 +333,8 @@ _DECLARED = {
     SynthesisConfig: ("n_iterations", "per_iteration", "bisection_steps", "offset_norm", "seed"),
     JacobianConfig: ("step_size", "n_iterations"),
     AttackConfig: ("epsilon", "method", "noise_seed"),
-    DataConfig: ("generator", "train_per_class", "test_per_class", "pool_per_class", "separation", "noise_sigma",
-                 "noise_amplitude"),
+    DataConfig: ("generator", "classes", "channels", "samples", "train_per_class", "test_per_class", "pool_per_class",
+                 "separation", "noise_sigma", "noise_amplitude"),
     BalanceConfig: ("per_class",),
     ExperimentConfig: ("runs",),
 }
@@ -347,11 +349,11 @@ def test_every_declared_rule_refuses_one_step_outside_it_in_one_form(record):
     types = typing.get_type_hints(record)
     for f in dataclasses.fields(record):
         rule = f.metadata
-        if "choices" in rule:
-            bad = [("conv", f"one of {', '.join(rule['choices'])}")]
-        elif rule:
+        if "choices" in rule:  # and a value the choices cannot look up
+            bad = [(value, f"one of {', '.join(rule['choices'])}") for value in ("conv", ["conv"])]
+        elif rule:  # and a value the bound cannot compare
             bound = f"{'>' if rule['above'] else '>='} {rule['low']}"
-            bad = [(rule["low"] if rule["above"] else rule["low"] - 1, bound)]
+            bad = [(rule["low"] if rule["above"] else rule["low"] - 1, bound), (str(rule["low"] + 1), bound)]
             bad += [(float("nan"), bound)] if types[f.name] is float else []
         else:
             continue

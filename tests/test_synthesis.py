@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 from functools import cache
 from itertools import combinations
@@ -627,6 +629,28 @@ def test_every_trace_row_is_the_run_that_stops_there(trainer, arch, hidden):
         assert row.substitute.parameters.tobytes() == alone.parameters.tobytes()
         assert row.substitute._adam_t == alone._adam_t
         assert np.array_equal(row.labels, target.predict_batch(s0 if i == 0 else row.synthesized))
+
+
+@pytest.mark.parametrize("trainer", ["active", "jacobian"])
+def test_each_round_fits_after_the_last_rounds_set_is_released(monkeypatch, trainer):
+    # a round's fit holds its own labeled set only: no loop variable or trace row keeps an earlier one
+    fit, sets = SoftmaxClassifier.fit, []  # a weak reference to the set of each fit so far
+
+    def watched_fit(self, data, cfg):
+        gc.collect()
+        assert all(ref() is None for ref in sets), f"round {len(sets)} fits with an earlier round's set alive"
+        sets.append(weakref.ref(data))
+        return fit(self, data, cfg)
+
+    monkeypatch.setattr(SoftmaxClassifier, "fit", watched_fit)
+    _, oracle, s0 = make_oracle_and_s0(n_s0=8)
+    spec = ModelSpec("mlp", 2, 6, 2, hidden=(5,), seed=4)
+    if trainer == "active":
+        cfg = SynthesisConfig(n_iterations=3, per_iteration=4, bisection_steps=3, offset_norm=2.0, seed=5)
+        train_substitute_active(oracle, s0, spec, FAST_TRAIN, cfg)
+    else:
+        train_substitute_jacobian(oracle, s0, spec, FAST_TRAIN, JacobianConfig(0.5, 3))
+    assert len(sets) == 4  # round 0, then three rounds
 
 
 def test_synthesis_config_validation():
