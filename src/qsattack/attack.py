@@ -41,17 +41,18 @@ class AttackConfig:
 
 @dataclass(frozen=True)
 class AdversarialExample:
-    """Originals and quantized deltas from one crafting call.
+    """Originals and quantized deltas from one crafting call, and the ``config`` that crafted them.
 
     :func:`craft_batch` returns (n, C, T) arrays and an (n,) int64
     ``label_used`` holding the loss label per epoch, ``-1`` for noise.
     Indexing gives the single-epoch view: (C, T) arrays and an int label,
-    or None for noise.
+    or None for noise, with the same ``config``.
     """
 
     original: np.ndarray
     delta: np.ndarray
     label_used: np.ndarray | int | None
+    config: AttackConfig
 
     def __post_init__(self):
         freeze(self, **{name: v for name, v in vars(self).items() if isinstance(v, np.ndarray)})
@@ -65,7 +66,7 @@ class AdversarialExample:
 
     def __getitem__(self, i: int) -> "AdversarialExample":
         label = int(self.label_used[i])
-        return AdversarialExample(self.original[i], self.delta[i], label if label >= 0 else None)
+        return AdversarialExample(self.original[i], self.delta[i], label if label >= 0 else None, self.config)
 
 
 def fgsm(model, x, label: int, epsilon: float) -> AdversarialExample:
@@ -97,21 +98,21 @@ def craft_batch(model, epochs, cfg: AttackConfig, true_labels=None, rng=None) ->
     if cfg.method == "noise":
         rng = rng if rng is not None else np.random.default_rng(cfg.noise_seed)
         delta = cfg.epsilon * np.sign(rng.standard_normal(xs.shape))
-        return AdversarialExample(xs, delta, np.full(len(xs), -1, dtype=np.int64))
+        return AdversarialExample(xs, delta, np.full(len(xs), -1, dtype=np.int64), cfg)
     if cfg.method == "fgsm":  # missing true_labels have the wrong shape: ShapeMismatchError
         labels = as_labels(true_labels, len(xs), 0, model.spec.classes, "true_labels")
     else:
         labels = model.predict_batch(xs)
     grads = model.input_gradient_batch(xs, labels)
-    return AdversarialExample(xs, cfg.epsilon * np.sign(grads), labels)
+    return AdversarialExample(xs, cfg.epsilon * np.sign(grads), labels, cfg)
 
 
-def save_adversarial_batch(out_dir, examples, cfg: AttackConfig) -> None:
-    """Write originals and perturbed epochs as EPO1 files plus a JSON manifest.
+def save_adversarial_batch(out_dir, examples: AdversarialExample) -> None:
+    """Write originals and perturbed epochs as EPO1 files plus a JSON manifest of the batch's ``config``.
 
     Its provenance, ``gradient_source``, is ``noise-generator`` for the noise control, else ``substitute``.
     """
-    out = Path(out_dir)
+    out, cfg = Path(out_dir), examples.config
     out.mkdir(parents=True, exist_ok=True)
     write_epochs(out / "originals.epo", LabeledSet(examples.original, examples.label_used))
     write_epochs(out / "perturbed.epo", LabeledSet(examples.perturbed, examples.label_used))

@@ -164,7 +164,7 @@ def cmd_attack(cfg: ExperimentConfig, dirs: dict) -> dict:
             run_dir = dirs[result.method] / f"run-{run:03d}"
             run_dir.mkdir(parents=True, exist_ok=True)
             _write_csv(run_dir / "trace.csv", _TRACE_COLUMNS, _trace_rows(result))
-            save_adversarial_batch(run_dir / "adversarial", result.examples, result.attack_config)
+            save_adversarial_batch(run_dir / "adversarial", result.examples)
             if result.substitute is not None:
                 save_checkpoint(result.substitute, run_dir / "substitute.ckpt")
             save_checkpoint(result.target, run_dir / "target.ckpt")

@@ -1,7 +1,10 @@
-"""Exception types shared across the package, and the one check of the legal values each record field declares
-with :func:`ranged`: ``<name> must be >= <low>, got <value>`` (or ``> <low>``, ``one of a, b``); NaN meets no bound,
-nor does a value the rule cannot compare or look up, such as ``'5'`` or ``None`` against a number."""
+"""Exception types shared across the package, and :func:`check_fields`, the one check of the values records take:
+a value of the wrong type for its field's annotation, read as text, then one outside the field's :func:`ranged` rule, is
+refused as ``<name> must be an integer`` (``a finite number``, ``true or false``, ``a string``, ``>= <low>``,
+``> <low>``, ``one of a, b``) ``, got <value>``."""
 
+import numbers
+import sys
 from dataclasses import MISSING, field, fields
 
 
@@ -50,21 +53,31 @@ def ranged(default=MISSING, *, low=None, above=False, choices=None):
     return field(default=default, metadata={"choices": choices} if choices else {"low": low, "above": above})
 
 
-def _meets(value, rule) -> bool:
-    """Whether ``value`` meets a :func:`ranged` rule; one the rule cannot compare or look up meets none."""
-    try:
-        if "choices" in rule:
-            return value in rule["choices"]
-        return value > rule["low"] if rule["above"] else value >= rule["low"]
-    except TypeError:
-        return False
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer, numpy's included, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+_TYPES = {  # each scalar annotation: the test its values pass, and what a refusal says they must be
+    "int": (is_integer, "an integer"),
+    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max,
+              "a finite number"),  # NaN, the infinities and an integer past every float are none
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
 
 
 def check_fields(record, section="", error=ValueError):
-    """Raise ``error`` at the first field of ``record`` outside its :func:`ranged` rule, naming ``section + name``."""
+    """Raise ``error`` naming ``section + name`` at the first field of ``record`` of a wrong type or out of its rule."""
     for f in fields(record):
         value, rule = getattr(record, f.name), f.metadata
-        if rule and not _meets(value, rule):
-            must = (f"one of {', '.join(rule['choices'])}" if "choices" in rule
-                    else f"{'>' if rule['above'] else '>='} {rule['low']}")
-            raise error(f"{section}{f.name} must be {must}, got {value!r}")
+        kind = _TYPES.get(f.type)
+        if kind and not kind[0](value):
+            must = kind[1]
+        elif "choices" in rule and value not in rule["choices"]:
+            must = f"one of {', '.join(rule['choices'])}"
+        elif "low" in rule and not (value > rule["low"] if rule["above"] else value >= rule["low"]):
+            must = f"{'>' if rule['above'] else '>='} {rule['low']}"
+        else:
+            continue
+        raise error(f"{section}{f.name} must be {must}, got {value!r}")

@@ -58,7 +58,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import _MAX_VALUES, LabeledSet, as_epoch_batch, as_labels
-from .errors import MalformedCheckpointError, ShapeMismatchError, check_fields, ranged
+from .errors import MalformedCheckpointError, ShapeMismatchError, check_fields, is_integer, ranged
 
 _ARCHITECTURES = ("linear", "mlp", "tcn")
 _ACTIVATIONS = {  # in place on z; the derivative from the activation alone: relu(z) > 0 exactly where z > 0
@@ -90,10 +90,10 @@ class ModelSpec:
     seed: int = ranged(0, low=0)  # numpy takes no negative seed
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         check_fields(self)
-        if any(h < 1 for h in self.hidden):
-            raise ValueError("hidden sizes must all be >= 1")
+        if not all(is_integer(h) and h >= 1 for h in self.hidden):  # none truncated: 1.5, "5" and True are refused
+            raise ValueError(f"hidden sizes must all be integers >= 1, got {self.hidden!r}")
+        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if self.architecture == "linear" and self.hidden:
             raise ValueError("linear architecture takes no hidden sizes")
         if self.architecture == "mlp" and not 1 <= len(self.hidden) <= 2:

@@ -42,8 +42,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
-import numbers
 import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -52,7 +50,7 @@ import numpy as np
 
 from .attack import AdversarialExample, AttackConfig, craft_batch
 from .data import _MAX_VALUES, LabeledSet, balance_by_predicted_label, gen_blobs, gen_synthetic_epochs
-from .errors import ConfigError, check_fields, ranged
+from .errors import ConfigError, check_fields, is_integer, ranged
 from .metrics import MetricReport, metric_report
 from .models import ModelSpec, SoftmaxClassifier, TrainConfig, TrainHistory
 from .oracle import TargetOracle
@@ -131,17 +129,18 @@ class ExperimentConfig:
     out_dir: str = "runs/out"
 
     def __post_init__(self):
-        check_budgets(self, ())  # the one refusal of an unknown method
         check_fields(self, "", ConfigError)
+        check_budgets(self, ())  # the one refusal of an unknown method
         if self.attack.method == "noise":  # a substitute run would craft noise and be labeled with it
             raise ConfigError("attack.method must be fgsm or ufgsm; the noise control is method 'noise'")
-        if any(isinstance(b, bool) or not isinstance(b, numbers.Integral) or b < 0 for b in self.budgets):
+        if any(not is_integer(b) or b < 0 for b in self.budgets):
             raise ConfigError(f"budgets must be non-negative integers, got {list(self.budgets)}")
         budgets = tuple(int(b) for b in self.budgets)
         object.__setattr__(self, "budgets", budgets)
         if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
             raise ConfigError("budgets must be strictly increasing")
         for name in ("target", "substitute"):  # refuse a bad model before any data or training
+            check_fields(getattr(self, name), f"{name}.", ConfigError)
             try:
                 _build_spec(getattr(self, name), self.data, 0)
             except ValueError as exc:
@@ -151,13 +150,6 @@ class ExperimentConfig:
 # seeds the pipeline derives per run index and stage, replacing any configured value
 _DERIVED_SEEDS = {
     "synthesis.seed", "target.train.shuffle_seed", "substitute.train.shuffle_seed", "attack.noise_seed",
-}
-# JSON value types each scalar annotation accepts; exact type matches keep bools out of numbers
-_SCALAR_TYPES = {
-    int: ((int,), "an integer"),
-    float: ((int, float), "a finite number"),
-    bool: ((bool,), "true or false"),
-    str: ((str,), "a string"),
 }
 
 
@@ -176,15 +168,12 @@ def _config_from_dict(cls, raw: dict, path: str):
         if dataclasses.is_dataclass(kind):
             if not isinstance(value, dict):
                 raise ConfigError(f"{where} must be a JSON object")
-            kwargs[key] = _config_from_dict(kind, value, where)
+            value = _config_from_dict(kind, value, where)
         elif kind is tuple:
             if not isinstance(value, list) or any(type(v) is not int for v in value):
                 raise ConfigError(f"{where} must be a JSON array of integers")
-            kwargs[key] = tuple(value)
-        elif type(value) not in _SCALAR_TYPES[kind][0] or (type(value) is float and not math.isfinite(value)):
-            raise ConfigError(f"{where} must be {_SCALAR_TYPES[kind][1]}, got {value!r}")
-        else:
-            kwargs[key] = value
+            value = tuple(value)
+        kwargs[key] = value  # a scalar of the wrong type is refused by its record's own check
     try:
         return cls(**kwargs)
     except ConfigError:  # a pipeline config's own refusal already names its key
@@ -293,7 +282,6 @@ class PreparedRun:
     baseline: MetricReport
     noisy: MetricReport
     noisy_examples: AdversarialExample
-    noise_config: AttackConfig
 
 
 @dataclass
@@ -308,8 +296,7 @@ class RunResult:
     trace: AugmentationTrace | None  # None for the noise control
     balance_queries: int
     seeds: dict
-    examples: AdversarialExample
-    attack_config: AttackConfig  # what crafted ``examples``
+    examples: AdversarialExample  # its ``config`` is what crafted it
     target: SoftmaxClassifier
 
     @property
@@ -371,8 +358,7 @@ def prepare_run(cfg: ExperimentConfig, run_index: int = 0) -> PreparedRun:
     noisy_examples = craft_batch(None, test_set.epochs, noise_cfg)
     noisy_preds = target.predict_batch(noisy_examples.perturbed)
     noisy = metric_report(noisy_preds, test_set.labels, cfg.data.classes)
-    return PreparedRun(cfg, seeds, test_set, pool_set, target, history, baseline, noisy,
-                       noisy_examples, noise_cfg)
+    return PreparedRun(cfg, seeds, test_set, pool_set, target, history, baseline, noisy, noisy_examples)
 
 
 def _train_substitutes(prepared: PreparedRun, s0, budgets: dict, plans: dict) -> dict:
@@ -420,10 +406,9 @@ def _train_substitutes(prepared: PreparedRun, s0, budgets: dict, plans: dict) ->
 def _score(prepared: PreparedRun, method: str, budget, balance_queries: int, trace) -> RunResult:
     """Craft from the substitute that ends ``trace`` (the noise control when None) and score the target."""
     cfg, test_set = prepared.cfg, prepared.test_set
-    attacked, examples, crafting = prepared.noisy, prepared.noisy_examples, prepared.noise_config
+    attacked, examples = prepared.noisy, prepared.noisy_examples
     if trace is not None:
-        crafting = cfg.attack
-        examples = craft_batch(trace.rows[-1].substitute, test_set.epochs, crafting, true_labels=test_set.labels)
+        examples = craft_batch(trace.rows[-1].substitute, test_set.epochs, cfg.attack, true_labels=test_set.labels)
         attacked_preds = prepared.target.predict_batch(examples.perturbed)
         attacked = metric_report(attacked_preds, test_set.labels, cfg.data.classes)
     return RunResult(
@@ -436,7 +421,6 @@ def _score(prepared: PreparedRun, method: str, budget, balance_queries: int, tra
         balance_queries=balance_queries,
         seeds=prepared.seeds,
         examples=examples,
-        attack_config=crafting,
         target=prepared.target,
     )
 

@@ -121,7 +121,7 @@ def test_invalid_inputs_rejected():
         AttackConfig(method="pgd")
     with pytest.raises(ValueError, match=r"^noise_seed must be >= 0, got -2$"):  # numpy takes no negative seed
         AttackConfig(noise_seed=-2)
-    with pytest.raises(ValueError, match=r"^epsilon must be >= 0, got nan$"):
+    with pytest.raises(ValueError, match=r"^epsilon must be a finite number, got nan$"):
         AttackConfig(epsilon=float("nan"))
     with pytest.raises(ValueError):
         craft_batch(model, x[None], AttackConfig(method="fgsm"))  # needs labels
@@ -170,7 +170,7 @@ def test_save_adversarial_batch(tmp_path):
     model = make_model("mlp", seed=2)
     xs = RNG.standard_normal((5, 2, 6))
     examples = craft_batch(model, xs, AttackConfig(epsilon=0.1, method="ufgsm"))
-    save_adversarial_batch(tmp_path / "adv", examples, AttackConfig(epsilon=0.1, method="ufgsm"))
+    save_adversarial_batch(tmp_path / "adv", examples)
     originals = read_epochs(tmp_path / "adv" / "originals.epo")
     perturbed = read_epochs(tmp_path / "adv" / "perturbed.epo")
     assert len(originals) == len(perturbed) == 5
@@ -179,8 +179,25 @@ def test_save_adversarial_batch(tmp_path):
     assert manifest["method"] == "ufgsm"
     assert manifest["count"] == 5
     noise = AttackConfig(epsilon=0.1, method="noise")
-    save_adversarial_batch(tmp_path / "noise", craft_batch(None, xs, noise), noise)
+    save_adversarial_batch(tmp_path / "noise", craft_batch(None, xs, noise))
     assert json.loads((tmp_path / "noise" / "manifest.json").read_text())["gradient_source"] == "noise-generator"
+
+
+@pytest.mark.parametrize("method", ["fgsm", "ufgsm", "noise"])
+def test_a_batch_carries_the_config_that_crafted_it(method):
+    model, xs, cfg = make_model("mlp", seed=4), RNG.standard_normal((3, 2, 6)), AttackConfig(0.2, method, 5)
+    batch = craft_batch(model, xs, cfg, true_labels=[0, 1, 1])
+    assert batch.config is cfg and all(batch[i].config is cfg for i in range(len(batch)))
+
+
+def test_saved_manifest_reads_the_batch_config(tmp_path):
+    # fgsm is a batch the pipeline never writes: its manifest can only come from the batch itself
+    cfg = AttackConfig(epsilon=0.25, method="fgsm", noise_seed=7)
+    batch = craft_batch(make_model("mlp", seed=4), RNG.standard_normal((3, 2, 6)), cfg, true_labels=[1, 0, 1])
+    save_adversarial_batch(tmp_path / "adv", batch)
+    manifest = json.loads((tmp_path / "adv" / "manifest.json").read_text())
+    assert (manifest["method"], manifest["epsilon"], manifest["noise_seed"]) == ("fgsm", 0.25, 7)
+    assert (manifest["count"], manifest["gradient_source"]) == (3, "substitute")
 
 
 def test_ufgsm_beats_noise_on_simple_task():

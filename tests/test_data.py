@@ -58,7 +58,7 @@ def test_labeled_set_labels_are_read_only():
 
 FROZEN_RECORDS = {  # each built from the caller's (2, 1, 2) array x
     "LabeledSet": lambda x: LabeledSet(x, [0, 1]),
-    "AdversarialExample": lambda x: AdversarialExample(x, x, np.array([0, 1])),
+    "AdversarialExample": lambda x: AdversarialExample(x, x, np.array([0, 1]), AttackConfig()),
     "OppositePair": lambda x: OppositePair(x, x, 0, 1),
 }
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -58,6 +59,20 @@ def test_spec_validation():
         ModelSpec("tcn", 2, 4, 2, hidden=(3, 3), kernel_width=3)
     with pytest.raises(ValueError):
         ModelSpec("linear", 2, 4, 2, activation="gelu")
+
+
+@pytest.mark.parametrize("hidden", [(1.5,), ("5",), (True,), (8, False), (0,), (np.int64(-1),), (8.0,)],
+                         ids=["fraction", "text", "true", "false-second", "zero", "numpy-negative", "integral-float"])
+def test_spec_refuses_a_hidden_size_it_would_truncate(hidden):
+    # int() would make 1.5, "5" and True the sizes 1, 5 and 1
+    with pytest.raises(ValueError, match=rf"^hidden sizes must all be integers >= 1, got {re.escape(repr(hidden))}$"):
+        ModelSpec("mlp", 2, 6, 2, hidden=hidden)
+
+
+def test_spec_stores_numpy_hidden_sizes_as_ints():
+    spec = ModelSpec("mlp", 2, 6, 2, hidden=np.array([4, 3]))
+    assert spec.hidden == (4, 3) and all(type(h) is int for h in spec.hidden)
+    assert spec == ModelSpec("mlp", 2, 6, 2, hidden=(4, 3))
 
 
 

@@ -320,12 +320,14 @@ def test_config_validation():
     assert DataConfig(noise_sigma=0.0, noise_amplitude=0.0).noise_sigma == 0.0  # noiseless data is valid
     DataConfig(generator="erp", samples=8)
     DataConfig(generator="blobs", classes=4, channels=2, samples=2)
-    with pytest.raises(ConfigError, match=r"^data\.separation must be > 0, got nan$"):  # NaN meets no bound
+    with pytest.raises(ConfigError, match=r"^data\.separation must be a finite number, got nan$"):  # NaN is no number
         DataConfig(separation=float("nan"))
-    with pytest.raises(ConfigError, match=r"^data\.noise_sigma must be >= 0, got nan$"):
+    with pytest.raises(ConfigError, match=r"^data\.noise_sigma must be a finite number, got nan$"):
         DataConfig(noise_sigma=float("nan"))
 
 
+# each scalar annotation and the text of its refusal
+_TYPE_TEXT = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 # every single-field rule of the config and spec records, declared on its field with ranged()
 _DECLARED = {
     ModelSpec: ("architecture", "channels", "samples", "classes", "activation", "seed"),
@@ -348,19 +350,64 @@ def test_every_declared_rule_refuses_one_step_outside_it_in_one_form(record):
     record(**required)  # every default, and these, meet their rules
     types = typing.get_type_hints(record)
     for f in dataclasses.fields(record):
-        rule = f.metadata
-        if "choices" in rule:  # and a value the choices cannot look up
-            bad = [(value, f"one of {', '.join(rule['choices'])}") for value in ("conv", ["conv"])]
-        elif rule:  # and a value the bound cannot compare
+        rule, kind = f.metadata, _TYPE_TEXT.get(types[f.name])
+        if "choices" in rule:  # and a value of another type, refused by its type first
+            bad = [("conv", f"one of {', '.join(rule['choices'])}"), (["conv"], kind)]
+        elif rule:  # and text, and NaN for a float: refused by their type first
             bound = f"{'>' if rule['above'] else '>='} {rule['low']}"
-            bad = [(rule["low"] if rule["above"] else rule["low"] - 1, bound), (str(rule["low"] + 1), bound)]
-            bad += [(float("nan"), bound)] if types[f.name] is float else []
+            bad = [(rule["low"] if rule["above"] else rule["low"] - 1, bound), (str(rule["low"] + 1), kind)]
+            bad += [(float("nan"), kind)] if types[f.name] is float else []
         else:
             continue
         for value, must in bad:
             with pytest.raises(ConfigError if record in _SECTIONS else ValueError) as info:
                 record(**required | {f.name: value})
             assert str(info.value) == f"{_SECTIONS.get(record, '')}{f.name} must be {must}, got {value!r}"
+
+
+# values of another type that each scalar annotation refuses
+_WRONG_TYPE = {int: [2.5, True, "1"], float: [True, "1.0", float("nan"), float("inf"), float("-inf"), -10**309],
+               str: [5], bool: ["no"]}
+_SPEC = {"architecture": "linear", "channels": 2, "samples": 8, "classes": 2}
+# every record that checks its fields: a builder taking one field, the refusal's error and prefix, and
+# the config sections that set the record
+_TYPED_RECORDS = {
+    ModelSpec: (lambda **field: ModelSpec(**_SPEC | field), ValueError, "", ()),
+    TrainConfig: (TrainConfig, ValueError, "", ("target.train", "substitute.train")),
+    SynthesisConfig: (SynthesisConfig, ValueError, "", ("synthesis",)),
+    JacobianConfig: (JacobianConfig, ValueError, "", ("jacobian",)),
+    AttackConfig: (AttackConfig, ValueError, "", ("attack",)),
+    DataConfig: (DataConfig, ConfigError, "data.", ("data",)),
+    BalanceConfig: (BalanceConfig, ConfigError, "balance.", ("balance",)),
+    NetConfig: (lambda **field: ExperimentConfig(substitute=NetConfig(**field)), ConfigError, "substitute.",
+                ("target", "substitute")),
+    ExperimentConfig: (ExperimentConfig, ConfigError, "", ("",)),
+}
+
+
+@pytest.mark.parametrize("record", _TYPED_RECORDS, ids=lambda record: record.__name__)
+def test_every_scalar_field_refuses_another_type_as_a_config_file_does(tmp_path, record):
+    build, error, prefix, sections = _TYPED_RECORDS[record]
+    types = typing.get_type_hints(record)  # resolved, so a field whose annotation is not text is still tested
+    scalars = {name: kind for name, kind in types.items() if kind in _TYPE_TEXT}
+    assert scalars
+    for name, kind in scalars.items():
+        for value in _WRONG_TYPE[kind]:
+            must = f"{name} must be {_TYPE_TEXT[kind]}, got {value!r}"
+            with pytest.raises(error) as info:
+                build(**{name: value})
+            assert type(info.value) is error and str(info.value) == prefix + must
+            for section in sections:
+                if f"{section}.{name}".lstrip(".") in pipeline._DERIVED_SEEDS:
+                    continue
+                doc = {name: value}
+                for key in reversed(section.split(".") if section else []):
+                    doc = {key: doc}
+                path = tmp_path / "cfg.json"
+                path.write_text(json.dumps(doc), encoding="utf-8")
+                with pytest.raises(ConfigError) as info:
+                    load_config(path)
+                assert str(info.value) == f"{section}.{must}".lstrip(".")
 
 
 

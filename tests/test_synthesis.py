@@ -666,9 +666,9 @@ def test_synthesis_config_validation():
         JacobianConfig(step_size=0.0)
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -3$"):  # numpy takes no negative seed
         SynthesisConfig(seed=-3)
-    with pytest.raises(ValueError, match=r"^offset_norm must be > 0, got nan$"):
+    with pytest.raises(ValueError, match=r"^offset_norm must be a finite number, got nan$"):
         SynthesisConfig(offset_norm=float("nan"))
-    with pytest.raises(ValueError, match=r"^step_size must be > 0, got nan$"):
+    with pytest.raises(ValueError, match=r"^step_size must be a finite number, got nan$"):
         JacobianConfig(step_size=float("nan"))
     with pytest.raises(ValueError, match="step_size must be > 0"):
         jacobian_augment(gen_blobs(2, 2, 2, 4, seed=7), make_model("linear", channels=2, samples=4), 0.0)
