@@ -182,8 +182,6 @@ def cmd_attack(cfg: ExperimentConfig, dirs: dict) -> dict:
 
 
 def cmd_sweep(cfg: ExperimentConfig, dirs: dict) -> dict:
-    if not cfg.budgets:
-        raise ConfigError("sweep needs a non-empty budgets list")
     scored, seeds = {method: [] for method in dirs}, {}  # per method and run index: each budget's row and report
     for run, results in experiment_runs(cfg, cfg.budgets, list(dirs)):
         seeds[run] = results[0].seeds

@@ -16,10 +16,11 @@ one run index at one budget.
 
 Budget accounting: the *training budget* of a run is the number of target
 queries spent on substitute training (initial set plus augmentation).
-The initial set S0 always holds ``per_class`` epochs of every class.  A
-run given no budget spends what its configured rounds label:
-``|S0| + n_iterations * per_iteration`` for ``active``,
-``|S0| * 2**n_iterations`` for ``jacobian`` and 0 for ``noise``.
+The initial set S0 always holds ``per_class`` epochs of every class.
+:func:`check_budgets` plans each budget of a non-empty list as ``(budget,
+whole rounds, leftover)`` before anything trains; None is what the
+configured rounds label: ``|S0| + n_iterations * per_iteration`` for
+``active``, ``|S0| * 2**n_iterations`` for ``jacobian`` and 0 for ``noise``.
 Balancing the pool costs ``len(pool)`` additional queries, which are
 identical across methods and reported separately in the trace.  Balancing
 labels on an oracle capped at ``len(pool)``, the trajectory on its own
@@ -122,7 +123,7 @@ class ExperimentConfig:
     synthesis: SynthesisConfig = field(default_factory=SynthesisConfig)
     jacobian: JacobianConfig = field(default_factory=JacobianConfig)
     attack: AttackConfig = field(default_factory=AttackConfig)
-    method: str = "active"
+    method: str = ranged("active", choices=_METHODS)
     runs: int = ranged(1, low=1)
     budgets: tuple = ()
     master_seed: int = 0
@@ -130,7 +131,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self, "", ConfigError)
-        check_budgets(self, ())  # the one refusal of an unknown method
         if self.attack.method == "noise":  # a substitute run would craft noise and be labeled with it
             raise ConfigError("attack.method must be fgsm or ufgsm; the noise control is method 'noise'")
         if any(not is_integer(b) or b < 0 for b in self.budgets):
@@ -310,37 +310,35 @@ class RunResult:
         return 0 if self.trace is None else self.trace.rows[-1].target_queries
 
 
-def _s0_size(cfg: ExperimentConfig) -> int:
-    return cfg.balance.per_class * cfg.data.classes
+def check_budgets(cfg: ExperimentConfig, budgets) -> list:
+    """``(budget, whole rounds, leftover)`` that spend each of a non-empty list of budgets exactly, for ``cfg.method``.
 
-
-def check_budgets(cfg: ExperimentConfig, budgets, method: str | None = None) -> list:
-    """``(whole rounds, leftover)`` that spend each budget exactly, or None for ``noise``.
-
-    ``active`` rounds add ``per_iteration`` epochs, so its leftover is 0.
-    ``jacobian`` rounds double the labeled set: the plan is the most whole
-    rounds a budget covers, then one more kept to ``leftover`` epochs.
-    Raises :class:`ConfigError` for an unknown ``method`` (default ``cfg.method``) or a budget it
-    cannot spend; needs no data or training, so :func:`experiment_runs` checks before it trains.
+    A None budget is what the configured rounds label; ``noise`` plans ``(budget, None, 0)``, 0 for None.
+    ``active`` rounds add ``per_iteration`` epochs, so its leftover is 0.  ``jacobian`` rounds double the
+    labeled set: the plan is the most whole rounds a budget covers, then one more kept to ``leftover`` epochs.
+    Raises :class:`ConfigError` for an empty list or a budget the method cannot spend; needs no data or
+    training, so :func:`experiment_runs` checks before it trains.
     """
-    method = cfg.method if method is None else method
-    if method not in _METHODS:
-        raise ConfigError(f"method must be one of {', '.join(_METHODS)}, got {method!r}")
-    if method == "noise":
-        return [None] * len(budgets)
-    s0_size, per_iteration, plans = _s0_size(cfg), cfg.synthesis.per_iteration, []
-    for budget in budgets:
+    if not budgets:
+        raise ConfigError("budgets must be a non-empty list")
+    method, s0_size, per_iteration = cfg.method, cfg.balance.per_class * cfg.data.classes, cfg.synthesis.per_iteration
+    configured = {"active": s0_size + cfg.synthesis.n_iterations * per_iteration,
+                  "jacobian": s0_size * 2**cfg.jacobian.n_iterations, "noise": 0}[method]
+    plans = []
+    for budget in (configured if budget is None else budget for budget in budgets):
         extra = budget - s0_size
-        if extra < 0:
+        if method == "noise":
+            plans.append((budget, None, 0))
+        elif extra < 0:
             raise ConfigError(f"method {method!r}: budget {budget} is below the initial set size {s0_size}")
-        if method == "jacobian":  # r rounds label s0_size * 2**r in all
+        elif method == "jacobian":  # r rounds label s0_size * 2**r in all
             rounds = (budget // s0_size).bit_length() - 1
-            plans.append((rounds, budget - s0_size * 2**rounds))
+            plans.append((budget, rounds, budget - s0_size * 2**rounds))
         elif extra % per_iteration:
             raise ConfigError(f"method {method!r}: budget {budget} minus initial {s0_size} "
                               f"must be a multiple of per_iteration={per_iteration}")
         else:
-            plans.append((extra // per_iteration, 0))
+            plans.append((budget, extra // per_iteration, 0))
     return plans
 
 
@@ -361,8 +359,8 @@ def prepare_run(cfg: ExperimentConfig, run_index: int = 0) -> PreparedRun:
     return PreparedRun(cfg, seeds, test_set, pool_set, target, history, baseline, noisy, noisy_examples)
 
 
-def _train_substitutes(prepared: PreparedRun, s0, budgets: dict, plans: dict) -> dict:
-    """``{method: [the trace of the run each budget stops]}``, one trajectory of whole rounds per method.
+def _train_substitutes(prepared: PreparedRun, s0, plans: dict) -> dict:
+    """``{method: [the trace of the run each plan stops]}``, one trajectory of whole rounds per method.
 
     Each trajectory's oracle labels S0 and is capped at what its rounds
     label.  Only the first fits round 0; the rest start from its row-0
@@ -379,8 +377,8 @@ def _train_substitutes(prepared: PreparedRun, s0, budgets: dict, plans: dict) ->
     train = replace(cfg.substitute.train, shuffle_seed=seeds["substitute-train"])
     jac, round0, out = cfg.jacobian, None, {}
     for method, method_plans in plans.items():
-        cap = max(budget - leftover for budget, (_, leftover) in zip(budgets[method], method_plans))
-        oracle, rounds = TargetOracle(prepared.target, budget=cap), max(r for r, _ in method_plans)
+        cap = max(budget - leftover for budget, _, leftover in method_plans)
+        oracle, rounds = TargetOracle(prepared.target, budget=cap), max(r for _, r, _ in method_plans)
         if method == "jacobian":
             _, trace = train_substitute_jacobian(oracle, s0, spec, train, replace(jac, n_iterations=rounds),
                                                  round0=round0)
@@ -389,7 +387,7 @@ def _train_substitutes(prepared: PreparedRun, s0, budgets: dict, plans: dict) ->
             _, trace = train_substitute_active(oracle, s0, spec, train, plan, round0=round0)
         rows, round0 = trace.rows, round0 or trace.rows[0].substitute  # every later trajectory starts from it
         out[method] = []
-        for done, leftover in method_plans:
+        for _, done, leftover in method_plans:
             kept = rows[: done + 1]
             if leftover:
                 data = LabeledSet(np.concatenate([s0, *(row.synthesized for row in kept[1:])]),
@@ -428,37 +426,30 @@ def _score(prepared: PreparedRun, method: str, budget, balance_queries: int, tra
 def attack_runs(prepared: PreparedRun, budgets, methods=None) -> list[RunResult]:
     """Balance, train each substitute, craft and score, per method (``cfg.method`` by default) and budget, method-major.
 
-    A None budget becomes the one the method's configured rounds spend (see
-    the module docstring).  Balances the pool once, since S0 depends on
-    neither method nor budget.  ``active`` and ``jacobian`` train one
-    substitute trajectory each, from one shared round-0 fit, and score each
-    budget from the round that reaches it, or from a ``jacobian`` leaf
+    Plans every budget with :func:`check_budgets` first, a None one as what
+    the method's configured rounds spend.  Balances the pool once, since S0
+    depends on neither method nor budget.  ``active`` and ``jacobian`` train
+    one substitute trajectory each, from one shared round-0 fit, and score
+    each budget from the round that reaches it, or from a ``jacobian`` leaf
     branched at its last whole round (see :func:`_train_substitutes`).
     That gives what separate runs would: a round never depends on how many
     rounds follow it, nor on which other methods run.
     """
     cfg = prepared.cfg
-    methods, s0_size = methods or (cfg.method,), _s0_size(cfg)
-    spent = {"active": s0_size + cfg.synthesis.n_iterations * cfg.synthesis.per_iteration,
-             "jacobian": s0_size * 2**cfg.jacobian.n_iterations, "noise": 0}
-    budgets = {method: [spent.get(method) if budget is None else budget for budget in budgets] for method in methods}
-    plans = {method: check_budgets(cfg, budgets[method], method) for method in methods}
+    plans = {method: check_budgets(replace(cfg, method=method), budgets) for method in methods or (cfg.method,)}
     # an oracle takes no 0 cap; an empty pool fails in balancing instead
     balancer = TargetOracle(prepared.target, budget=len(prepared.pool_set) or None)
     s0 = balance_by_predicted_label(balancer, prepared.pool_set.epochs, cfg.balance.per_class,
                                     prepared.seeds["balance"])
-    traces = _train_substitutes(prepared, s0, budgets, {m: plan for m, plan in plans.items() if m != "noise"})
-    return [_score(prepared, method, budget, balancer.query_count, trace) for method in methods
-            for budget, trace in zip(budgets[method], traces.get(method, [None] * len(budgets[method])))]
+    traces = _train_substitutes(prepared, s0, {m: plan for m, plan in plans.items() if m != "noise"})
+    return [_score(prepared, method, budget, balancer.query_count, trace) for method, plan in plans.items()
+            for (budget, _, _), trace in zip(plan, traces.get(method, [None] * len(plan)))]
 
 
 def experiment_runs(cfg: ExperimentConfig, budgets, methods=None):
-    """``(run, attack_runs(prepare_run(cfg, run), budgets, methods))`` per run index, one run at a time.
-
-    Checks every method and budget but None (the configured rounds) before the first target trains.
-    """
+    """Each method's :func:`check_budgets`, then ``(run, attack_runs(prepare_run(cfg, run), budgets, methods))``."""
     for method in methods or (cfg.method,):
-        check_budgets(cfg, [budget for budget in budgets if budget is not None], method)
+        check_budgets(replace(cfg, method=method), budgets)
     for run in range(cfg.runs):
         yield run, attack_runs(prepare_run(cfg, run), budgets, methods)
 

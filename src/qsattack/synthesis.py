@@ -165,22 +165,19 @@ def binary_search_pair(pair: OppositePair, model, steps: int, counter: QueryCoun
 
 
 def _offset(diff: np.ndarray, draw: np.ndarray, offset_norm: float) -> np.ndarray | None:
-    """``draw`` less its projection on ``diff``, the flat pair difference, at L2 norm ``offset_norm``.
-
-    None when that orthogonal component is below the norm floor; raises
-    when the pair endpoints coincide.
-    """
-    denom = float(diff @ diff)
-    if denom < _NORM_FLOOR**2:
+    """:func:`_offsets` of one pair, shaped as ``draw``: None below the norm floor; raises on coincident endpoints."""
+    if float(diff @ diff) < _NORM_FLOOR**2:
         raise DegenerateDirectionError("pair endpoints coincide; no direction to keep")
-    flat = draw.ravel()
-    candidate = flat - (float(diff @ flat) / denom) * diff
-    norm = float(np.linalg.norm(candidate))
-    return (offset_norm / norm) * candidate.reshape(draw.shape) if norm >= _NORM_FLOOR else None
+    offsets, kept = _offsets(diff[None], draw.reshape(1, -1), offset_norm)
+    return offsets[0].reshape(draw.shape) if kept[0] else None
 
 
 def _offsets(diffs: np.ndarray, draws: np.ndarray, offset_norm: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_offset` of each (m, C*T) row, bit-equal (same BLAS dots), and a mask of the rows it gives one for."""
+    """Each (m, C*T) row ``d`` of ``draws`` less its projection on the row ``v`` of ``diffs``, at norm ``offset_norm``.
+
+    That is ``c * offset_norm / ||c||`` with ``c = d - (v . d / v . v) v``, every dot one BLAS ``vecdot``;
+    the mask holds the rows that get one: ``v . v >= floor**2`` and ``||c|| >= floor``.
+    """
     denom = np.vecdot(diffs, diffs)
     with np.errstate(divide="ignore", invalid="ignore"):  # from the rows that get no offset
         candidates = draws - (np.vecdot(diffs, draws) / denom)[:, None] * diffs

@@ -155,7 +155,8 @@ def test_attack_refuses_several_budgets_before_training(tmp_path, monkeypatch, c
     assert main(["attack", "--config", str(cfg), "--out", str(out)]) == 1
     manifest = json.loads((out / "manifest.json").read_text())
     assert (manifest["status"], manifest["stage"]) == ("failed", "ConfigError")
-    assert "--budget" in capsys.readouterr().err
+    assert ("error: attack runs one budget, not [20, 40]: pick one with --budget, or use sweep"
+            in capsys.readouterr().err)
     assert fits == []
     assert main(["attack", "--config", str(cfg), "--out", str(out), "--budget", "40"]) == 0
     assert [row["budget"] for row in read_rows(out / "results.csv")] == ["40"]
@@ -222,9 +223,12 @@ def test_a_multi_method_sweep_names_the_method_in_each_budget_line(tmp_path, cap
     assert budget_lines("active,jacobian", "together") == named
 
 
-def test_sweep_refuses_bad_budget_before_training(tmp_path):
+def test_sweep_refuses_bad_budget_before_training(tmp_path, capsys):
     # |S0| = 20 and per_iteration = 20, so 30 is unreachable; no run is prepared
-    for name, budgets in (("unreachable", [20, 30]), ("empty", [])):
+    for name, budgets, refusal in (
+        ("unreachable", [20, 30], "method 'active': budget 30 minus initial 20 must be a multiple of per_iteration=20"),
+        ("empty", [], "budgets must be a non-empty list"),
+    ):
         cfg = write_config(tmp_path, runs=2, budgets=budgets)
         out = tmp_path / name
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
@@ -232,6 +236,7 @@ def test_sweep_refuses_bad_budget_before_training(tmp_path):
         assert manifest["status"] == "failed"
         assert manifest["stage"] == "ConfigError"
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        assert f"error: {refusal}\n" in capsys.readouterr().err
 
 
 def test_failed_sweep_manifest_names_the_real_error(tmp_path):

@@ -338,7 +338,7 @@ _DECLARED = {
     DataConfig: ("generator", "classes", "channels", "samples", "train_per_class", "test_per_class", "pool_per_class",
                  "separation", "noise_sigma", "noise_amplitude"),
     BalanceConfig: ("per_class",),
-    ExperimentConfig: ("runs",),
+    ExperimentConfig: ("method", "runs"),
 }
 _SECTIONS = {DataConfig: "data.", BalanceConfig: "balance.", ExperimentConfig: ""}  # the rest raise ValueError
 
@@ -581,7 +581,8 @@ def test_jacobian_plan_is_whole_rounds_then_a_partial_one(per_class, classes, ex
     cfg = small_config(method="jacobian", balance=BalanceConfig(per_class=per_class),
                        data=replace(small_config().data, classes=classes))
     s0_size = per_class * classes
-    [(rounds, leftover)] = check_budgets(cfg, [s0_size + extra])
+    [(budget, rounds, leftover)] = check_budgets(cfg, [s0_size + extra])
+    assert budget == s0_size + extra
     assert s0_size * (2**rounds - 1) + leftover == extra
     assert 0 <= leftover < s0_size * 2**rounds
 
@@ -596,7 +597,27 @@ def test_active_plan_refuses_exactly_the_budgets_rounds_cannot_spend(per_class, 
         with pytest.raises(ConfigError):
             check_budgets(cfg, [budget])
     else:
-        assert check_budgets(cfg, [budget]) == [(extra // per_iteration, 0)]
+        assert check_budgets(cfg, [budget]) == [(budget, extra // per_iteration, 0)]
+
+
+@pytest.mark.parametrize("method, configured", [("active", 40), ("jacobian", 40), ("noise", 0)])
+def test_a_none_budget_plans_as_the_configured_budget(method, configured):
+    # |S0| = 20: active adds 1 x 20, jacobian doubles once, noise trains nothing
+    cfg = small_config(method=method)
+    assert check_budgets(cfg, [None]) == check_budgets(cfg, [configured])
+
+
+def test_an_empty_budget_list_is_refused_before_any_query_or_fit(monkeypatch):
+    # an empty list plans nothing: it is refused before the pool is labeled or a target trains
+    cfg = small_config()
+    prepared = prepare_run(cfg, 0)
+    monkeypatch.setattr(TargetOracle, "query_labels", lambda *args: pytest.fail("the oracle was queried"))
+    monkeypatch.setattr(SoftmaxClassifier, "fit", lambda *args, **kwargs: pytest.fail("a model was fit"))
+    monkeypatch.setattr(pipeline, "prepare_run", lambda *args: pytest.fail("a target trained"))
+    with pytest.raises(ConfigError, match=r"^budgets must be a non-empty list$"):
+        attack_runs(prepared, [])
+    with pytest.raises(ConfigError, match=r"^budgets must be a non-empty list$"):
+        next(pipeline.experiment_runs(cfg, []))
 
 
 @settings(max_examples=100, deadline=None)
@@ -685,7 +706,7 @@ def test_jacobian_leaves_take_the_trajectory_next_proposal(monkeypatch):
     rows, gradient = [], SoftmaxClassifier.input_gradient_batch
     monkeypatch.setattr(SoftmaxClassifier, "input_gradient_batch",
                         lambda self, xs, labels: rows.append(len(xs)) or gradient(self, xs, labels))
-    pipeline._train_substitutes(prepared, s0, {"jacobian": budgets}, {"jacobian": check_budgets(cfg, budgets)})
+    pipeline._train_substitutes(prepared, s0, {"jacobian": check_budgets(cfg, budgets)})
     # trajectory rounds 1 and 2 augment 200 and 400 rows; the leaf of 600 reuses
     # round 2's 400 and only the leaf past the last round, 1000, augments its own 800
     assert rows == [200, 400, 800]
