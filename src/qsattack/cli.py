@@ -95,13 +95,13 @@ def _trace_rows(result: RunResult) -> list:
     """Stage-labeled query ledger for one run.
 
     One ``balance`` row, then one ``augment`` row per augmentation-trace
-    row; ``target_queries`` is the absolute oracle counter so totals are
-    directly comparable across methods.
+    row, its ``iteration`` the row's index; ``target_queries`` is the absolute
+    oracle counter so totals are directly comparable across methods.
     """
     rows = [["balance", 0, result.balance_queries, 0, 0]]
     if result.trace is not None:
-        rows += [["augment", row.iteration, result.balance_queries + row.target_queries,
-                  row.substitute_queries, row.train_set_size] for row in result.trace.rows]
+        rows += [["augment", i, result.balance_queries + row.target_queries,
+                  row.substitute_queries, row.train_set_size] for i, row in enumerate(result.trace.rows)]
     return rows
 
 

@@ -316,16 +316,18 @@ def check_budgets(cfg: ExperimentConfig, budgets) -> list:
     A None budget is what the configured rounds label; ``noise`` plans ``(budget, None, 0)``, 0 for None.
     ``active`` rounds add ``per_iteration`` epochs, so its leftover is 0.  ``jacobian`` rounds double the
     labeled set: the plan is the most whole rounds a budget covers, then one more kept to ``leftover`` epochs.
-    Raises :class:`ConfigError` for an empty list or a budget the method cannot spend; needs no data or
-    training, so :func:`experiment_runs` checks before it trains.
+    Raises :class:`ConfigError` for an empty list, with a config's own text for a budget ``cfg.budgets`` refuses
+    (before any method rule), and for a budget the method cannot spend; needs no data or training, so
+    :func:`experiment_runs` checks before it trains.
     """
     if not budgets:
         raise ConfigError("budgets must be a non-empty list")
+    given = iter(replace(cfg, budgets=[b for b in budgets if b is not None]).budgets)  # the rule of cfg.budgets
     method, s0_size, per_iteration = cfg.method, cfg.balance.per_class * cfg.data.classes, cfg.synthesis.per_iteration
     configured = {"active": s0_size + cfg.synthesis.n_iterations * per_iteration,
                   "jacobian": s0_size * 2**cfg.jacobian.n_iterations, "noise": 0}[method]
     plans = []
-    for budget in (configured if budget is None else budget for budget in budgets):
+    for budget in (configured if budget is None else next(given) for budget in budgets):
         extra = budget - s0_size
         if method == "noise":
             plans.append((budget, None, 0))

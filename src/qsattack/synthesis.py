@@ -99,10 +99,9 @@ class QueryCounter:
 
 @dataclass
 class TraceRow:
-    """One round: its counts, new epochs (None in row 0), what the oracle labeled them
-    (S0 in row 0) and a copy of the substitute the round left, Adam state included."""
+    """One round, whose number is the row's index in ``trace.rows``: its counts, new epochs (None in row 0), what
+    the oracle labeled them (S0 in row 0) and a copy of the substitute the round left, Adam state included."""
 
-    iteration: int
     target_queries: int
     substitute_queries: int
     train_set_size: int
@@ -319,13 +318,12 @@ def jacobian_augment(
 def advance(row: TraceRow, data: LabeledSet, new, labels, train_cfg: TrainConfig, spent: int) -> TraceRow:
     """The round after ``row``: a copy of ``row.substitute`` fit on ``data``, its set with ``new`` appended.
 
-    ``labels`` are the oracle's labels of ``new``; the row adds them and
-    ``spent`` substitute queries to ``row``'s counts.
+    ``labels`` are the oracle's labels of ``new``; the row adds them and ``spent`` substitute queries to
+    ``row``'s counts.  Its round is the index it takes in ``trace.rows``, one past ``row``'s.
     """
     model = row.substitute.copy()
     model.fit(data, train_cfg)
-    return TraceRow(row.iteration + 1, row.target_queries + len(labels), row.substitute_queries + spent,
-                    len(data), new, labels, model)
+    return TraceRow(row.target_queries + len(labels), row.substitute_queries + spent, len(data), new, labels, model)
 
 
 def _augment_rounds(oracle, initial_epochs, model_spec: ModelSpec, train_cfg: TrainConfig, rounds: int, needed, propose,
@@ -349,7 +347,7 @@ def _augment_rounds(oracle, initial_epochs, model_spec: ModelSpec, train_cfg: Tr
     model = SoftmaxClassifier(model_spec) if round0 is None else round0.copy()
     if round0 is None:
         model.fit(data, train_cfg)
-    rows = [TraceRow(0, len(xs), 0, len(xs), None, labels, model)]
+    rows = [TraceRow(len(xs), 0, len(xs), None, labels, model)]
     for _ in range(rounds):
         new = propose(data, rows[-1].substitute, counter=(counter := QueryCounter()))
         data = data.extended(new, labels := oracle.query_labels(new))  # frees the last round's set before the fit

@@ -1,17 +1,18 @@
 import dataclasses
 import json
+import re
 import typing
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsattack import models, pipeline
 from qsattack.cli import _results_row, main
 from qsattack.data import balance_by_predicted_label
-from qsattack.errors import ConfigError
+from qsattack.errors import ClassBalanceError, ConfigError
 from qsattack.models import ModelSpec, SoftmaxClassifier, TrainConfig
 from qsattack.oracle import TargetOracle
 from qsattack.pipeline import (
@@ -546,9 +547,9 @@ def test_attack_runs_equal_separate_runs_per_budget(method, budgets):
         alone = attack_runs(prepared, [budget])[0]
         assert np.array_equal(result.substitute.parameters, alone.substitute.parameters)
         assert len(result.trace.rows) == len(alone.trace.rows)
-        for row, ref in zip(result.trace.rows, alone.trace.rows):
-            assert (row.iteration, row.target_queries, row.substitute_queries, row.train_set_size) == (
-                ref.iteration, ref.target_queries, ref.substitute_queries, ref.train_set_size)
+        for (i, row), (j, ref) in zip(enumerate(result.trace.rows), enumerate(alone.trace.rows)):
+            assert (i, row.target_queries, row.substitute_queries, row.train_set_size) == (
+                j, ref.target_queries, ref.substitute_queries, ref.train_set_size)
             assert (row.synthesized is None) == (ref.synthesized is None)
             assert row.synthesized is None or np.array_equal(row.synthesized, ref.synthesized)
         assert result.training_queries == alone.training_queries == budget
@@ -556,8 +557,8 @@ def test_attack_runs_equal_separate_runs_per_budget(method, budgets):
         assert np.array_equal(result.attacked.confusion, alone.attacked.confusion)
     assert not np.array_equal(shared[0].substitute.parameters, shared[-1].substitute.parameters)
     if method == "jacobian":
-        rows = {r.budget: [(x.iteration, x.target_queries, x.substitute_queries, x.train_set_size)
-                           for x in r.trace.rows] for r in shared}
+        rows = {r.budget: [(i, x.target_queries, x.substitute_queries, x.train_set_size)
+                           for i, x in enumerate(r.trace.rows)] for r in shared}
         assert rows == JACOBIAN_ROWS
 
 
@@ -624,8 +625,115 @@ def test_an_empty_budget_list_is_refused_before_any_query_or_fit(monkeypatch):
 @given(method=st.sampled_from(["active", "jacobian"]), per_class=st.integers(1, 50), short=st.integers(1, 100))
 def test_budget_below_initial_set_is_refused(method, per_class, short):
     cfg = small_config(method=method, balance=BalanceConfig(per_class=per_class))
-    with pytest.raises(ConfigError, match="below the initial set size"):
-        check_budgets(cfg, [2 * per_class - short])
+    budget = 2 * per_class - short
+    message = ("below the initial set size" if budget >= 0
+               else re.escape(f"budgets must be non-negative integers, got [{budget}]"))
+    with pytest.raises(ConfigError, match=message):
+        check_budgets(cfg, [budget])
+
+
+# what a config refuses in ``budgets``, and its text: a library call gets the same refusal
+REFUSED_BUDGETS = {
+    "negative": ([-5], "budgets must be non-negative integers, got [-5]"),
+    "fraction": ([2.5], "budgets must be non-negative integers, got [2.5]"),
+    "float": ([40.0], "budgets must be non-negative integers, got [40.0]"),
+    "bool": ([True], "budgets must be non-negative integers, got [True]"),
+    "text": (["40"], "budgets must be non-negative integers, got ['40']"),
+    "decreasing": ([400, 200], "budgets must be strictly increasing"),
+}
+
+
+@pytest.mark.parametrize("method", ["active", "jacobian", "noise"])
+@pytest.mark.parametrize("budgets, message", REFUSED_BUDGETS.values(), ids=REFUSED_BUDGETS)
+def test_a_budget_a_config_refuses_is_refused_before_any_query_or_fit(monkeypatch, method, budgets, message):
+    cfg, exact = small_config(method=method), f"^{re.escape(message)}$"
+    with pytest.raises(ConfigError, match=exact):
+        small_config(budgets=tuple(budgets))
+    prepared = prepare_run(cfg, 0)
+    monkeypatch.setattr(TargetOracle, "query_labels", lambda *args: pytest.fail("the oracle was queried"))
+    monkeypatch.setattr(SoftmaxClassifier, "fit", lambda *args, **kwargs: pytest.fail("a model was fit"))
+    with pytest.raises(ConfigError, match=exact):
+        check_budgets(cfg, budgets)
+    with pytest.raises(ConfigError, match=exact):
+        attack_runs(prepared, budgets)
+
+
+@pytest.mark.parametrize("method, configured", [("active", 40), ("jacobian", 40), ("noise", 0)])
+def test_none_and_numpy_integer_budgets_are_planned_as_integers(method, configured):
+    cfg = small_config(method=method)
+    assert check_budgets(cfg, [None, 40]) == check_budgets(cfg, [configured]) + check_budgets(cfg, [40])
+    plans = check_budgets(cfg, [np.int64(20), np.int32(40)])
+    assert plans == check_budgets(cfg, [20, 40])
+    assert [type(budget) for budget, _, _ in plans] == [int, int]
+
+
+def record_oracles(monkeypatch) -> list:
+    """Make ``pipeline.TargetOracle`` append every oracle it builds to the list returned."""
+    oracles = []
+
+    class RecordingOracle(pipeline.TargetOracle):
+        def __init__(self, model, budget=None):
+            super().__init__(model, budget)
+            oracles.append(self)
+
+    monkeypatch.setattr(pipeline, "TargetOracle", RecordingOracle)
+    return oracles
+
+
+def whole_rounds(budget: int, s0_size: int) -> int:
+    """The target queries of the most whole jacobian rounds ``budget`` covers: |S0| doubled while it fits."""
+    labeled = s0_size
+    while 2 * labeled <= budget:
+        labeled *= 2
+    return labeled
+
+
+@settings(max_examples=100, deadline=None)
+@given(classes=st.integers(2, 4), per_class=st.integers(1, 4), per_iteration=st.integers(1, 6),
+       methods=st.lists(st.sampled_from(["active", "jacobian", "noise"]), min_size=1, unique=True), data=st.data())
+def test_attack_runs_spend_every_budget_exactly(classes, per_class, per_iteration, methods, data):
+    # budgets every drawn method can spend: |S0| plus whole active rounds when active runs, else
+    # anything up to 5 |S0|, so jacobian gets up to two whole rounds and leaves past the last one
+    s0_size = classes * per_class
+    extras = (st.integers(0, 3).map(lambda k: k * per_iteration) if "active" in methods
+              else st.integers(0, 4 * s0_size))
+    budgets = sorted(s0_size + extra for extra in data.draw(st.sets(extras, min_size=1, max_size=3)))
+    cfg = small_config(
+        data=DataConfig(generator="blobs", classes=classes, channels=2, samples=4, train_per_class=4,
+                        test_per_class=1, pool_per_class=6, separation=8.0, noise_sigma=0.5),
+        target=NetConfig(architecture="linear", hidden=(), train=TrainConfig(max_epochs=10, patience=10)),
+        substitute=NetConfig(architecture="linear", hidden=(), train=TrainConfig(max_epochs=1, patience=1)),
+        balance=BalanceConfig(per_class=per_class),
+        synthesis=SynthesisConfig(n_iterations=1, per_iteration=per_iteration, bisection_steps=2),
+    )
+    prepared = prepare_run(cfg, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        oracles = record_oracles(mp)
+        try:
+            results = attack_runs(prepared, budgets, methods)
+        except ClassBalanceError:  # the target predicts some class fewer than per_class times in the pool
+            results = None
+    assume(results is not None)
+    assert [(r.method, r.budget) for r in results] == [(m, b) for m in methods for b in budgets]
+    for result in results:
+        assert result.balance_queries == len(prepared.pool_set)
+        if result.method == "noise":
+            assert result.trace is None
+            continue
+        rows = result.trace.rows
+        assert (rows[0].target_queries, rows[0].train_set_size, len(rows[0].labels)) == (s0_size,) * 3
+        for before, row in zip(rows, rows[1:]):
+            assert len(row.synthesized) == len(row.labels) > 0
+            assert row.target_queries == before.target_queries + len(row.labels)
+            assert row.train_set_size == before.train_set_size + len(row.labels)
+        assert rows[-1].target_queries == result.training_queries == result.budget
+    # the balancer, then per trained method its trajectory and a leaf per partial jacobian round
+    caps = [len(prepared.pool_set)]
+    for method in (m for m in methods if m != "noise"):
+        ends = budgets if method == "active" else [whole_rounds(b, s0_size) for b in budgets]
+        caps += [max(ends)] + [b - end for b, end in zip(budgets, ends) if b > end]
+    assert [o.budget for o in oracles] == caps
+    assert [o.remaining for o in oracles] == [0] * len(caps)
 
 
 @pytest.mark.parametrize("method", ["active", "jacobian", "noise"])
@@ -645,14 +753,7 @@ def test_attack_runs_balances_once_per_run_index(monkeypatch, method):
 
 @pytest.mark.parametrize("method", ["active", "jacobian"])
 def test_each_trajectory_oracle_caps_its_own_budget(monkeypatch, method):
-    oracles = []
-
-    class RecordingOracle(pipeline.TargetOracle):
-        def __init__(self, model, budget=None):
-            super().__init__(model, budget)
-            oracles.append(self)
-
-    monkeypatch.setattr(pipeline, "TargetOracle", RecordingOracle)
+    oracles = record_oracles(monkeypatch)
     attack_runs(prepare_run(small_config(method=method), 0), [20, 40, 60])
     # the balancing oracle is capped at the pool and the trajectory at what its
     # whole rounds label: 60 for active; 40 = |S0| * 2**1 for jacobian, whose
@@ -665,23 +766,16 @@ def test_each_trajectory_oracle_caps_its_own_budget(monkeypatch, method):
 def trace_rows(result):
     """Every trace row of a run as plain values, its synthesized epochs as bytes."""
     rows = result.trace.rows if result.trace is not None else []
-    return [(r.iteration, r.target_queries, r.substitute_queries, r.train_set_size,
-             None if r.synthesized is None else r.synthesized.tobytes()) for r in rows]
+    return [(i, r.target_queries, r.substitute_queries, r.train_set_size,
+             None if r.synthesized is None else r.synthesized.tobytes()) for i, r in enumerate(rows)]
 
 
 @pytest.mark.parametrize("method, spent", [("active", 40), ("jacobian", 40), ("noise", 0)])
 def test_a_run_without_a_budget_is_the_run_at_its_configured_budget(monkeypatch, method, spent):
     # |S0| = 20: active adds 1 x 20, jacobian doubles once, noise trains nothing
-    oracles = []
-
-    class RecordingOracle(pipeline.TargetOracle):
-        def __init__(self, model, budget=None):
-            super().__init__(model, budget)
-            oracles.append(self)
-
     cfg = small_config(method=method)
     prepared = prepare_run(cfg, 0)
-    monkeypatch.setattr(pipeline, "TargetOracle", RecordingOracle)
+    oracles = record_oracles(monkeypatch)
     bare = attack_runs(prepared, [None])[0]
     assert bare.budget == spent
     assert None not in [o.budget for o in oracles]  # every oracle, the trajectory's too, is capped

@@ -292,7 +292,6 @@ def test_active_training_trace_invariants():
         oracle, s0, ModelSpec("mlp", 2, 6, 2, hidden=(5,), seed=4), FAST_TRAIN, cfg
     )
     for i, row in enumerate(trace.rows):
-        assert row.iteration == i
         assert row.train_set_size == 20 + i * 8
         assert row.target_queries == 20 + i * 8
         # two bisection runs per synthesized epoch
@@ -599,8 +598,8 @@ def test_active_training_zero_rounds_is_round_zero():
     cfg = SynthesisConfig(n_iterations=0, per_iteration=8, bisection_steps=4, offset_norm=2.0)
     model, trace = train_substitute_active(oracle, s0, spec, FAST_TRAIN, cfg)
     assert oracle.query_count == 20
-    [row] = trace.rows
-    assert (row.iteration, row.target_queries, row.substitute_queries, row.train_set_size) == (0, 20, 0, 20)
+    [(i, row)] = enumerate(trace.rows)
+    assert (i, row.target_queries, row.substitute_queries, row.train_set_size) == (0, 20, 0, 20)
     assert row.synthesized is None
     _, oracle, s0 = make_oracle_and_s0(n_s0=20)
     _, longer = train_substitute_active(oracle, s0, spec, FAST_TRAIN, replace(cfg, n_iterations=2))
@@ -621,7 +620,7 @@ def test_every_trace_row_is_the_run_that_stops_there(trainer, arch, hidden):
         return target, s0, *train_substitute_jacobian(oracle, s0, spec, FAST_TRAIN, JacobianConfig(0.5, rounds))
 
     target, s0, model, trace = run(2)
-    assert [row.iteration for row in trace.rows] == [0, 1, 2]
+    assert [i for i, _ in enumerate(trace.rows)] == [0, 1, 2]
     assert trace.rows[-1].substitute is not model
     model.fit(LabeledSet(s0, target.predict_batch(s0)), FAST_TRAIN)  # the live model trains on: no row moves
     for i, row in enumerate(trace.rows):
