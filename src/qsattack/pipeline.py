@@ -59,8 +59,7 @@ from .synthesis import (
     AugmentationTrace,
     JacobianConfig,
     SynthesisConfig,
-    advance,
-    jacobian_augment,
+    branch,
     train_substitute_active,
     train_substitute_jacobian,
 )
@@ -364,15 +363,10 @@ def prepare_run(cfg: ExperimentConfig, run_index: int = 0) -> PreparedRun:
 def _train_substitutes(prepared: PreparedRun, s0, plans: dict) -> dict:
     """``{method: [the trace of the run each plan stops]}``, one trajectory of whole rounds per method.
 
-    Each trajectory's oracle labels S0 and is capped at what its rounds
-    label.  Only the first fits round 0; the rest start from its row-0
-    substitute, the fit they would make on the same S0, spec and seeds.  A
-    plan with no leftover ends at the row of its round, whose substitute is
-    the one that round left.  A ``jacobian`` leftover branches a leaf from
-    that row: one :func:`advance` from the labeled set the rows rebuild, on
-    ``leftover`` seeded rows of the trajectory's next proposal (computed
-    only past its last round) and its own oracle capped at ``leftover``,
-    as a run stopping at that budget would end.
+    Each trajectory's oracle labels S0 and is capped at what its rounds label.  Only the first fits round 0; the
+    rest start from its row-0 substitute, the fit they would make on the same S0, spec and seeds.  A plan ends at
+    the row of its whole rounds, or, with a ``jacobian`` leftover, at the leaf :func:`branch` makes from that row
+    on an oracle capped at ``leftover``.
     """
     cfg, seeds = prepared.cfg, prepared.seeds
     spec = _build_spec(cfg.substitute, cfg.data, seeds["substitute-init"])
@@ -387,19 +381,10 @@ def _train_substitutes(prepared: PreparedRun, s0, plans: dict) -> dict:
         else:
             plan = replace(cfg.synthesis, seed=seeds["synthesis"], n_iterations=rounds)
             _, trace = train_substitute_active(oracle, s0, spec, train, plan, round0=round0)
-        rows, round0 = trace.rows, round0 or trace.rows[0].substitute  # every later trajectory starts from it
-        out[method] = []
-        for _, done, leftover in method_plans:
-            kept = rows[: done + 1]
-            if leftover:
-                data = LabeledSet(np.concatenate([s0, *(row.synthesized for row in kept[1:])]),
-                                  np.concatenate([row.labels for row in kept]))
-                new = (rows[done + 1].synthesized if done < rounds
-                       else jacobian_augment(data, rows[done].substitute, jac.step_size))
-                new = new[np.sort(np.random.default_rng(seeds["synthesis"]).choice(len(new), leftover, replace=False))]
-                labels = TargetOracle(prepared.target, budget=leftover).query_labels(new)
-                kept.append(advance(rows[done], data.extended(new, labels), new, labels, train, len(data)))
-            out[method].append(AugmentationTrace(kept))
+        round0 = round0 or trace.rows[0].substitute  # every later trajectory starts from it
+        out[method] = [branch(trace, s0, done, TargetOracle(prepared.target, budget=leftover), train, jac.step_size,
+                              seeds["synthesis"]) if leftover else AugmentationTrace(trace.rows[: done + 1])
+                       for _, done, leftover in method_plans]
     return out
 
 

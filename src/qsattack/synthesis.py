@@ -16,10 +16,10 @@ Accounting conventions:
   from one batched forward over the labeled set, and runs its halvings
   in lockstep as ``2 * bisection_steps`` more batched forwards.
 
-The baseline's step, :func:`jacobian_augment`, is the ``ufgsm`` craft at
-``epsilon = step_size``.  Every round after round 0 labels its epochs and extends the
-immutable :class:`LabeledSet`; one :func:`advance` then fits a copy of the last round's
-substitute on it, so its :class:`TraceRow` keeps how a run stopping there ends.
+The baseline's step, :func:`jacobian_augment`, is the ``ufgsm`` craft at ``epsilon = step_size``.  Every round after
+round 0 labels its epochs and extends the immutable :class:`LabeledSet`; one :func:`advance` then fits a copy of the
+last round's substitute on it, so its :class:`TraceRow` keeps how a run stopping there ends.  A run that stops inside a
+doubling round is a leaf, which :func:`branch` makes from the trajectory's rows.
 """
 
 from __future__ import annotations
@@ -324,6 +324,20 @@ def advance(row: TraceRow, data: LabeledSet, new, labels, train_cfg: TrainConfig
     model = row.substitute.copy()
     model.fit(data, train_cfg)
     return TraceRow(row.target_queries + len(labels), row.substitute_queries + spent, len(data), new, labels, model)
+
+
+def branch(trace, initial, done: int, oracle, train_cfg: TrainConfig, step_size: float, seed: int) -> AugmentationTrace:
+    """The leaf of the ``jacobian`` ``trace`` that stops ``oracle.budget`` epochs into round ``done + 1``: one
+    :func:`advance` from round ``done``'s set, rebuilt from ``initial`` and the rows, on the sorted ``seed`` sample of
+    round ``done + 1``'s proposal (crafted only past the trace's last row), labeled on ``oracle``."""
+    rows = trace.rows[: done + 1]
+    data = LabeledSet(np.concatenate([initial, *(row.synthesized for row in rows[1:])]),
+                      np.concatenate([row.labels for row in rows]))
+    new = trace.rows[done + 1].synthesized if done + 1 < len(trace.rows) else jacobian_augment(
+        data, rows[-1].substitute, step_size)
+    new = new[np.sort(np.random.default_rng(seed).choice(len(new), oracle.budget, replace=False))]
+    labels = oracle.query_labels(new)
+    return AugmentationTrace(rows + [advance(rows[-1], data.extended(new, labels), new, labels, train_cfg, len(data))])
 
 
 def _augment_rounds(oracle, initial_epochs, model_spec: ModelSpec, train_cfg: TrainConfig, rounds: int, needed, propose,
