@@ -58,20 +58,22 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-_TYPES = {  # each scalar annotation: the test its values pass, and what a refusal says they must be
-    "int": (is_integer, "an integer"),
+_TYPES = {  # each scalar annotation: the test its values pass, what a refusal says they must be, and its Python type
+    "int": (is_integer, "an integer", int),
     "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max,
-              "a finite number"),  # NaN, the infinities and an integer past every float are none
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "str": (lambda v: isinstance(v, str), "a string"),
+              "a finite number", float),  # NaN, the infinities and an integer past every float are none
+    "bool": (lambda v: isinstance(v, bool), "true or false", bool),
+    "str": (lambda v: isinstance(v, str), "a string", str),
 }
 
 
 def check_fields(record, section="", error=ValueError):
-    """Raise ``error`` naming ``section + name`` at the first field of ``record`` of a wrong type or out of its rule."""
+    """Raise ``error`` naming ``section + name`` at the first field of ``record`` of a wrong type or out of its rule.
+
+    Stores each scalar it accepts as its Python type: a numpy integer wraps in arithmetic and is no JSON number.
+    """
     for f in fields(record):
-        value, rule = getattr(record, f.name), f.metadata
-        kind = _TYPES.get(f.type)
+        value, rule, kind = getattr(record, f.name), f.metadata, _TYPES.get(f.type)
         if kind and not kind[0](value):
             must = kind[1]
         elif "choices" in rule and value not in rule["choices"]:
@@ -79,5 +81,7 @@ def check_fields(record, section="", error=ValueError):
         elif "low" in rule and not (value > rule["low"] if rule["above"] else value >= rule["low"]):
             must = f"{'>' if rule['above'] else '>='} {rule['low']}"
         else:
+            if kind:
+                object.__setattr__(record, f.name, kind[2](value))
             continue
         raise error(f"{section}{f.name} must be {must}, got {value!r}")

@@ -11,17 +11,17 @@ from __future__ import annotations
 import numpy as np
 
 from .data import as_epoch_batch
-from .errors import BudgetExhaustedError
+from .errors import BudgetExhaustedError, is_integer
 
 
 class TargetOracle:
     """Counted, label-only access to an attacked classifier."""
 
     def __init__(self, model, budget: int | None = None):
-        if budget is not None and budget < 1:
-            raise ValueError("budget must be a positive integer when set")
+        if budget is not None and (not is_integer(budget) or budget < 1):
+            raise ValueError(f"budget must be a positive integer when set, got {budget!r}")
         self._model = model
-        self._budget = budget
+        self._budget = None if budget is None else int(budget)
         self._count = 0
 
     @property

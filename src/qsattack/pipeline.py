@@ -83,9 +83,9 @@ class DataConfig:
 
     def __post_init__(self):
         check_fields(self, "data.", ConfigError)
-        epoch_values = int(self.classes) * int(self.channels) * int(self.samples)  # Python ints: no overflow
+        epoch_values = self.classes * self.channels * self.samples  # Python ints, as check_fields stores them
         for name in ("train_per_class", "test_per_class", "pool_per_class"):
-            if int(getattr(self, name)) * epoch_values > _MAX_VALUES:
+            if getattr(self, name) * epoch_values > _MAX_VALUES:
                 raise ConfigError(f"data.{name} * classes * channels * samples exceeds {_MAX_VALUES} values")
         if self.generator == "erp" and self.samples < 8:
             raise ConfigError(f"data.samples must be >= 8 for erp epochs, got {self.samples}")
@@ -214,13 +214,15 @@ def derive_seed(master: int, *parts) -> int:
 
 
 def stage_seeds(master_seed: int, run_index: int) -> dict:
-    """All derived seeds for one run, keyed by stage name."""
+    """All derived seeds for one run, keyed by stage name; ``run_index`` is an integer >= 0, hashed as an int."""
+    if not is_integer(run_index) or run_index < 0:  # np.int64(1) or 1.0 would hash to another run's seeds
+        raise ValueError(f"run_index must be an integer >= 0, got {run_index!r}")
     stages = (
         "data-structure", "data-train", "data-test", "data-pool",
         "target-init", "target-train",
         "balance", "substitute-init", "substitute-train", "synthesis", "noise", "run",
     )
-    return {s: derive_seed(master_seed, run_index, s) for s in stages}
+    return {s: derive_seed(master_seed, int(run_index), s) for s in stages}
 
 
 def _generate(data_cfg: DataConfig, n_per_class: int, seed: int, structure_seed: int | None = None) -> LabeledSet:

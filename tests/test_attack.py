@@ -200,6 +200,14 @@ def test_saved_manifest_reads_the_batch_config(tmp_path):
     assert (manifest["count"], manifest["gradient_source"]) == (3, "substitute")
 
 
+def test_a_numpy_config_is_saved_as_python_numbers(tmp_path):
+    cfg = AttackConfig(np.float64(0.25), "noise", np.int64(3))
+    assert (type(cfg.epsilon), type(cfg.noise_seed)) == (float, int) and cfg == AttackConfig(0.25, "noise", 3)
+    save_adversarial_batch(tmp_path / "adv", craft_batch(None, RNG.standard_normal((3, 2, 6)), cfg))
+    manifest = json.loads((tmp_path / "adv" / "manifest.json").read_text())
+    assert (manifest["method"], manifest["epsilon"], manifest["noise_seed"]) == ("noise", 0.25, 3)
+
+
 def test_ufgsm_beats_noise_on_simple_task():
     # compact paired check; the acceptance suite runs the full-size version
     train_cfg = TrainConfig(max_epochs=80, patience=8, batch_size=16)

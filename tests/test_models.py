@@ -75,6 +75,16 @@ def test_spec_stores_numpy_hidden_sizes_as_ints():
     assert spec == ModelSpec("mlp", 2, 6, 2, hidden=(4, 3))
 
 
+def test_numpy_shape_fields_are_counted_as_python_ints():
+    # int64 math.prod would wrap 2**32 * 2**32 to 0 and accept 50 parameters; the spec stores int
+    with pytest.raises(ValueError, match=f"gives {16 * 2**64 + 16 + 16 * 2 + 2} parameters"):
+        ModelSpec("mlp", channels=np.int64(2**32), samples=np.int64(2**32), classes=2, hidden=(16,))
+    spec = ModelSpec("mlp", np.int64(2), np.int32(6), np.int64(2), hidden=(4,), kernel_width=np.int64(3),
+                     seed=np.uint8(1))
+    assert spec == ModelSpec("mlp", 2, 6, 2, hidden=(4,), kernel_width=3, seed=1)
+    assert all(type(getattr(spec, name)) is int for name in ("channels", "samples", "classes", "kernel_width", "seed"))
+
+
 
 def test_parameter_count_is_exact_past_int64(monkeypatch):
     # np.prod wraps a (2, 2**62) weight to -2**63 and a (4, 2**62) one to 0; the spec's count must not,

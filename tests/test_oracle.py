@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,18 @@ def test_every_call_is_charged_whole_or_refused_whole(budget, sizes, seed):
 def test_budget_validation():
     with pytest.raises(ValueError):
         TargetOracle(make_model("linear"), budget=0)
+
+
+@pytest.mark.parametrize("budget", [-1, 2.5, 3.0, True, "3", np.float64(3)], ids=repr)
+def test_a_budget_that_is_no_positive_integer_is_refused(budget):
+    with pytest.raises(ValueError, match=f"^budget must be a positive integer when set, got {re.escape(repr(budget))}$"):
+        TargetOracle(make_model("linear"), budget=budget)
+
+
+def test_a_numpy_budget_is_kept_as_an_int():
+    oracle = TargetOracle(make_model("linear"), budget=np.int64(3))
+    oracle.query_labels(RNG.standard_normal((2, 2, 6)))
+    assert (oracle.budget, oracle.remaining) == (3, 1) and (type(oracle.budget), type(oracle.remaining)) == (int, int)
 
 
 def test_shape_mismatch_rejected_without_counting():

@@ -449,6 +449,21 @@ def test_stage_seeds_are_stable_and_distinct():
     assert stage_seeds(7, 1) != seeds
 
 
+def test_a_run_index_is_hashed_as_the_int_it_is():
+    # repr(np.int64(1)) is "np.int64(1)": hashed as given, a numpy index seeded an unpaired run
+    assert stage_seeds(0, np.int64(1)) == stage_seeds(0, np.int32(1)) == stage_seeds(0, 1)
+    for bad in (-1, True, 1.0, "1", None):
+        with pytest.raises(ValueError, match=f"^run_index must be an integer >= 0, got {re.escape(repr(bad))}$"):
+            stage_seeds(0, bad)
+
+
+def test_a_config_given_numpy_scalars_holds_python_numbers():
+    cfg = ExperimentConfig(runs=np.int64(2), master_seed=np.int32(5), data=DataConfig(separation=np.float64(4.5)))
+    assert (type(cfg.runs), type(cfg.master_seed), type(cfg.data.separation)) == (int, int, float)
+    assert json.dumps(config_to_dict(cfg)) == json.dumps(config_to_dict(
+        ExperimentConfig(runs=2, master_seed=5, data=DataConfig(separation=4.5))))
+
+
 def test_noise_method_skips_substitute():
     result = run_attack_experiment(small_config(method="noise"), 0)
     assert result.trace is None
