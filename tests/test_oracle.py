@@ -76,7 +76,8 @@ def test_budget_validation():
 
 @pytest.mark.parametrize("budget", [-1, 2.5, 3.0, True, "3", np.float64(3)], ids=repr)
 def test_a_budget_that_is_no_positive_integer_is_refused(budget):
-    with pytest.raises(ValueError, match=f"^budget must be a positive integer when set, got {re.escape(repr(budget))}$"):
+    must = f"^budget must be a positive integer when set, got {re.escape(repr(budget))}$"
+    with pytest.raises(ValueError, match=must):
         TargetOracle(make_model("linear"), budget=budget)
 
 
